@@ -1,16 +1,18 @@
 # Developer entry points. `make bench-core` records the BenchmarkSelect
-# matrix (serial/parallel x full/eager-incremental/lazy candidate
-# evaluation) as results/BENCH_core.json; `make bench-lp` records branch-and-bound node
-# throughput (sparse warm-started vs dense cold-start) as
-# results/BENCH_lp.json; `make bench-whatif` records the what-if hot-path
-# microbenchmarks (cached/cold probes, applicability checks, selection
-# clones; flat interned tables vs the string-keyed reference) as
-# results/BENCH_whatif.json and fails if the flat cached probe allocates.
-# All are committed so perf trajectories are tracked across PRs.
+# matrix (serial/parallel x uncached-sweep/lazy step loop, in
+# internal/core) as results/BENCH_core.json; `make bench-lp` records
+# branch-and-bound node throughput (sparse warm-started vs the dense
+# cold-start test oracle) as results/BENCH_lp.json; `make bench-whatif`
+# records the what-if hot-path microbenchmarks (cached/cold probes,
+# applicability checks, selection clones; flat interned tables vs the
+# string-keyed whatiftest oracle) as results/BENCH_whatif.json and fails if
+# the flat cached probe allocates. All are committed so perf trajectories are
+# tracked across changes. `make oracle-guard` fails if a differential oracle
+# leaks into a shipped binary.
 
 GO ?= go
 BENCH_COUNT ?= 3
-BENCH_PATTERN := ^BenchmarkSelect(Seed|Incremental|Parallel|ParallelIncremental|Lazy|ParallelLazy)$$
+BENCH_PATTERN := ^BenchmarkSelect(Seed|Parallel|Lazy|ParallelLazy)$$
 BENCH_LP_PATTERN := ^BenchmarkMIP(Sparse|Dense)$$
 BENCH_FLEET_PATTERN := ^BenchmarkFleet(Sequential|Pooled|PooledShared|NearCloneTwin|NearCloneNearMatch|Unstreamed|Streamed|SpillRebuild|SpillRestore)$$
 BENCH_WHATIF_PATTERN := ^Benchmark(WhatifCachedProbe|WhatifColdProbe|Applicable|SelectionClone)_
@@ -20,7 +22,7 @@ BENCH_WHATIF_GUARDS := \
 	-max-allocs 'BenchmarkWhatifCachedProbe_Flat=0' \
 	-max-allocs 'BenchmarkSelectionClone_IDSet=1'
 
-.PHONY: build test race bench-core bench-lp bench-whatif bench-fleet bench-compare
+.PHONY: build test race oracle-guard bench-core bench-lp bench-whatif bench-fleet bench-compare
 
 build:
 	$(GO) build ./...
@@ -31,9 +33,24 @@ test:
 race:
 	$(GO) test -race ./internal/core ./internal/whatif ./internal/engine ./internal/lp
 
+# The differential oracles (the string-keyed reference selector and what-if
+# cache, the dense LP) live in test code only: no shipped command or example
+# may link them.
+ORACLE_SYMBOLS := refSelector|refTables|denseSolve
+ORACLE_PKG := repro/internal/whatif/whatiftest
+
+oracle-guard:
+	$(GO) build -o $${TMPDIR:-/tmp}/indexadvisor.oracle-guard ./cmd/indexadvisor
+	@if $(GO) tool nm $${TMPDIR:-/tmp}/indexadvisor.oracle-guard | grep -E '$(ORACLE_SYMBOLS)'; then \
+		echo "oracle symbols linked into cmd/indexadvisor"; exit 1; fi
+	@if $(GO) list -deps ./cmd/... ./examples/... | grep -qx '$(ORACLE_PKG)'; then \
+		echo "$(ORACLE_PKG) is a dependency of a shipped command or example"; exit 1; fi
+	@rm -f $${TMPDIR:-/tmp}/indexadvisor.oracle-guard
+	@echo "oracle-guard: no oracle in shipped binaries"
+
 bench-core:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem \
-		-count $(BENCH_COUNT) -timeout 60m . \
+		-count $(BENCH_COUNT) -timeout 60m ./internal/core \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > results/BENCH_core.json
 
 bench-lp:

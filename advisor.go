@@ -137,13 +137,6 @@ func WithExtendOptions(opts core.Options) Option {
 	return func(ad *Advisor) { ad.extendOpts = opts }
 }
 
-// WithEager disables the Extend strategy's lazy (CELF) step loop in favor
-// of the exhaustive per-step candidate sweep. The recommendation and trace
-// are bit-identical to the lazy default; the knob exists to measure the
-// lazy loop's savings and to produce eager reference journals for
-// runcompare (equal frontiers, different prune ledgers).
-func WithEager() Option { return func(ad *Advisor) { ad.extendOpts.Eager = true } }
-
 // WithExplain turns on decision provenance: every Select additionally
 // returns, on the Recommendation, WHY the strategy chose what it chose
 // (Provenance) and which queries each recommended index helps (Attribution),
@@ -180,8 +173,8 @@ func WithParallelism(n int) Option {
 // gain upper bound falls below bestRatio*(1+eps), so every chosen step's
 // ratio is within a (1+eps) factor of the exact maximum. Runs stay
 // deterministic at every parallelism but are no longer bit-identical to the
-// exact default (eps = 0). Ignored by strategies other than Extend and by the
-// eager/reference/multi-index paths. It overrides the Approximate field of
+// exact default (eps = 0). Ignored by strategies other than Extend and when
+// Reconfig or MultiIndex is set. It overrides the Approximate field of
 // WithExtendOptions regardless of option order.
 func WithApproximate(eps float64) Option {
 	return func(ad *Advisor) { ad.approximate = eps }
@@ -264,12 +257,12 @@ type Recommendation struct {
 	Workers int
 	// Evaluated and CacheServed total, over the whole run (including the
 	// final enumeration round that found no viable step), how many candidate
-	// gains were (re)computed versus served from the incremental gain cache
-	// (StrategyExtend only).
+	// gains were (re)computed versus decided by the lazy loop from a
+	// still-exact cached evaluation (StrategyExtend only).
 	Evaluated, CacheServed int
 	// Pruned totals the candidates the lazy (CELF) loop skipped because their
 	// gain upper bound could not beat the step winner (StrategyExtend only;
-	// zero on the eager and multi-index paths).
+	// zero on the Reconfig sweep and multi-index paths).
 	Pruned int
 	// Approximate echoes the lazy loop's relative relaxation eps
 	// (WithApproximate); 0 means the provably exact default.

@@ -32,79 +32,69 @@ func (s *cancelAfterSource) CostWithIndex(q Query, k Index) float64 {
 // TestAnytimePrefixBitIdentity is the anytime acceptance property: an Extend
 // run interrupted mid-construction returns, at the same Parallelism, a
 // bit-identical PREFIX of the unbounded run's step trace — the in-flight step
-// is discarded, never applied from partially evaluated candidates. Both step
-// loops are pinned: the lazy (CELF) default, whose in-flight batches must be
-// discarded without corrupting its persistent bound state, and the eager
-// sweep.
+// is discarded, never applied from partially evaluated candidates. This pins
+// the lazy (CELF) default, whose in-flight batches must be discarded without
+// corrupting its persistent bound state; internal/core pins the sweep that
+// Reconfig runs take.
 func TestAnytimePrefixBitIdentity(t *testing.T) {
 	w := smallWorkload(t)
 	m := costmodel.New(w, costmodel.SingleIndex)
 	budget := m.Budget(0.5)
 
-	for _, mode := range []struct {
-		name  string
-		eager bool
-	}{{"lazy", false}, {"eager", true}} {
-		full, err := core.Select(w, whatif.New(m), core.Options{
-			Budget: budget, Parallelism: 4, Eager: mode.eager,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(full.Steps) < 3 {
-			t.Fatalf("%s: unbounded run took only %d steps; workload too small for the test",
-				mode.name, len(full.Steps))
-		}
-		if full.Partial || full.StopReason.Interrupted() {
-			t.Fatalf("%s: unbounded run reported Partial=%v StopReason=%v",
-				mode.name, full.Partial, full.StopReason)
-		}
+	full, err := core.Select(w, whatif.New(m), core.Options{Budget: budget, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Steps) < 3 {
+		t.Fatalf("unbounded run took only %d steps; workload too small for the test", len(full.Steps))
+	}
+	if full.Partial || full.StopReason.Interrupted() {
+		t.Fatalf("unbounded run reported Partial=%v StopReason=%v", full.Partial, full.StopReason)
+	}
 
-		// Cut at several depths: cancel after N what-if calls for growing N.
-		interrupted := 0
-		for _, after := range []int64{1, 50, 400, 2000} {
-			ctx, cancel := context.WithCancel(context.Background())
-			src := &cancelAfterSource{WhatIfSource: m, cancel: cancel, after: after}
-			part, err := core.Select(w, whatif.New(src), core.Options{
-				Budget: budget, Parallelism: 4, Eager: mode.eager, Context: ctx,
-			})
-			cancel()
-			if err != nil {
-				t.Fatalf("%s after %d calls: interrupted run errored: %v", mode.name, after, err)
+	// Cut at several depths: cancel after N what-if calls for growing N.
+	interrupted := 0
+	for _, after := range []int64{1, 50, 400, 2000} {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancelAfterSource{WhatIfSource: m, cancel: cancel, after: after}
+		part, err := core.Select(w, whatif.New(src), core.Options{
+			Budget: budget, Parallelism: 4, Context: ctx,
+		})
+		cancel()
+		if err != nil {
+			t.Fatalf("after %d calls: interrupted run errored: %v", after, err)
+		}
+		if src.calls.Load() < after {
+			// The whole run needed fewer calls than the trigger: it must have
+			// completed normally.
+			if part.Partial {
+				t.Errorf("after %d calls: run completed but is marked Partial", after)
 			}
-			if src.calls.Load() < after {
-				// The whole run needed fewer calls than the trigger: it must have
-				// completed normally.
-				if part.Partial {
-					t.Errorf("%s after %d calls: run completed but is marked Partial", mode.name, after)
-				}
-				continue
-			}
-			interrupted++
-			if !part.Partial || part.StopReason != StopCancelled {
-				t.Errorf("%s after %d calls: Partial=%v StopReason=%v, want partial/cancelled",
-					mode.name, after, part.Partial, part.StopReason)
-			}
-			if len(part.Steps) > len(full.Steps) {
-				t.Fatalf("%s after %d calls: partial run has MORE steps (%d) than unbounded (%d)",
-					mode.name, after, len(part.Steps), len(full.Steps))
-			}
-			for i, s := range part.Steps {
-				f := full.Steps[i]
-				if s.Kind != f.Kind || s.Index.Key() != f.Index.Key() ||
-					s.Ratio != f.Ratio || s.CostAfter != f.CostAfter || s.MemAfter != f.MemAfter {
-					t.Fatalf("%s after %d calls: step %d diverges from unbounded run: %+v vs %+v",
-						mode.name, after, i, s, f)
-				}
-			}
-			if part.Memory > budget {
-				t.Errorf("%s after %d calls: partial memory %d exceeds budget %d",
-					mode.name, after, part.Memory, budget)
+			continue
+		}
+		interrupted++
+		if !part.Partial || part.StopReason != StopCancelled {
+			t.Errorf("after %d calls: Partial=%v StopReason=%v, want partial/cancelled",
+				after, part.Partial, part.StopReason)
+		}
+		if len(part.Steps) > len(full.Steps) {
+			t.Fatalf("after %d calls: partial run has MORE steps (%d) than unbounded (%d)",
+				after, len(part.Steps), len(full.Steps))
+		}
+		for i, s := range part.Steps {
+			f := full.Steps[i]
+			if s.Kind != f.Kind || s.Index.Key() != f.Index.Key() ||
+				s.Ratio != f.Ratio || s.CostAfter != f.CostAfter || s.MemAfter != f.MemAfter {
+				t.Fatalf("after %d calls: step %d diverges from unbounded run: %+v vs %+v",
+					after, i, s, f)
 			}
 		}
-		if interrupted == 0 {
-			t.Errorf("%s: no trigger point interrupted the run; prefix property untested", mode.name)
+		if part.Memory > budget {
+			t.Errorf("after %d calls: partial memory %d exceeds budget %d", after, part.Memory, budget)
 		}
+	}
+	if interrupted == 0 {
+		t.Error("no trigger point interrupted the run; prefix property untested")
 	}
 }
 

@@ -210,105 +210,6 @@ func BenchmarkEngineIndexBuild(b *testing.B) {
 	}
 }
 
-// --- BenchmarkSelect family: the Algorithm-1 candidate-evaluator matrix ---
-//
-// Six variants of the same frontier run — serial/parallel crossed with
-// full/eager-incremental/lazy candidate evaluation — over the TPC-C template
-// workload (whose single trace answers the paper's 16-budget sweep via
-// SelectionAt) and a scaled-down generated ERP workload. `make bench-core`
-// records the matrix as results/BENCH_core.json so the perf trajectory is
-// tracked across PRs. All variants produce identical step traces (asserted
-// by TestParallelTraceMatchesSerial and TestDifferentialLazyVsEager); only
-// the wall clock and the evaluated_per_step metric differ — the lazy (CELF)
-// variants bound-prune candidates the eager sweeps re-evaluate.
-
-type selectBenchCase struct {
-	name string
-	w    *workload.Workload
-}
-
-func selectBenchCases(b *testing.B) []selectBenchCase {
-	b.Helper()
-	tpcc, err := workload.TPCC(20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	erpCfg := workload.DefaultERPConfig()
-	erpCfg.Tables, erpCfg.TotalAttrs, erpCfg.Queries = 60, 500, 280
-	erpCfg.MinRows, erpCfg.MaxRows = 50_000, 2_000_000
-	erpCfg.TotalExecutions = 1_000_000
-	erp, err := workload.GenerateERP(erpCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return []selectBenchCase{{"TPCC", tpcc}, {"ERP", erp}}
-}
-
-func runSelectBench(b *testing.B, opts core.Options) {
-	b.Helper()
-	for _, bc := range selectBenchCases(b) {
-		b.Run(bc.name, func(b *testing.B) {
-			m := costmodel.New(bc.w, costmodel.SingleIndex)
-			budget := m.Budget(0.8) // frontier run: one trace serves every smaller budget
-			var res *core.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				opt := whatif.New(m) // cold what-if cache every iteration
-				o := opts
-				o.Budget = budget
-				r, err := core.Select(bc.w, opt, o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
-			}
-			b.StopTimer()
-			if res != nil && len(res.Steps) > 0 {
-				// Evaluations per construction step: the tentpole's headline
-				// number (lazy must be >= 5x below eager on ERP), recorded in
-				// BENCH_core.json for every variant.
-				b.ReportMetric(float64(res.Evaluated)/float64(len(res.Steps)), "evaluated_per_step")
-			}
-		})
-	}
-}
-
-// BenchmarkSelectSeed reproduces the pre-optimization evaluator: one worker,
-// every candidate re-evaluated at every construction step.
-func BenchmarkSelectSeed(b *testing.B) {
-	runSelectBench(b, core.Options{Parallelism: 1, DisableIncremental: true})
-}
-
-// BenchmarkSelectIncremental isolates the eager incremental invalidation
-// layer (serial evaluation, cached gains reused across steps) — the "before"
-// configuration the lazy loop is measured against.
-func BenchmarkSelectIncremental(b *testing.B) {
-	runSelectBench(b, core.Options{Parallelism: 1, Eager: true})
-}
-
-// BenchmarkSelectParallel isolates the worker pool (all cores, gains
-// recomputed every step).
-func BenchmarkSelectParallel(b *testing.B) {
-	runSelectBench(b, core.Options{DisableIncremental: true})
-}
-
-// BenchmarkSelectParallelIncremental is the worker pool plus eager
-// incremental invalidation — the pre-lazy production configuration.
-func BenchmarkSelectParallelIncremental(b *testing.B) {
-	runSelectBench(b, core.Options{Eager: true})
-}
-
-// BenchmarkSelectLazy is the lazy (CELF) step loop, serial.
-func BenchmarkSelectLazy(b *testing.B) {
-	runSelectBench(b, core.Options{Parallelism: 1})
-}
-
-// BenchmarkSelectParallelLazy is the production configuration: worker pool
-// plus the lazy (CELF) step loop with bound-based bucket pruning.
-func BenchmarkSelectParallelLazy(b *testing.B) {
-	runSelectBench(b, core.Options{})
-}
-
 // BenchmarkAblation_Remark1 regenerates the Remark 1/2 extension ablation.
 func BenchmarkAblation_Remark1(b *testing.B) { runExperiment(b, "ablation") }
 

@@ -45,8 +45,9 @@
 // construction step may stop re-evaluating candidates once the best remaining
 // gain upper bound falls below bestRatio*(1+eps), so every chosen step's ratio
 // is within a (1+eps) factor of the exact maximum. The default eps=0 is
-// provably exact (bit-identical to the eager evaluator). The JSON report
-// carries "approximate": true and "eps" when the relaxation is on.
+// provably exact (bit-identical to evaluating every candidate at every
+// step). The JSON report carries "approximate": true and "eps" when the
+// relaxation is on.
 //
 // -timeout puts the whole selection under a deadline: on expiry the advisor
 // returns its best partial result (for Extend, a bit-identical prefix of the
@@ -130,7 +131,6 @@ func main() {
 		memProfile       = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		jsonOut          = flag.Bool("json", false, "emit the full recommendation as JSON on stdout")
 		explainRun       = flag.Bool("explain", false, "record decision provenance and per-query attribution (reported in -json and the human report, journaled with -trace-out)")
-		eager            = flag.Bool("eager", false, "extend only: exhaustive per-step sweep instead of the lazy (CELF) loop; identical results, useful as a runcompare reference")
 		metricsAddr      = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
 		linger           = flag.Duration("metrics-linger", 0, "keep serving -metrics-addr this long after the report (for scrapers)")
 		traceOut         = flag.String("trace-out", "", "append every selection span as a JSON line to this file")
@@ -306,9 +306,6 @@ func main() {
 	}
 	if *explainRun {
 		opts = append(opts, indexsel.WithExplain())
-	}
-	if *eager {
-		opts = append(opts, indexsel.WithEager())
 	}
 	if *numCands > 0 {
 		cands, err := indexsel.CandidateSet(w, indexsel.CandidatesByFrequency, *numCands, 4)

@@ -54,7 +54,6 @@ func runServe(args []string) {
 		backoffMax  = fs.Duration("backoff-max", 5*time.Minute, "retry backoff cap")
 		seed        = fs.Int64("seed", 1, "seed for backoff jitter")
 		parallelism = fs.Int("parallelism", 0, "selection worker goroutines (0 = all cores)")
-		reference   = fs.Bool("reference", false, "use the reference (string-keyed) what-if backend")
 		faultClass  = fs.String("fault-class", "", "chaos: inject faults into the cost source (nan | inf | negative | latency | error | panic)")
 		faultRate   = fs.Float64("fault-rate", 0.1, "chaos: fraction of (query,index) pairs hit by value/latency faults")
 		faultOnCall = fs.Int64("fault-on-call", 1, "chaos: 1-based call number tripping error/panic faults (per retune)")
@@ -93,7 +92,6 @@ func runServe(args []string) {
 		BackoffMax:      *backoffMax,
 		Seed:            *seed,
 		Parallelism:     *parallelism,
-		Reference:       *reference,
 	}
 	if *faultClass != "" {
 		class, ok := map[string]faultinject.Class{

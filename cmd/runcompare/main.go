@@ -12,8 +12,8 @@
 // (memory, cost) frontiers are equal, the final objective and memory deltas,
 // per-index attribution movements (when both runs were recorded with
 // -explain), and the prune-ledger difference. Ledger differences alone do
-// NOT count as divergence — a lazy and an eager run of the same workload
-// legitimately produce equal frontiers with different ledgers, and that is
+// NOT count as divergence — runs that reach an equal frontier through
+// different amounts of pruning (the lazy loop and the uncached sweep) are
 // the healthy outcome this tool is meant to certify.
 //
 // Exit status: 0 when the runs are identical (same decisions, objective,

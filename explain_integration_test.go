@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/explain"
 )
 
@@ -92,47 +91,6 @@ func TestExplainEndToEnd(t *testing.T) {
 		if report.Len() == 0 || !bytes.Contains(report.Bytes(), []byte("Extend")) {
 			t.Errorf("%s: empty or strategy-less report:\n%s", name, report.String())
 		}
-	}
-}
-
-// The acceptance bar for runcompare: lazy and eager runs of the same
-// workload reach the same frontier through different amounts of work, so
-// their diff must report zero divergence with differing prune ledgers.
-func TestExplainLazyVsEagerDiff(t *testing.T) {
-	w, err := TPCCWorkload(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	record := func(eager bool) (*Recommendation, *ExplainedRun) {
-		var journal bytes.Buffer
-		tel := &Telemetry{Tracer: NewTracer(4096, &journal)}
-		adv := NewAdvisor(w, WithBudgetShare(0.3), WithExplain(), WithTelemetry(tel),
-			WithExtendOptions(core.Options{Eager: eager}))
-		rec, err := adv.Select(StrategyExtend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, err := ReadRunJournal(bytes.NewReader(journal.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rec, run
-	}
-	lazyRec, lazyRun := record(false)
-	eagerRec, eagerRun := record(true)
-
-	d := explain.DiffRuns(lazyRun, eagerRun)
-	if d.FirstDivergence != nil {
-		t.Fatalf("lazy and eager runs diverged: %+v", d.FirstDivergence)
-	}
-	if !d.FrontierEqual {
-		t.Fatal("lazy and eager frontiers differ")
-	}
-	if eagerRec.Pruned != 0 {
-		t.Fatalf("eager run pruned %d candidates", eagerRec.Pruned)
-	}
-	if lazyRec.Pruned > 0 && !d.LedgerDiffers {
-		t.Errorf("lazy run pruned %d candidates but the diff saw equal ledgers", lazyRec.Pruned)
 	}
 }
 

@@ -245,10 +245,10 @@ func CompressByCoverage(w *Workload, eps float64) (*Workload, CompressionStats, 
 type ConstructionStep = core.Step
 
 // ExtendOptions re-exports Algorithm 1's knobs (budget, max steps, the
-// Remark 1 extensions, and the candidate-evaluator performance knobs
-// Parallelism/DisableIncremental); pass via WithExtendOptions. The advisor's
-// budget options override the Budget field, and WithParallelism overrides
-// the Parallelism field.
+// Remark 1 extensions, and the candidate-evaluator knobs Parallelism and
+// Approximate); pass via WithExtendOptions. The advisor's budget options
+// override the Budget field, and WithParallelism overrides the Parallelism
+// field.
 type ExtendOptions = core.Options
 
 // FrontierPoint is a (memory, cost) combination of the Extend trace.

@@ -1,0 +1,94 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/costmodel"
+	"repro/internal/whatif"
+	"repro/internal/workload"
+)
+
+// --- BenchmarkSelect family: the Algorithm-1 step-loop matrix ---
+//
+// Four variants of the same frontier run — serial/parallel crossed with the
+// uncached sweep and the lazy (CELF) loop — over the TPC-C template workload
+// (whose single trace answers the paper's 16-budget sweep via SelectionAt)
+// and a scaled-down generated ERP workload. `make bench-core` records the
+// matrix as results/BENCH_core.json so the perf trajectory is tracked across
+// changes. All variants produce identical step traces (asserted by
+// TestParallelTraceMatchesSerial and TestDifferentialLazyVsSweep); only the
+// wall clock and the evaluated_per_step metric differ — the lazy variants
+// bound-prune candidates the sweeps re-evaluate.
+
+type selectBenchCase struct {
+	name string
+	w    *workload.Workload
+}
+
+func selectBenchCases(b *testing.B) []selectBenchCase {
+	b.Helper()
+	tpcc, err := workload.TPCC(20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	erpCfg := workload.DefaultERPConfig()
+	erpCfg.Tables, erpCfg.TotalAttrs, erpCfg.Queries = 60, 500, 280
+	erpCfg.MinRows, erpCfg.MaxRows = 50_000, 2_000_000
+	erpCfg.TotalExecutions = 1_000_000
+	erp, err := workload.GenerateERP(erpCfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return []selectBenchCase{{"TPCC", tpcc}, {"ERP", erp}}
+}
+
+func runSelectBench(b *testing.B, opts Options, sel func(*workload.Workload, *whatif.Optimizer, Options) (*Result, error)) {
+	b.Helper()
+	for _, bc := range selectBenchCases(b) {
+		b.Run(bc.name, func(b *testing.B) {
+			m := costmodel.New(bc.w, costmodel.SingleIndex)
+			budget := m.Budget(0.8) // frontier run: one trace serves every smaller budget
+			var res *Result
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opt := whatif.New(m) // cold what-if cache every iteration
+				o := opts
+				o.Budget = budget
+				r, err := sel(bc.w, opt, o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res = r
+			}
+			b.StopTimer()
+			if res != nil && len(res.Steps) > 0 {
+				// Evaluations per construction step: the lazy loop's headline
+				// number, recorded in BENCH_core.json for every variant.
+				b.ReportMetric(float64(res.Evaluated)/float64(len(res.Steps)), "evaluated_per_step")
+			}
+		})
+	}
+}
+
+// BenchmarkSelectSeed is the pre-optimization evaluator: one worker, every
+// candidate re-evaluated at every construction step (the uncached sweep).
+func BenchmarkSelectSeed(b *testing.B) {
+	runSelectBench(b, Options{Parallelism: 1}, selectSweep)
+}
+
+// BenchmarkSelectParallel isolates the worker pool (all cores, the uncached
+// sweep recomputing every gain every step).
+func BenchmarkSelectParallel(b *testing.B) {
+	runSelectBench(b, Options{}, selectSweep)
+}
+
+// BenchmarkSelectLazy is the lazy (CELF) step loop, serial.
+func BenchmarkSelectLazy(b *testing.B) {
+	runSelectBench(b, Options{Parallelism: 1}, Select)
+}
+
+// BenchmarkSelectParallelLazy is the production configuration: worker pool
+// plus the lazy (CELF) step loop with bound-based bucket pruning.
+func BenchmarkSelectParallelLazy(b *testing.B) {
+	runSelectBench(b, Options{}, Select)
+}

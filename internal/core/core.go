@@ -20,9 +20,13 @@
 // canonicalized to a dense workload.IndexID (shared with the what-if
 // optimizer's interner), the selection is an ID bitset, and the per-candidate
 // cost/maintenance caches are flat tables indexed by ID — the inner loop does
-// no string construction or map hashing. The original string-keyed selector
-// survives in reference.go behind Options.Reference as the differential
-// oracle; both produce bit-identical traces.
+// no string construction or map hashing.
+//
+// Two step loops decide each construction step, both bit-identical: the lazy
+// (CELF) loop of lazy.go, and the uncached sweep (collect), which runs when
+// Options.Reconfig couples every gain to the whole selection. The original
+// string-keyed selector survives in test code (reference_test.go) as the
+// differential oracle for both.
 package core
 
 import (
@@ -66,8 +70,7 @@ type Options struct {
 	PairLimit int
 	// MultiIndex evaluates candidate steps with whole-selection what-if
 	// calls instead of the single-index decomposition (Remark 2). Much more
-	// expensive; intended for small workloads. MultiIndex has a single
-	// implementation; Reference has no effect on it.
+	// expensive; intended for small workloads.
 	MultiIndex bool
 	// ExactEvaluation forces a what-if call for every (query, extended
 	// index) pair instead of deriving unchanged costs from the
@@ -81,7 +84,8 @@ type Options struct {
 	// it is added to the workload cost when comparing steps. The current
 	// selection I-bar* is the caller's to capture. Because the callback's
 	// thread-safety is unknown and its value depends on the whole selection,
-	// setting it forces serial, non-incremental candidate evaluation.
+	// setting it forces serial evaluation by the uncached sweep instead of
+	// the lazy loop.
 	Reconfig func(sel workload.Selection) float64
 	// Parallelism is the number of worker goroutines that evaluate candidate
 	// steps concurrently; 0 uses GOMAXPROCS, 1 forces serial evaluation.
@@ -90,18 +94,6 @@ type Options struct {
 	// single goroutine, and the winning step is chosen by a serial reduction
 	// over that fixed order.
 	Parallelism int
-	// DisableIncremental turns off the incremental gain cache AND the lazy
-	// (CELF) step loop, re-evaluating every candidate step from scratch at
-	// every construction step (the pre-optimization behavior). Results are
-	// identical either way; the knob exists for benchmarking and equivalence
-	// testing.
-	DisableIncremental bool
-	// Eager disables the lazy-evaluation (CELF) step loop and runs the eager
-	// incremental evaluator instead: every candidate in a stale bucket is
-	// re-evaluated each step. Traces are bit-identical to the lazy default —
-	// the differential tests enforce it — so the knob exists for those tests
-	// and for before/after benchmarks, not for production use.
-	Eager bool
 	// Approximate, when > 0, relaxes the lazy loop's stop rule: a step stops
 	// re-evaluating stale candidates once the best remaining upper bound
 	// falls below bestRatio*(1+Approximate), so the chosen step's ratio is
@@ -109,21 +101,15 @@ type Options struct {
 	// deterministic at every Parallelism, but are no longer bit-identical to
 	// exact mode; steps that actually engaged the relaxed cut are counted in
 	// indexsel_lazy_approx_steps_total. 0 (the default) is provably exact.
-	// Ignored by the eager, reference, and multi-index paths.
+	// Ignored when Reconfig or MultiIndex is set.
 	Approximate float64
-	// Reference runs the retained string-keyed selector (reference.go)
-	// instead of the interned one. The two are bit-identical by contract —
-	// the differential tests enforce it — so the knob exists for those tests
-	// and for A/B benchmarks, not for production use.
-	Reference bool
 	// Explain records decision provenance: one explain.StepProvenance per
 	// applied step (gain decomposition by query, maintenance delta,
 	// runner-up margin, and the lazy loop's prune ledger) on
 	// Result.Provenance and on each step's telemetry span. Recording reads
 	// state the step loop already maintains — it changes no evaluation, no
 	// tie-break, and no what-if call, so traces are bit-identical with
-	// Explain on or off; when off, no provenance path allocates. Ignored by
-	// the Reference oracle.
+	// Explain on or off; when off, no provenance path allocates.
 	Explain bool
 	// Progress, if non-nil, receives one live-progress update per applied
 	// construction step (never per candidate) for the /progress endpoint.
@@ -194,14 +180,14 @@ type Step struct {
 	// Options.TrackSecondBest is set.
 	RunnerUp *Alternative
 	// Candidates is the number of candidate steps enumerated for this step;
-	// Evaluated of them had their gain (re)computed and CacheServed came from
-	// the incremental gain cache (for the lazy path: were decided from a
-	// still-exact cached evaluation without recomputation). Drop steps
-	// (Remark 1.2) enumerate nothing and report zeros.
+	// Evaluated of them had their gain (re)computed and CacheServed were
+	// decided by the lazy loop from a still-exact cached evaluation without
+	// recomputation (always zero on the sweep). Drop steps (Remark 1.2)
+	// enumerate nothing and report zeros.
 	Candidates, Evaluated, CacheServed int
 	// Pruned counts candidates the lazy (CELF) loop skipped entirely because
 	// their gain upper bound could not beat the step's winner — neither
-	// evaluated nor served from cache. Always zero on the eager paths;
+	// evaluated nor served from cache. Always zero on the sweep;
 	// Candidates = Evaluated + CacheServed + Pruned.
 	Pruned int
 }
@@ -233,7 +219,7 @@ type Result struct {
 	// no step.
 	Evaluated, CacheServed int
 	// Pruned totals the candidates the lazy (CELF) loop bound-skipped over the
-	// whole run (see Step.Pruned). Zero on the eager paths.
+	// whole run (see Step.Pruned). Zero on the sweep and multi-index paths.
 	Pruned int
 	// Approximate echoes Options.Approximate (0 = exact mode).
 	Approximate float64
@@ -317,9 +303,6 @@ func Select(w *workload.Workload, opt *whatif.Optimizer, opts Options) (res *Res
 	if opts.MultiIndex {
 		return newSelector(w, opt, opts).runMultiIndex()
 	}
-	if opts.Reference {
-		return newRefSelector(w, opt, opts).run()
-	}
 	return newSelector(w, opt, opts).run()
 }
 
@@ -378,17 +361,9 @@ type selector struct {
 
 	// workers is the resolved evaluation parallelism (>= 1).
 	workers int
-	// gains caches evaluated candidate steps between construction steps,
-	// bucketed by the candidate index's leading attribute so that apply()
-	// can invalidate exactly the entries whose inputs changed (see
-	// invalidateStale). Only used by the eager incremental path: nil when
-	// incremental evaluation is disabled (DisableIncremental or Reconfig) and
-	// nil on the lazy default path, which keeps its own per-bucket entry
-	// stores in lazy.
-	gains map[int]map[gainKey]gainEntry
 	// lazy is the CELF priority-queue state (lazy.go); non-nil exactly when
-	// the lazy step loop is active (the default: incremental enabled, no
-	// Reconfig, not Eager/Reference/MultiIndex).
+	// the lazy step loop decides steps (neither Reconfig nor MultiIndex set).
+	// When nil, run() decides every step with the uncached sweep (collect).
 	lazy *lazyState
 	// snapCost is mutateStep's reusable cost-snapshot buffer.
 	snapCost []float64
@@ -435,12 +410,12 @@ type gainKey struct {
 	id   workload.IndexID
 }
 
-// gainEntry is a cached evaluation outcome: the candidate and whether it is
-// a viable step (positive gain and memory growth). Selection-membership and
+// gainEntry is an evaluation outcome: the candidate and whether it is a
+// viable step (positive gain and memory growth). Selection-membership and
 // budget checks are NOT part of the entry — they depend on per-step state
 // and are re-applied cheaply on every use. optGain and dm are reported even
 // for non-viable outcomes: the lazy path derives stale upper bounds from
-// them (see lazy.go), while the eager path ignores them.
+// them (see lazy.go), while the sweep ignores them.
 type gainEntry struct {
 	c       candidate
 	ok      bool
@@ -459,13 +434,6 @@ func newSelector(w *workload.Workload, opt *whatif.Optimizer, opts Options) *sel
 	s.sel = workload.NewIDSelection(s.in)
 	s.stop = fault.NewStopper(opts.Context, opts.Deadline)
 	s.workers = resolveWorkers(opts)
-	if !opts.DisableIncremental && opts.Reconfig == nil {
-		if opts.Eager || opts.MultiIndex {
-			s.gains = make(map[int]map[gainKey]gainEntry)
-		}
-		// The lazy state itself is built at the end of newSelector, once the
-		// base costs it derives its bound slacks from are in place.
-	}
 	s.queriesWith = make([][]int32, w.NumAttrs())
 	for a := range s.queriesWith {
 		s.queriesWith[a] = w.ReadQueriesWithAttr(a)
@@ -497,8 +465,8 @@ func newSelector(w *workload.Workload, opt *whatif.Optimizer, opts Options) *sel
 	s.ensure()
 	if opts.Reconfig != nil {
 		s.recon = opts.Reconfig(s.sel.Selection())
-	}
-	if !opts.DisableIncremental && opts.Reconfig == nil && !opts.Eager && !opts.MultiIndex {
+	} else if !opts.MultiIndex {
+		// Built last: the bound slacks derive from the base costs above.
 		s.lazy = newLazyState(s)
 	}
 	return s
@@ -738,9 +706,8 @@ func (s *selector) sortedSel() []selEntry {
 // fixed, deterministic order: step (3a) singles, step (3b) one-attribute
 // extensions, then the Remark 1.4 pair universe. Cheap state-dependent
 // filters (TopNSingle, empty query sets, already-selected indexes) are
-// applied here, outside both the gain cache and the parallel phase. All
-// interning happens here, serially; callers must ensure() before fanning the
-// tasks out to workers.
+// applied here, outside the parallel phase. All interning happens here,
+// serially; callers must ensure() before fanning the tasks out to workers.
 func (s *selector) enumerate() []evalTask {
 	var tasks []evalTask
 
@@ -796,12 +763,12 @@ func (s *selector) enumerate() []evalTask {
 	return tasks
 }
 
-// collect enumerates and evaluates all candidate steps that fit the budget.
-// Evaluation is incremental — candidates untouched by previous steps come
-// from the gain cache — and the cache misses are fanned out over the worker
-// pool. The reduction runs serially over the fixed enumeration order with
-// the deterministic better() tie-break, so the chosen step (and runner-up)
-// is identical for every Parallelism setting.
+// collect is the uncached sweep: it enumerates and evaluates every candidate
+// step afresh, fanning the evaluations out over the worker pool, and keeps
+// those that fit the budget. The reduction runs serially over the fixed
+// enumeration order with the deterministic better() tie-break, so the chosen
+// step (and runner-up) is identical for every Parallelism setting — and
+// bit-identical to the lazy loop's decision.
 //
 // If the stopper fires while the step is being evaluated, the whole in-flight
 // step is discarded (ok=false, stopReason set): applying a step decided over
@@ -811,31 +778,18 @@ func (s *selector) collect() (best, second candidate, haveSecond, ok bool, err e
 	tasks := s.enumerate()
 	s.ensure() // cover freshly interned candidates before workers start
 	results := make([]gainEntry, len(tasks))
-	pending := make([]int, 0, len(tasks))
-	for i, t := range tasks {
-		if e, hit := s.cachedGain(t); hit {
-			results[i] = e
-		} else {
-			pending = append(pending, i)
-		}
-	}
-	s.lastCandidates, s.lastEvaluated = len(tasks), len(pending)
-	s.lastCached, s.lastPruned = len(tasks)-len(pending), 0
-	s.totalEvaluated += len(pending)
-	s.totalCached += len(tasks) - len(pending)
+	s.lastCandidates, s.lastEvaluated = len(tasks), len(tasks)
+	s.lastCached, s.lastPruned = 0, 0
+	s.totalEvaluated += len(tasks)
 
-	if err := s.evalPending(tasks, results, pending); err != nil {
+	if err := s.evalAll(tasks, results); err != nil {
 		return candidate{}, candidate{}, false, false, err
 	}
 	if r := s.stop.Check(); r != fault.StopNone {
-		// Some pending results may be missing (workers drained); discard the
-		// step rather than caching or reducing over an incomplete evaluation.
+		// Some results may be missing (workers drained); discard the step
+		// rather than reducing over an incomplete evaluation.
 		s.stopReason = r
 		return candidate{}, candidate{}, false, false, nil
-	}
-
-	for _, i := range pending {
-		s.storeGain(tasks[i], results[i])
 	}
 
 	budgetExcluded := false
@@ -867,45 +821,16 @@ func (s *selector) collect() (best, second candidate, haveSecond, ok bool, err e
 	return best, second, haveSecond, ok, nil
 }
 
-// cachedGain looks up a previously evaluated candidate. Only gains whose
-// inputs are untouched since evaluation survive in the cache (see
-// invalidateGains), so a hit is exactly the value a recomputation would
-// produce.
-func (s *selector) cachedGain(t evalTask) (gainEntry, bool) {
-	if s.gains == nil {
-		return gainEntry{}, false
-	}
-	bucket, ok := s.gains[t.index.Leading()]
-	if !ok {
-		return gainEntry{}, false
-	}
-	e, ok := bucket[gainKey{t.kind, t.id}]
-	return e, ok
-}
-
-func (s *selector) storeGain(t evalTask, e gainEntry) {
-	if s.gains == nil {
-		return
-	}
-	lead := t.index.Leading()
-	bucket, ok := s.gains[lead]
-	if !ok {
-		bucket = make(map[gainKey]gainEntry)
-		s.gains[lead] = bucket
-	}
-	bucket[gainKey{t.kind, t.id}] = e
-}
-
 // mutateStep wraps the serial state mutation(s) of one applied or dropped
 // step — which always share a single leading attribute (extending appends to
 // the end, so the replaced and new index have the same lead) — and derives
-// the gain-cache consequences from the NET per-query cost movement across the
-// whole mutation. Wrapping the remove+add pair of an extension as one unit
-// matters: a query whose cost dips while the base is out and returns when the
-// extension lands has no net change, and its co-occurring new-index gains are
-// still exact.
+// the lazy loop's invalidation from the NET per-query cost movement across
+// the whole mutation. Wrapping the remove+add pair of an extension as one
+// unit matters: a query whose cost dips while the base is out and returns
+// when the extension lands has no net change, and its co-occurring new-index
+// gains are still exact.
 func (s *selector) mutateStep(lead int, f func()) {
-	if s.gains == nil && s.lazy == nil && !s.opts.Explain {
+	if s.lazy == nil && !s.opts.Explain {
 		f()
 		return
 	}
@@ -921,10 +846,6 @@ func (s *selector) mutateStep(lead int, f func()) {
 	}
 	if s.lazy != nil {
 		s.lazy.noteMutation(s, lead, snap)
-		return
-	}
-	if s.gains != nil {
-		s.invalidateStale(lead, snap)
 	}
 }
 
@@ -1019,41 +940,6 @@ func (s *selector) lastProv() *explain.StepProvenance {
 	return &s.prov[len(s.prov)-1]
 }
 
-// invalidateStale drops the cached gains that an applied (or dropped) index
-// with the given leading attribute may have changed; snap holds the
-// pre-mutation costs of queriesWith[lead]. The mutation only touches
-// cost/served of those queries; a cached candidate reads those per-query
-// values exactly for the queries in queriesWith[candidate lead], so only
-// candidates whose leading attribute co-occurs with lead in some query can be
-// stale — this is what makes each H6 step O(affected candidates) instead of
-// O(all candidates). Within a co-occurring bucket the invalidation is split
-// by step kind: extension gains read served[] (which the mutation always
-// rewrites) and are dropped whenever the bucket co-occurs at all, while
-// new-index gains are pure functions of cost[] and survive unless some
-// co-occurring query's cost actually changed. Every surviving entry is
-// therefore still exactly the value a recomputation would produce.
-func (s *selector) invalidateStale(lead int, snap []float64) {
-	for i, qid := range s.queriesWith[lead] {
-		q := s.w.Queries[qid]
-		changed := s.cost[qid] != snap[i]
-		for _, a := range q.Attrs {
-			bucket, ok := s.gains[a]
-			if !ok {
-				continue
-			}
-			if changed {
-				delete(s.gains, a)
-				continue
-			}
-			for k := range bucket {
-				if k.kind == StepExtend || k.kind == StepExtendPair {
-					delete(bucket, k)
-				}
-			}
-		}
-	}
-}
-
 // pairUniverse lazily builds the limited pair universe for Remark 1.4:
 // the highest-weight attribute pairs co-occurring in queries, in both orders.
 func (s *selector) pairUniverse() [][2]int {
@@ -1135,7 +1021,8 @@ func (s *selector) apply(c candidate, second candidate, haveSecond bool) {
 }
 
 // addIndex inserts idx into the selection and refreshes affected queries.
-// Callers mutate through mutateStep, which handles gain-cache invalidation.
+// Callers mutate through mutateStep, which handles the lazy loop's
+// invalidation.
 func (s *selector) addIndex(idx workload.Index, id workload.IndexID) {
 	s.sel.Add(id)
 	sz := s.indexSize(idx, id)
@@ -1154,7 +1041,7 @@ func (s *selector) addIndex(idx workload.Index, id workload.IndexID) {
 
 // removeIndex drops idx from the selection and re-derives affected queries'
 // costs from their remaining served entries. Callers mutate through
-// mutateStep, which handles gain-cache invalidation.
+// mutateStep, which handles the lazy loop's invalidation.
 func (s *selector) removeIndex(idx workload.Index, id workload.IndexID) {
 	s.sel.Remove(id)
 	s.mem -= s.size[id]
@@ -1274,8 +1161,9 @@ func (s *selector) initTopNSingle() {
 }
 
 // run executes the construction loop in the single-index cost decomposition.
-// The step decision is either the eager full-bucket sweep (collect) or the
-// lazy CELF loop (collectLazy); both produce bit-identical traces.
+// The step decision is the lazy CELF loop (collectLazy) or, when s.lazy is
+// nil (Reconfig), the uncached sweep (collect); both produce bit-identical
+// traces.
 func (s *selector) run() (*Result, error) {
 	s.initTopNSingle()
 	initial := s.total()

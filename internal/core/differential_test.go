@@ -7,15 +7,25 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/whatif"
+	"repro/internal/whatif/whatiftest"
 	"repro/internal/workload"
 )
 
 // The interned selector over flat what-if tables must be bit-identical to
-// the retained string-keyed reference stack (Options.Reference over
-// whatif.NewReference): same step trace, same frontier, same selection, and
-// the same what-if Calls/CacheHits accounting, at every parallelism level.
-// This is the contract that makes the fast path trustworthy — any divergence
-// in tie-breaking, cache semantics, or derived-cost reuse shows up here.
+// the retained string-keyed reference stack (selectReference over
+// whatiftest.New): same step trace, same frontier, same selection, and the
+// same what-if Calls/CacheHits accounting, at every parallelism level. This
+// is the contract that makes the fast path trustworthy — any divergence in
+// tie-breaking, cache semantics, or derived-cost reuse shows up here.
+
+// selectSweep runs Select with the lazy loop switched off, so every step is
+// decided by the uncached sweep (collect) — the loop Reconfig runs take. It
+// is the exact in-package oracle for the lazy loop.
+func selectSweep(w *workload.Workload, opt *whatif.Optimizer, opts Options) (*Result, error) {
+	s := newSelector(w, opt, opts)
+	s.lazy = nil
+	return s.run()
+}
 
 func diffWorkloads(t *testing.T) map[string]*workload.Workload {
 	t.Helper()
@@ -45,9 +55,9 @@ func TestDifferentialFlatVsReference(t *testing.T) {
 				label := fmt.Sprintf("%s/feature%d/P%d", name, fi, p)
 
 				refOpts := feat
-				refOpts.Budget, refOpts.Parallelism, refOpts.Reference = budget, p, true
-				refOpt := whatif.NewReference(m)
-				want, err := Select(w, refOpt, refOpts)
+				refOpts.Budget, refOpts.Parallelism = budget, p
+				refOpt := whatiftest.New(m)
+				want, err := selectReference(w, refOpt, refOpts)
 				if err != nil {
 					t.Fatalf("%s: reference: %v", label, err)
 				}
@@ -100,9 +110,7 @@ func TestDifferentialWriteWorkload(t *testing.T) {
 			DropUnused:      true,
 			Parallelism:     4,
 		}
-		refOpts := opts
-		refOpts.Reference = true
-		want, err := Select(w, whatif.NewReference(m), refOpts)
+		want, err := selectReference(w, whatiftest.New(m), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,10 +129,8 @@ func TestDifferentialExactEvaluation(t *testing.T) {
 	w := workload.MustTPCC(10)
 	m := costmodel.New(w, costmodel.SingleIndex)
 	opts := Options{Budget: m.Budget(0.5), ExactEvaluation: true, Parallelism: 4}
-	refOpts := opts
-	refOpts.Reference = true
-	refOpt := whatif.NewReference(m)
-	want, err := Select(w, refOpt, refOpts)
+	refOpt := whatiftest.New(m)
+	want, err := selectReference(w, refOpt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

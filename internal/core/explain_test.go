@@ -12,24 +12,24 @@ import (
 // Provenance must be a pure observer: turning Options.Explain on may not
 // change a single decision, tie-break, or what-if call. The trace, frontier,
 // and optimizer accounting must be bit-identical with it on and off, on both
-// the lazy and eager step loops.
+// the lazy loop and the sweep.
 func TestExplainTracePreserving(t *testing.T) {
 	for name, w := range diffWorkloads(t) {
 		m := costmodel.New(w, costmodel.SingleIndex)
 		budget := m.Budget(0.5)
-		for _, eager := range []bool{false, true} {
-			label := name + "/lazy"
-			if eager {
-				label = name + "/eager"
+		for _, sweep := range []bool{false, true} {
+			label, sel := name+"/lazy", Select
+			if sweep {
+				label, sel = name+"/sweep", selectSweep
 			}
 
 			plainOpt := whatif.New(m)
-			plain, err := Select(w, plainOpt, Options{Budget: budget, Eager: eager})
+			plain, err := sel(w, plainOpt, Options{Budget: budget})
 			if err != nil {
 				t.Fatalf("%s: plain: %v", label, err)
 			}
 			explOpt := whatif.New(m)
-			expl, err := Select(w, explOpt, Options{Budget: budget, Eager: eager, Explain: true})
+			expl, err := sel(w, explOpt, Options{Budget: budget, Explain: true})
 			if err != nil {
 				t.Fatalf("%s: explain: %v", label, err)
 			}
@@ -44,7 +44,7 @@ func TestExplainTracePreserving(t *testing.T) {
 			if plain.Provenance != nil {
 				t.Errorf("%s: provenance recorded without Explain", label)
 			}
-			checkProvenance(t, label, expl, eager)
+			checkProvenance(t, label, expl, sweep)
 		}
 	}
 }
@@ -53,7 +53,7 @@ func TestExplainTracePreserving(t *testing.T) {
 // one record per step, exact gain decomposition, by-query deltas summing to
 // the read gain, and a prune ledger whose skip totals reproduce the step's
 // Pruned count (lazy loop only).
-func checkProvenance(t *testing.T, label string, res *Result, eager bool) {
+func checkProvenance(t *testing.T, label string, res *Result, sweep bool) {
 	t.Helper()
 	if len(res.Provenance) != len(res.Steps) {
 		t.Fatalf("%s: %d provenance records for %d steps", label, len(res.Provenance), len(res.Steps))
@@ -93,9 +93,9 @@ func checkProvenance(t *testing.T, label string, res *Result, eager bool) {
 			}
 		}
 
-		if eager {
+		if sweep {
 			if len(p.PruneLedger) != 0 || p.LedgerSkipped != 0 {
-				t.Errorf("%s: step %d carries a prune ledger on the eager path", label, i)
+				t.Errorf("%s: step %d carries a prune ledger on the sweep", label, i)
 			}
 			continue
 		}
@@ -180,4 +180,64 @@ func TestExplainWithFeatures(t *testing.T) {
 		}
 	}
 	_ = explain.MaxByQuery // keep the import tied to the package under test
+}
+
+// explainRun is the explain.Run view of an explained core run, as
+// explain.ReadJournal would rebuild it from the run's span journal.
+func explainRun(res *Result) *explain.Run {
+	run := &explain.Run{
+		Strategy:    "Extend",
+		BaseCost:    res.InitialCost,
+		Cost:        res.Cost,
+		MemoryBytes: res.Memory,
+		Indexes:     len(res.Selection),
+		StopReason:  res.StopReason.String(),
+	}
+	for i, st := range res.Steps {
+		run.Steps = append(run.Steps, explain.JournalStep{
+			Kind:        st.Kind.String(),
+			Index:       st.Index.Key(),
+			Gain:        st.CostBefore - st.CostAfter,
+			Ratio:       st.Ratio,
+			CostAfter:   st.CostAfter,
+			MemAfter:    st.MemAfter,
+			Candidates:  st.Candidates,
+			Evaluated:   st.Evaluated,
+			CacheServed: st.CacheServed,
+			Pruned:      st.Pruned,
+			Provenance:  &res.Provenance[i],
+		})
+	}
+	return run
+}
+
+// The acceptance bar for runcompare: the lazy loop and the sweep reach the
+// same frontier through different amounts of work, so their diff must report
+// zero divergence with differing prune ledgers.
+func TestExplainLazyVsSweepDiff(t *testing.T) {
+	w := diffWorkloads(t)["TPCC"]
+	m := costmodel.New(w, costmodel.SingleIndex)
+	opts := Options{Budget: m.Budget(0.3), Explain: true}
+	lazy, err := Select(w, whatif.New(m), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := selectSweep(w, whatif.New(m), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d := explain.DiffRuns(explainRun(lazy), explainRun(sweep))
+	if d.FirstDivergence != nil {
+		t.Fatalf("lazy and sweep runs diverged: %+v", d.FirstDivergence)
+	}
+	if !d.FrontierEqual || !d.Identical {
+		t.Fatalf("lazy and sweep runs differ: %+v", d)
+	}
+	if sweep.Pruned != 0 {
+		t.Fatalf("sweep run pruned %d candidates", sweep.Pruned)
+	}
+	if lazy.Pruned > 0 && !d.LedgerDiffers {
+		t.Errorf("lazy run pruned %d candidates but the diff saw equal ledgers", lazy.Pruned)
+	}
 }

@@ -1,8 +1,8 @@
-// Lazy-greedy (CELF) step loop. Instead of re-evaluating every candidate in
-// every stale bucket each construction step (collect, the eager path), the
-// selector keeps one persistent entry per candidate carrying the outcome of
-// its last evaluation plus enough bookkeeping to derive a SOUND upper bound
-// on its current benefit/memory ratio, and each step pops candidates from a
+// Lazy-greedy (CELF) step loop. Instead of re-evaluating every candidate
+// each construction step (collect, the uncached sweep), the selector keeps
+// one persistent entry per candidate carrying the outcome of its last
+// evaluation plus enough bookkeeping to derive a SOUND upper bound on its
+// current benefit/memory ratio, and each step pops candidates from a
 // max-heap of those bounds, re-evaluating only until the best remaining
 // bound cannot beat the decided winner.
 //
@@ -42,7 +42,7 @@
 // just on paper. That is what makes exact mode EXACT: the loop only ever
 // skips candidates whose true ratio provably cannot beat (or tie) the
 // winner, so the decided step, runner-up, and stop reason are bit-identical
-// to the eager sweep's.
+// to the sweep's.
 //
 // On top of the entry heap sits one sentinel per lead-attribute bucket:
 // buckets keep an aggregate bound (max entry bound at a recorded rise level,
@@ -55,11 +55,14 @@
 // the new index appear, extensions of the replaced one die, replaced singles
 // resurface. Only that bucket is re-enumerated ("dirty"); every other
 // bucket's entry list is reused as-is. Exactness of surviving entries is
-// tracked by two per-bucket epochs, split by step kind exactly like the
-// eager path's invalidateStale: extEpoch (served[] changed in a co-occurring
-// query) governs extension entries, newEpoch (a co-occurring query's cost
-// net-changed) governs new-index entries. An entry whose epoch still matches
-// is served from cache without re-evaluation.
+// tracked by two per-bucket epochs, split by step kind. A mutation only
+// touches cost[]/served[] of the queries in its lead's queriesWith, so only
+// buckets whose lead co-occurs with it in some query can go stale. Extension
+// gains read served[], which every such mutation rewrites: extEpoch, bumped
+// for every co-occurring bucket, governs extension entries. New-index gains
+// are pure functions of cost[]: newEpoch, bumped only when a co-occurring
+// query's cost net-changed, governs new-index entries. An entry whose epoch
+// still matches is served from cache without re-evaluation.
 //
 // Determinism: the heap is built and consumed serially with a push-sequence
 // tie-break, and stale candidates are re-evaluated in constant-size batches
@@ -67,7 +70,7 @@
 // so the set of evaluated candidates — and with it the whole trace and the
 // Step accounting — is identical at every Parallelism. The stop rule is
 // strict (top bound < threshold): candidates whose bound ties the winner are
-// still evaluated so tie-breaks match the eager sweep. Options.Approximate
+// still evaluated so tie-breaks match the sweep. Options.Approximate
 // relaxes only this cut to threshold*(1+eps), trading exactness of the step
 // choice (within a (1+eps) ratio factor) for fewer evaluations.
 package core
@@ -137,22 +140,11 @@ type lazyState struct {
 	opened []int32 // buckets opened during the current step (scratch)
 }
 
-// lazyAuditInfo is what lazyAuditHook (tests only) receives for every
-// candidate after a step decision: the bound the loop would price it at and
-// a from-scratch evaluation against the same frozen state.
-type lazyAuditInfo struct {
-	task   evalTask
-	bound  float64
-	exact  bool // the entry's epoch matched (served from cache)
-	cached gainEntry
-	fresh  gainEntry
-}
-
-// lazyAuditHook, when non-nil, makes collectLazy re-evaluate EVERY candidate
-// after deciding a step and report bound-vs-fresh pairs — including for
-// candidates the bounds pruned. Test instrumentation for the soundness
-// property; nil in production.
-var lazyAuditHook func(lazyAuditInfo)
+// lazyAuditHook, when non-nil, runs after every lazy step decision, before
+// anything mutates the frozen state: lazy_test.go re-evaluates every
+// candidate through it — including the pruned ones — to check the bounds'
+// soundness. Test instrumentation; nil in production.
+var lazyAuditHook func(s *selector)
 
 func newLazyState(s *selector) *lazyState {
 	n := s.w.NumAttrs()
@@ -401,7 +393,6 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 	batch := make([]*lazyEntry, 0, lazyBatchSize)
 	tasks := make([]evalTask, lazyBatchSize)
 	results := make([]gainEntry, lazyBatchSize)
-	pending := make([]int, lazyBatchSize)
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -409,9 +400,8 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 		n := len(batch)
 		for i, e := range batch {
 			tasks[i] = e.task
-			pending[i] = i
 		}
-		if err := s.evalPending(tasks[:n], results[:n], pending[:n]); err != nil {
+		if err := s.evalAll(tasks[:n], results[:n]); err != nil {
 			return err
 		}
 		if r := s.stop.Check(); r != fault.StopNone {
@@ -514,13 +504,13 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 	}
 
 	if lazyAuditHook != nil {
-		s.auditLazyStep()
+		lazyAuditHook(s)
 	}
 
 	if !ok {
 		// Nothing viable in budget. No threshold ever existed, so every
 		// bucket was opened and every entry consulted or evaluated — the
-		// budget-exclusion verdict is exactly the eager sweep's.
+		// budget-exclusion verdict is exactly the sweep's.
 		if budgetExcluded {
 			s.stopReason = fault.StopBudget
 		} else {
@@ -597,35 +587,6 @@ func (lz *lazyState) captureLedger(s *selector) {
 		ledger = ledger[:explain.MaxPruneLedger]
 	}
 	s.lastLedger = ledger
-}
-
-// auditLazyStep re-evaluates every candidate against the still-frozen state
-// and reports each bound/fresh pair to lazyAuditHook. Test-only: quadratic
-// in intent, deliberately unbatched and serial.
-func (s *selector) auditLazyStep() {
-	lz := s.lazy
-	for b := range lz.buckets {
-		for _, e := range lz.buckets[b].entries {
-			if !e.evaluated {
-				continue // fully evaluated this step unless the run stopped
-			}
-			info := lazyAuditInfo{
-				task:   e.task,
-				cached: gainEntry{c: e.cand, ok: e.viable, optGain: e.optGain},
-				fresh:  s.evalCandidate(e.task),
-			}
-			switch {
-			case e.dead:
-				info.bound = math.Inf(-1)
-			case lz.epoch(e.key.kind, b) == e.epochAt:
-				info.exact = true
-				info.bound = e.cand.ratio
-			default:
-				info.bound = lz.entryBound(e)
-			}
-			lazyAuditHook(info)
-		}
-	}
 }
 
 // lazyItem is one heap node: a candidate entry, or a bucket sentinel when

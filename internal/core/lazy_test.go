@@ -11,12 +11,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestDifferentialLazyVsEager is the lazy loop's exactness contract: on ERP
+// TestDifferentialLazyVsSweep is the lazy loop's exactness contract: on ERP
 // and TPC-C, across feature combinations and parallelism levels, the lazy
 // default must produce bit-identical step traces, frontiers, and candidate
-// universes versus the eager incremental sweep — while never evaluating more
+// universes versus the uncached sweep — while never evaluating more
 // candidates.
-func TestDifferentialLazyVsEager(t *testing.T) {
+func TestDifferentialLazyVsSweep(t *testing.T) {
 	parallelisms := []int{1, 4, runtime.NumCPU()}
 	features := []Options{
 		{},
@@ -31,15 +31,12 @@ func TestDifferentialLazyVsEager(t *testing.T) {
 			for _, p := range parallelisms {
 				label := fmt.Sprintf("%s/feature%d/P%d", name, fi, p)
 
-				eagerOpts := feat
-				eagerOpts.Budget, eagerOpts.Parallelism, eagerOpts.Eager = budget, p, true
-				want, err := Select(w, whatif.New(m), eagerOpts)
-				if err != nil {
-					t.Fatalf("%s: eager: %v", label, err)
-				}
-
 				opts := feat
 				opts.Budget, opts.Parallelism = budget, p
+				want, err := selectSweep(w, whatif.New(m), opts)
+				if err != nil {
+					t.Fatalf("%s: sweep: %v", label, err)
+				}
 				got, err := Select(w, whatif.New(m), opts)
 				if err != nil {
 					t.Fatalf("%s: lazy: %v", label, err)
@@ -47,7 +44,7 @@ func TestDifferentialLazyVsEager(t *testing.T) {
 
 				traceEqual(t, label, want, got)
 				if want.StopReason != got.StopReason {
-					t.Errorf("%s: stop reason %v (eager) vs %v (lazy)", label, want.StopReason, got.StopReason)
+					t.Errorf("%s: stop reason %v (sweep) vs %v (lazy)", label, want.StopReason, got.StopReason)
 				}
 
 				wf, gf := want.Frontier(), got.Frontier()
@@ -61,24 +58,25 @@ func TestDifferentialLazyVsEager(t *testing.T) {
 				}
 
 				// Same candidate universe per step (the lazy bucket stores must
-				// enumerate exactly what the eager sweep enumerates), and the
-				// bounds must only ever save work, never add it.
+				// enumerate exactly what the sweep enumerates), and the bounds
+				// must only ever save work, never add it.
 				for i := range got.Steps {
 					ws, gs := want.Steps[i], got.Steps[i]
 					if ws.Candidates != gs.Candidates {
-						t.Errorf("%s: step %d candidates %d (eager) vs %d (lazy)",
+						t.Errorf("%s: step %d candidates %d (sweep) vs %d (lazy)",
 							label, i, ws.Candidates, gs.Candidates)
 					}
 					if gs.Candidates != gs.Evaluated+gs.CacheServed+gs.Pruned {
 						t.Errorf("%s: step %d lazy accounting %d != %d+%d+%d",
 							label, i, gs.Candidates, gs.Evaluated, gs.CacheServed, gs.Pruned)
 					}
-					if ws.Pruned != 0 {
-						t.Errorf("%s: step %d eager path reports Pruned=%d", label, i, ws.Pruned)
+					if ws.Pruned != 0 || ws.CacheServed != 0 || ws.Evaluated != ws.Candidates {
+						t.Errorf("%s: step %d sweep accounting %d/%d/%d of %d, want every candidate evaluated",
+							label, i, ws.Evaluated, ws.CacheServed, ws.Pruned, ws.Candidates)
 					}
 				}
 				if got.Evaluated > want.Evaluated {
-					t.Errorf("%s: lazy evaluated %d candidates, eager only %d",
+					t.Errorf("%s: lazy evaluated %d candidates, sweep only %d",
 						label, got.Evaluated, want.Evaluated)
 				}
 			}
@@ -86,13 +84,13 @@ func TestDifferentialLazyVsEager(t *testing.T) {
 	}
 }
 
-// TestLazyEvaluatesAtMostEagerERP is the CI guard wired into the robustness
+// TestLazyEvaluatesAtMostSweepERP is the CI guard wired into the robustness
 // job: on the ERP smoke workload the lazy loop must never evaluate more
-// candidates than the eager sweep, and must actually prune — the tentpole's
-// whole point. The ≥5x per-step reduction is tracked in results/BENCH_core.json;
-// this guard catches the regression class (bounds degenerating to full
-// sweeps) without benchmark noise.
-func TestLazyEvaluatesAtMostEagerERP(t *testing.T) {
+// candidates than the uncached sweep, and must actually prune — the lazy
+// loop's whole point. The per-step reduction is tracked in
+// results/BENCH_core.json; this guard catches the regression class (bounds
+// degenerating to full sweeps) without benchmark noise.
+func TestLazyEvaluatesAtMostSweepERP(t *testing.T) {
 	cfg := workload.DefaultERPConfig()
 	cfg.Tables, cfg.TotalAttrs, cfg.Queries = 20, 170, 90
 	cfg.MinRows, cfg.MaxRows = 100_000, 5_000_000
@@ -101,9 +99,7 @@ func TestLazyEvaluatesAtMostEagerERP(t *testing.T) {
 	m := costmodel.New(w, costmodel.SingleIndex)
 	opts := Options{Budget: m.Budget(0.5), Parallelism: 4}
 
-	eagerOpts := opts
-	eagerOpts.Eager = true
-	eager, err := Select(w, whatif.New(m), eagerOpts)
+	sweep, err := selectSweep(w, whatif.New(m), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,20 +107,23 @@ func TestLazyEvaluatesAtMostEagerERP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lazy.Evaluated > eager.Evaluated {
-		t.Fatalf("lazy evaluated %d candidates on ERP smoke, eager only %d",
-			lazy.Evaluated, eager.Evaluated)
+	if lazy.Evaluated > sweep.Evaluated {
+		t.Fatalf("lazy evaluated %d candidates on ERP smoke, sweep only %d",
+			lazy.Evaluated, sweep.Evaluated)
 	}
 	if lazy.Pruned == 0 {
 		t.Error("lazy pruned zero candidates on ERP smoke; bounds are degenerate")
 	}
-	// Per-step counts are NOT compared: the lazy loop defers stale
-	// re-evaluations that eager pays immediately, so an individual lazy step
-	// can evaluate more than the same eager step — only run totals are
-	// comparable, and those must strictly favor lazy on ERP.
-	if lazy.Evaluated >= eager.Evaluated {
-		t.Errorf("lazy evaluated %d total candidates on ERP smoke, not fewer than eager's %d",
-			lazy.Evaluated, eager.Evaluated)
+	// The sweep evaluates every candidate of every step, so the comparison
+	// holds per step too, and the run totals must strictly favor lazy on ERP.
+	for i := range lazy.Steps {
+		if l, s := lazy.Steps[i].Evaluated, sweep.Steps[i].Evaluated; l > s {
+			t.Errorf("step %d: lazy evaluated %d candidates, sweep only %d", i, l, s)
+		}
+	}
+	if lazy.Evaluated >= sweep.Evaluated {
+		t.Errorf("lazy evaluated %d total candidates on ERP smoke, not fewer than the sweep's %d",
+			lazy.Evaluated, sweep.Evaluated)
 	}
 }
 
@@ -156,7 +155,7 @@ func TestLazyBoundsDominateFreshGains(t *testing.T) {
 			m, _ := setup(w)
 
 			audited, violations := 0, 0
-			lazyAuditHook = func(a lazyAuditInfo) {
+			lazyAuditHook = auditLazyStep(func(a lazyAuditInfo) {
 				audited++
 				if violations >= 5 {
 					return // enough diagnostics
@@ -179,7 +178,7 @@ func TestLazyBoundsDominateFreshGains(t *testing.T) {
 							label, key, a.cached.c.gain, a.cached.c.ratio, a.fresh.c.gain, a.fresh.c.ratio)
 					}
 				}
-			}
+			})
 			opts := sh.feat
 			opts.Budget, opts.Parallelism = m.Budget(0.5), 2
 			_, err := Select(w, whatif.New(m), opts)
@@ -191,72 +190,6 @@ func TestLazyBoundsDominateFreshGains(t *testing.T) {
 				t.Fatalf("%s: audit hook never fired", label)
 			}
 		}
-	}
-}
-
-// TestLazyNarrowedInvalidation is the regression test for the old
-// invalidateGains over-invalidation: applying an index used to drop every
-// cached gain in every co-occurring bucket, even though new-index gains are
-// pure functions of query costs and survive any step that did not change a
-// co-occurring query's cost. After one applied step, some co-occurring bucket
-// must retain its new-index entry (kind-split survival) while extension
-// entries in co-occurring buckets are gone (served[] was rewritten).
-func TestLazyNarrowedInvalidation(t *testing.T) {
-	w := gen(t, 3, 14, 40, 100_000, 23)
-	m, _ := setup(w)
-	s := newSelector(w, whatif.New(m), Options{Budget: m.Budget(0.5), Parallelism: 1, Eager: true})
-	s.initTopNSingle()
-	// Early steps tend to change every co-occurring query's cost (everything
-	// improves at once), so survival is asserted cumulatively across the run:
-	// somewhere along the trace a step must leave a co-occurring bucket's
-	// new-index gain intact, which the old whole-bucket rule never did.
-	survivors, extSurvivors := 0, 0
-	for step := 0; step < 30; step++ {
-		best, second, haveSecond, ok, err := s.collect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		lead := best.index.Leading()
-		coOccur := map[int]bool{}
-		for _, qid := range s.queriesWith[lead] {
-			for _, a := range s.w.Queries[qid].Attrs {
-				coOccur[a] = true
-			}
-		}
-		s.apply(best, second, haveSecond)
-		for a, bucket := range s.gains {
-			if !coOccur[a] {
-				continue
-			}
-			for k := range bucket {
-				if k.kind == StepExtend || k.kind == StepExtendPair {
-					extSurvivors++
-				} else {
-					survivors++
-				}
-			}
-		}
-	}
-	if len(s.steps) == 0 {
-		t.Fatal("no steps applied")
-	}
-	if survivors == 0 {
-		t.Error("no new-index gain ever survived in a co-occurring bucket; invalidation regressed to whole-bucket drops")
-	}
-	if extSurvivors != 0 {
-		t.Errorf("%d extension gains survived in co-occurring buckets; served[] was rewritten there", extSurvivors)
-	}
-
-	// Across a whole run the survivors must turn into real cache hits.
-	res, err := Select(w, whatif.New(m), Options{Budget: m.Budget(0.5), Parallelism: 1, Eager: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheServed == 0 {
-		t.Error("full eager run served zero cached gains across steps")
 	}
 }
 
@@ -307,14 +240,14 @@ func TestLazyApproximateTier(t *testing.T) {
 		t.Errorf("approximate run memory %d exceeds budget %d", a4.Memory, budget)
 	}
 
-	// Eager mode ignores the knob entirely.
-	eager, err := Select(w, whatif.New(m), Options{Budget: budget, Parallelism: 4, Eager: true, Approximate: eps})
+	// The sweep ignores the knob entirely.
+	sweep, err := selectSweep(w, whatif.New(m), Options{Budget: budget, Parallelism: 4, Approximate: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traceEqual(t, "eager ignores Approximate", exact, eager)
-	if eager.Approximate != 0 {
-		t.Errorf("eager run echoes Approximate = %v", eager.Approximate)
+	traceEqual(t, "sweep ignores Approximate", exact, sweep)
+	if sweep.Approximate != 0 {
+		t.Errorf("sweep run echoes Approximate = %v", sweep.Approximate)
 	}
 }
 
@@ -352,6 +285,48 @@ func TestLazyAccountingDeterministicAcrossParallelism(t *testing.T) {
 		if base.Evaluated != got.Evaluated || base.Pruned != got.Pruned {
 			t.Errorf("P%d run totals (%d,%d) vs serial (%d,%d)",
 				p, got.Evaluated, got.Pruned, base.Evaluated, base.Pruned)
+		}
+	}
+}
+
+// lazyAuditInfo is what an audit reports for every candidate after a step
+// decision: the bound the loop would price it at and a from-scratch
+// evaluation against the same frozen state.
+type lazyAuditInfo struct {
+	task   evalTask
+	bound  float64
+	exact  bool // the entry's epoch matched (served from cache)
+	cached gainEntry
+	fresh  gainEntry
+}
+
+// auditLazyStep returns a lazyAuditHook that re-evaluates every candidate
+// against the still-frozen state and reports each bound/fresh pair.
+// Quadratic in intent, deliberately unbatched and serial.
+func auditLazyStep(report func(lazyAuditInfo)) func(*selector) {
+	return func(s *selector) {
+		lz := s.lazy
+		for b := range lz.buckets {
+			for _, e := range lz.buckets[b].entries {
+				if !e.evaluated {
+					continue // fully evaluated this step unless the run stopped
+				}
+				info := lazyAuditInfo{
+					task:   e.task,
+					cached: gainEntry{c: e.cand, ok: e.viable, optGain: e.optGain},
+					fresh:  s.evalCandidate(e.task),
+				}
+				switch {
+				case e.dead:
+					info.bound = math.Inf(-1)
+				case lz.epoch(e.key.kind, b) == e.epochAt:
+					info.exact = true
+					info.bound = e.cand.ratio
+				default:
+					info.bound = lz.entryBound(e)
+				}
+				report(info)
+			}
 		}
 	}
 }

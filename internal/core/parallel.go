@@ -1,11 +1,11 @@
 // Worker pool and concurrency-safe caches for the parallel candidate
 // evaluator. The construction loop alternates two phases: a parallel phase
 // in which worker goroutines evaluate candidate steps against frozen
-// selector state (collect), and a serial phase that mutates that state
-// (apply/dropUnused). The shared caches below are only written during the
-// parallel phase, and the per-query state (cost, served, size) is only
-// written during the serial phase — no lock covers it because no writer and
-// reader ever overlap.
+// selector state (collect, collectLazy), and a serial phase that mutates
+// that state (apply/dropUnused). The shared caches below are only written
+// during the parallel phase, and the per-query state (cost, served, size) is
+// only written during the serial phase — no lock covers it because no writer
+// and reader ever overlap.
 package core
 
 import (
@@ -22,12 +22,11 @@ import (
 // on every claim. Powers of two keep the modulo a mask.
 const stopCheckStride = 32
 
-// evalPending evaluates tasks[i] for every i in pending, storing into
-// results[i]. With one worker (or one task) it runs inline; otherwise the
-// pending list is consumed from an atomic cursor by s.workers goroutines.
-// Each candidate's gain is computed wholly by one goroutine — there is no
-// cross-goroutine floating-point accumulation — so results are bit-identical
-// to a serial run.
+// evalAll evaluates every task, storing tasks[i]'s outcome into results[i].
+// With one worker (or one task) it runs inline; otherwise the tasks are
+// consumed from an atomic cursor by s.workers goroutines. Each candidate's
+// gain is computed wholly by one goroutine — there is no cross-goroutine
+// floating-point accumulation — so results are bit-identical to a serial run.
 //
 // Two failure paths cut the evaluation short. If the run's Stopper fires,
 // workers drain: each checks the sticky flag before claiming another task and
@@ -37,10 +36,10 @@ const stopCheckStride = 32
 // recovered in the worker that hit it, converted to a *fault.WorkerPanicError
 // (first one wins, stack captured), the other workers drain cleanly, and the
 // error is returned once.
-func (s *selector) evalPending(tasks []evalTask, results []gainEntry, pending []int) (err error) {
+func (s *selector) evalAll(tasks []evalTask, results []gainEntry) (err error) {
 	workers := s.workers
-	if workers > len(pending) {
-		workers = len(pending)
+	if workers > len(tasks) {
+		workers = len(tasks)
 	}
 	if workers <= 1 {
 		defer func() {
@@ -48,11 +47,11 @@ func (s *selector) evalPending(tasks []evalTask, results []gainEntry, pending []
 				err = fault.AsPanicError("core.evalCandidate", r)
 			}
 		}()
-		for n, i := range pending {
-			if n%stopCheckStride == 0 && s.stop.Check() != fault.StopNone {
+		for i, t := range tasks {
+			if i%stopCheckStride == 0 && s.stop.Check() != fault.StopNone {
 				return nil
 			}
-			results[i] = s.evalCandidate(tasks[i])
+			results[i] = s.evalCandidate(t)
 		}
 		return nil
 	}
@@ -67,14 +66,13 @@ func (s *selector) evalPending(tasks []evalTask, results []gainEntry, pending []
 				if panicErr.Load() != nil || s.stop.Stopped() {
 					return // drain: a sibling panicked or the run was stopped
 				}
-				j := int(next.Add(1)) - 1
-				if j >= len(pending) {
+				i := int(next.Add(1)) - 1
+				if i >= len(tasks) {
 					return
 				}
-				if j%stopCheckStride == 0 && s.stop.Check() != fault.StopNone {
+				if i%stopCheckStride == 0 && s.stop.Check() != fault.StopNone {
 					return
 				}
-				i := pending[j]
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
@@ -159,51 +157,4 @@ func (t *maintTable) get(id workload.IndexID) (float64, bool) {
 
 func (t *maintTable) put(id workload.IndexID, v float64) {
 	t.pages[id/tablePage][id%tablePage].Store(math.Float64bits(v))
-}
-
-// cacheShards is the shard count of the string-keyed caches. 32 keeps lock
-// contention negligible at any realistic GOMAXPROCS while staying cheap for
-// the serial path (one uncontended RWMutex acquisition per lookup).
-const cacheShards = 32
-
-// shardedCache is a string-keyed map sharded by FNV-1a hash. Values must be
-// deterministic functions of their key: concurrent fills of the same key may
-// both compute, and either result must be interchangeable.
-type shardedCache[V any] struct {
-	shards [cacheShards]struct {
-		mu sync.RWMutex
-		m  map[string]V
-	}
-}
-
-func newShardedCache[V any]() *shardedCache[V] {
-	c := &shardedCache[V]{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]V)
-	}
-	return c
-}
-
-func shardOf(key string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h % cacheShards
-}
-
-func (c *shardedCache[V]) get(key string) (V, bool) {
-	sh := &c.shards[shardOf(key)]
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return v, ok
-}
-
-func (c *shardedCache[V]) put(key string, v V) {
-	sh := &c.shards[shardOf(key)]
-	sh.mu.Lock()
-	sh.m[key] = v
-	sh.mu.Unlock()
 }

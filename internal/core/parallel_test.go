@@ -58,7 +58,7 @@ func traceEqual(t *testing.T, label string, a, b *Result) {
 // TestParallelTraceMatchesSerial is the determinism property the worker pool
 // guarantees: for every workload seed and feature combination, running
 // Select with Parallelism 1 and Parallelism N yields identical step traces,
-// with and without the incremental gain cache.
+// on both the lazy loop and the uncached sweep.
 func TestParallelTraceMatchesSerial(t *testing.T) {
 	for _, seed := range []int64{3, 11, 29, 47} {
 		w := gen(t, 3, 14, 40, 100_000, seed)
@@ -72,27 +72,31 @@ func TestParallelTraceMatchesSerial(t *testing.T) {
 			{ExactEvaluation: true},
 		}
 		for fi, feat := range features {
-			// The reference is the seed behavior: serial, no gain cache.
+			// The baseline is the seed behavior: the serial uncached sweep.
 			ref := feat
-			ref.Budget, ref.Parallelism, ref.DisableIncremental = budget, 1, true
-			baseline, err := Select(w, whatif.New(m), ref)
+			ref.Budget, ref.Parallelism = budget, 1
+			baseline, err := selectSweep(w, whatif.New(m), ref)
 			if err != nil {
 				t.Fatal(err)
 			}
-			variants := []Options{
-				{Parallelism: 1}, // serial + lazy (the default path)
-				{Parallelism: 4}, // parallel + lazy
-				{Parallelism: 4, DisableIncremental: true}, // parallel only
-				{Parallelism: 7},              // worker count not dividing task count
-				{Parallelism: 1, Eager: true}, // serial + eager incremental
-				{Parallelism: 4, Eager: true}, // parallel + eager incremental
+			variants := []struct {
+				p     int
+				sweep bool
+			}{
+				{1, false}, // serial + lazy (the default path)
+				{4, false}, // parallel + lazy
+				{7, false}, // worker count not dividing task count
+				{4, true},  // parallel sweep
+				{7, true},
 			}
 			for vi, v := range variants {
 				opts := feat
-				opts.Budget = budget
-				opts.Parallelism, opts.DisableIncremental = v.Parallelism, v.DisableIncremental
-				opts.Eager = v.Eager
-				got, err := Select(w, whatif.New(m), opts)
+				opts.Budget, opts.Parallelism = budget, v.p
+				sel := Select
+				if v.sweep {
+					sel = selectSweep
+				}
+				got, err := sel(w, whatif.New(m), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,9 +125,7 @@ func TestIncrementalMatchesFullRecomputation(t *testing.T) {
 				DropUnused:      true,
 				Parallelism:     1,
 			}
-			full := opts
-			full.DisableIncremental = true
-			a, err := Select(w, whatif.New(m), full)
+			a, err := selectSweep(w, whatif.New(m), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,61 +140,6 @@ func TestIncrementalMatchesFullRecomputation(t *testing.T) {
 				t.Errorf("incremental cost %v != model %v", got, want)
 			}
 		}
-	}
-}
-
-// TestIncrementalReducesReevaluations: the point of the invalidation layer
-// is to spend construction steps on O(affected candidates). Counting actual
-// candidate evaluations via the gain cache is internal; the observable proxy
-// is that the incremental run performs no additional what-if calls compared
-// to the full recomputation (caches make calls identical) while the step
-// traces match — covered above — so here we assert the invalidation itself:
-// after a full run, cached gains for untouched leading attributes survive.
-func TestIncrementalReducesReevaluations(t *testing.T) {
-	w := gen(t, 3, 14, 40, 100_000, 23)
-	m, _ := setup(w)
-	// Eager selects the incremental gain-cache path this test inspects; the
-	// lazy default keeps its own per-bucket entry store instead (lazy_test.go
-	// covers its cache-retention behavior).
-	s := newSelector(w, whatif.New(m), Options{Budget: m.Budget(0.5), Parallelism: 1, Eager: true})
-	s.initTopNSingle()
-	// First step: everything evaluated, cache populated.
-	best, second, haveSecond, ok, err := s.collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("no candidate found")
-	}
-	cached := 0
-	for _, bucket := range s.gains {
-		cached += len(bucket)
-	}
-	if cached == 0 {
-		t.Fatal("gain cache empty after first collect")
-	}
-	s.apply(best, second, haveSecond)
-	surviving := 0
-	for _, bucket := range s.gains {
-		surviving += len(bucket)
-	}
-	if surviving == 0 {
-		t.Error("apply() invalidated every cached gain; invalidation is not selective")
-	}
-	if surviving >= cached {
-		t.Error("apply() invalidated nothing; stale gains would be reused")
-	}
-	// Second collect must reuse survivors: the pending (re-evaluated) set is
-	// strictly smaller than the full task list.
-	tasks := s.enumerate()
-	hits := 0
-	for _, task := range tasks {
-		if _, hit := s.cachedGain(task); hit {
-			hits++
-		}
-	}
-	if hits == 0 {
-		t.Error("second collect has zero gain-cache hits")
 	}
 }
 
@@ -223,8 +170,8 @@ func TestParallelWithWorkerPoolUnderRace(t *testing.T) {
 }
 
 // TestReconfigForcesSerial: the Reconfig callback must see single-threaded
-// calls (its thread-safety is unknown) and incremental gains are disabled
-// because R couples gains to the whole selection.
+// calls (its thread-safety is unknown), and the uncached sweep decides every
+// step because R couples gains to the whole selection.
 func TestReconfigForcesSerial(t *testing.T) {
 	w := gen(t, 2, 10, 20, 50_000, 13)
 	m, _ := setup(w)
@@ -244,8 +191,8 @@ func TestReconfigForcesSerial(t *testing.T) {
 	if s.workers != 1 {
 		t.Errorf("Reconfig run uses %d workers, want 1", s.workers)
 	}
-	if s.gains != nil {
-		t.Error("Reconfig run has incremental gain cache enabled")
+	if s.lazy != nil {
+		t.Error("Reconfig run decides steps with the lazy loop instead of the sweep")
 	}
 	if _, err := s.run(); err != nil {
 		t.Fatal(err)

@@ -32,12 +32,8 @@ func tpccWorkload(t *testing.T) *workload.Workload {
 	return w
 }
 
-func optimizerFor(w *workload.Workload, reference bool) *whatif.Optimizer {
-	src := costmodel.New(w, costmodel.SingleIndex)
-	if reference {
-		return whatif.NewReference(src)
-	}
-	return whatif.New(src)
+func optimizerFor(w *workload.Workload) *whatif.Optimizer {
+	return whatif.New(costmodel.New(w, costmodel.SingleIndex))
 }
 
 // driftStream streams the workload through a window in phases, perturbing
@@ -72,69 +68,63 @@ func driftStream(t *testing.T, base *workload.Workload, phases int) []*workload.
 }
 
 // TestPlanDeltaGuardrailProperty is the acceptance-criteria property test:
-// on ERP and TPC-C drift streams, against both the flat and reference
-// what-if backends, every accepted delta leaves each heavy query within
-// (1+epsilon) of its deployed cost, and every rejected delta names its
-// violating queries.
+// on ERP and TPC-C drift streams, every accepted delta leaves each heavy
+// query within (1+epsilon) of its deployed cost, and every rejected delta
+// names its violating queries. (Parity between the flat what-if tables and
+// the string-keyed oracle is covered by package whatif's own tests.)
 func TestPlanDeltaGuardrailProperty(t *testing.T) {
 	workloads := map[string]func(*testing.T) *workload.Workload{
 		"erp":  erpWorkload,
 		"tpcc": tpccWorkload,
 	}
 	for name, gen := range workloads {
-		for _, reference := range []bool{false, true} {
-			backend := "flat"
-			if reference {
-				backend = "reference"
-			}
-			t.Run(name+"/"+backend, func(t *testing.T) {
-				base := gen(t)
-				snaps := driftStream(t, base, 3)
-				deployed := workload.Selection{}
-				for p, snap := range snaps {
-					opt := optimizerFor(snap, reference)
-					budget := costmodel.New(snap, costmodel.SingleIndex).Budget(0.5)
-					plan, err := PlanDelta(context.Background(), snap, opt, deployed, PlanOptions{
-						Budget:  budget,
-						Epsilon: 0.05,
-						HeavyK:  8,
-					})
-					if err != nil {
-						t.Fatalf("phase %d PlanDelta: %v", p, err)
+		t.Run(name+"/flat", func(t *testing.T) {
+			base := gen(t)
+			snaps := driftStream(t, base, 3)
+			deployed := workload.Selection{}
+			for p, snap := range snaps {
+				opt := optimizerFor(snap)
+				budget := costmodel.New(snap, costmodel.SingleIndex).Budget(0.5)
+				plan, err := PlanDelta(context.Background(), snap, opt, deployed, PlanOptions{
+					Budget:  budget,
+					Epsilon: 0.05,
+					HeavyK:  8,
+				})
+				if err != nil {
+					t.Fatalf("phase %d PlanDelta: %v", p, err)
+				}
+				checkPlanInvariants(t, p, plan, deployed)
+				if plan.Accepted {
+					// The never-regress property, re-derived from raw
+					// what-if calls rather than trusting the report.
+					for _, hq := range plan.Guardrail.Queries {
+						q := snap.Queries[hq.Query]
+						dep := queryCost(opt, q, deployed)
+						got := queryCost(opt, q, plan.Target)
+						if got > dep*(1+plan.Guardrail.Epsilon)+1e-9*math.Max(1, dep) {
+							t.Fatalf("phase %d: accepted delta regresses heavy query %d: %g -> %g",
+								p, hq.Query, dep, got)
+						}
 					}
-					checkPlanInvariants(t, p, plan, deployed)
-					if plan.Accepted {
-						// The never-regress property, re-derived from raw
-						// what-if calls rather than trusting the report.
+					deployed = plan.Target
+				} else {
+					if len(plan.Guardrail.Violations) == 0 {
+						t.Fatalf("phase %d: rejected plan without violations", p)
+					}
+					for _, id := range plan.Guardrail.Violations {
+						found := false
 						for _, hq := range plan.Guardrail.Queries {
-							q := snap.Queries[hq.Query]
-							dep := queryCost(opt, q, deployed)
-							got := queryCost(opt, q, plan.Target)
-							if got > dep*(1+plan.Guardrail.Epsilon)+1e-9*math.Max(1, dep) {
-								t.Fatalf("phase %d: accepted delta regresses heavy query %d: %g -> %g",
-									p, hq.Query, dep, got)
+							if hq.Query == id && hq.Violation {
+								found = true
 							}
 						}
-						deployed = plan.Target
-					} else {
-						if len(plan.Guardrail.Violations) == 0 {
-							t.Fatalf("phase %d: rejected plan without violations", p)
-						}
-						for _, id := range plan.Guardrail.Violations {
-							found := false
-							for _, hq := range plan.Guardrail.Queries {
-								if hq.Query == id && hq.Violation {
-									found = true
-								}
-							}
-							if !found {
-								t.Fatalf("phase %d: violation %d missing from evidence", p, id)
-							}
+						if !found {
+							t.Fatalf("phase %d: violation %d missing from evidence", p, id)
 						}
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -191,7 +181,7 @@ func TestPlanDeltaRejectsWriteRegression(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	opt := optimizerFor(w, false)
+	opt := optimizerFor(w)
 	budget := costmodel.New(w, costmodel.SingleIndex).Budget(0.5)
 	plan, err := PlanDelta(context.Background(), w, opt, workload.Selection{}, PlanOptions{
 		Budget:  budget,
@@ -223,7 +213,7 @@ func TestPlanDeltaRejectsWriteRegression(t *testing.T) {
 // plan; PlanDelta never errors on deadline/cancel.
 func TestPlanDeltaAnytime(t *testing.T) {
 	w := erpWorkload(t)
-	opt := optimizerFor(w, false)
+	opt := optimizerFor(w)
 	budget := costmodel.New(w, costmodel.SingleIndex).Budget(0.5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: selection must stop immediately, best-so-far
@@ -244,7 +234,7 @@ func TestPlanDeltaAnytime(t *testing.T) {
 // previously selected deployment must produce zero creates.
 func TestPlanDeltaLowChurn(t *testing.T) {
 	w := erpWorkload(t)
-	opt := optimizerFor(w, false)
+	opt := optimizerFor(w)
 	budget := costmodel.New(w, costmodel.SingleIndex).Budget(0.5)
 	first, err := PlanDelta(context.Background(), w, opt, workload.Selection{}, PlanOptions{Budget: budget})
 	if err != nil {
@@ -267,7 +257,7 @@ func TestPlanDeltaLowChurn(t *testing.T) {
 
 func TestPlanDeltaValidation(t *testing.T) {
 	w := erpWorkload(t)
-	opt := optimizerFor(w, false)
+	opt := optimizerFor(w)
 	if _, err := PlanDelta(context.Background(), nil, opt, nil, PlanOptions{Budget: 1}); err == nil {
 		t.Fatal("nil workload accepted")
 	}

@@ -28,11 +28,6 @@ func Table1(cfg Config) error {
 
 	t := newTable("table1_runtimes",
 		"queries", "IC_max", "cands", "cophy_time", "cophy_dnf", "h6_time", "h6_steps")
-	// Companion table: the same H6 solves timed under the pre-optimization
-	// evaluator (serial, no incremental gain reuse) versus the production
-	// evaluator, isolating the candidate-evaluator speedup at Table-I scale.
-	sp := newTable("table1_speedup",
-		"queries", "h6_seed_time", "h6_opt_time", "speedup")
 	for _, totalQ := range querySweep {
 		gen := workload.DefaultGenConfig()
 		gen.QueriesPerTable = totalQ / gen.Tables
@@ -64,21 +59,6 @@ func Table1(cfg Config) error {
 		}
 		h6Time := time.Since(startH6)
 
-		// Seed-mode comparison run on the same warmed cache: one worker,
-		// every candidate re-evaluated at every step (the evaluator the
-		// perf work replaced). Identical trace, different wall clock.
-		startSeed := time.Now()
-		if _, err := core.Select(w, opt, core.Options{
-			Budget: budget, Parallelism: 1, DisableIncremental: true,
-		}); err != nil {
-			return err
-		}
-		seedTime := time.Since(startSeed)
-		sp.addf("%d|%s|%s|%.2fx",
-			totalQ, seedTime.Round(time.Millisecond).String(),
-			h6Time.Round(time.Millisecond).String(),
-			float64(seedTime)/float64(h6Time))
-
 		for _, size := range candSizes {
 			cands, err := candidates.Select(w, combos, candidates.H1M, size, 4)
 			if err != nil {
@@ -108,10 +88,6 @@ func Table1(cfg Config) error {
 		}
 	}
 	if err := t.render(cfg.Out, cfg.OutDir); err != nil {
-		return err
-	}
-	fmt.Fprintln(cfg.Out)
-	if err := sp.render(cfg.Out, cfg.OutDir); err != nil {
 		return err
 	}
 	fmt.Fprintln(cfg.Out, "\nshape check: H6 stays near-linear in Q; CoPhy's time grows super-linearly")

@@ -27,9 +27,9 @@ type AttributionDelta struct {
 
 // Diff is the semantic comparison of two runs. Identical means the decision
 // traces, final objectives, and attributions agree; prune-ledger differences
-// are reported but deliberately NOT divergence — lazy and eager runs of the
-// same workload produce equal frontiers with different ledgers, and that is
-// the expected, healthy outcome.
+// are reported but deliberately NOT divergence — the lazy loop and the
+// uncached sweep produce equal frontiers with different ledgers on the same
+// workload, and that is the expected, healthy outcome.
 type Diff struct {
 	StepsA int `json:"steps_a"`
 	StepsB int `json:"steps_b"`

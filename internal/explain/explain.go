@@ -130,7 +130,7 @@ type StepProvenance struct {
 	// PruneLedger lists the buckets the lazy loop bound-skipped deciding
 	// this step, highest bound first, capped at MaxPruneLedger.
 	// LedgerBuckets/LedgerSkipped are the uncapped totals; LedgerSkipped
-	// equals the step's Pruned count. Empty on the eager paths.
+	// equals the step's Pruned count. Empty on the uncached sweep.
 	PruneLedger     []PrunedBucket `json:"prune_ledger,omitempty"`
 	LedgerBuckets   int            `json:"ledger_buckets,omitempty"`
 	LedgerSkipped   int            `json:"ledger_skipped,omitempty"`

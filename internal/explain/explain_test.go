@@ -106,15 +106,15 @@ func TestDiffIdenticalRuns(t *testing.T) {
 	}
 }
 
-// Lazy vs eager: same decisions and frontier, different prune ledgers. The
+// Lazy vs sweep: same decisions and frontier, different prune ledgers. The
 // diff must flag the ledger difference without declaring divergence.
 func TestDiffLedgerOnlyDifferenceIsNotDivergence(t *testing.T) {
 	lazy := sampleRun(1000, []explain.PrunedBucket{{Lead: 3, Bound: 1.5, Entries: 6, Skipped: 6}}, nil)
-	eager := sampleRun(1000, nil, nil)
-	eager.Steps[1].Pruned = 0
-	eager.Steps[1].Evaluated = 10
-	eager.Steps[1].CacheServed = 2
-	d := explain.DiffRuns(lazy, eager)
+	sweep := sampleRun(1000, nil, nil)
+	sweep.Steps[1].Pruned = 0
+	sweep.Steps[1].Evaluated = 12
+	sweep.Steps[1].CacheServed = 0
+	d := explain.DiffRuns(lazy, sweep)
 	if d.FirstDivergence != nil {
 		t.Fatalf("ledger-only difference reported as step divergence: %+v", d.FirstDivergence)
 	}

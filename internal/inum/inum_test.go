@@ -158,11 +158,14 @@ func TestSelectionQualityUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := candidates.Representatives(w, combos)
+	// 60 candidates (41 of them pairs) let the combinatorial search converge
+	// in milliseconds. On the full set both runs hit the time limit, and
+	// where the wall clock cuts each search differs under CPU load.
+	cands := candidates.Representatives(w, combos)[:60]
 	budget := m.Budget(0.3)
 
-	// A 2-second limit keeps the test fast; both runs stop identically
-	// because INUM changes only WHERE costs come from, not their values.
+	// Converged searches stop identically because INUM changes only WHERE
+	// costs come from, not their values; the limit only bounds a regression.
 	opts := func() cophy.Options {
 		return cophy.Options{Budget: budget, ForceCombinatorial: true, Gap: 0.05, TimeLimit: 2 * time.Second}
 	}

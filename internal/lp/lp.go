@@ -10,8 +10,8 @@
 // (branching changes only variable bounds, which preserves dual
 // feasibility), so node throughput is dominated by a handful of pivots per
 // node rather than a from-scratch solve. The original dense two-phase
-// tableau solver is retained in dense.go as the differential-testing and
-// benchmarking baseline.
+// tableau solver is retained in test code (dense_test.go) as the
+// differential-testing and benchmarking baseline.
 package lp
 
 import (

@@ -30,8 +30,6 @@ type Config struct {
 	// faultinject.Source for chaos runs). A fresh source is built for
 	// every retune, so call-count-triggered faults fire on each attempt.
 	WrapSource func(whatif.Source) whatif.Source
-	// Reference selects the reference (string-keyed) what-if backend.
-	Reference bool
 
 	// Epsilon and HeavyK parameterize the never-regress guardrail
 	// (drift.PlanOptions); zero means the drift package defaults.
@@ -303,12 +301,7 @@ func (d *Daemon) maybeRetune() {
 	if d.cfg.WrapSource != nil {
 		src = d.cfg.WrapSource(src)
 	}
-	var opt *whatif.Optimizer
-	if d.cfg.Reference {
-		opt = whatif.NewReference(src)
-	} else {
-		opt = whatif.New(src)
-	}
+	opt := whatif.New(src)
 	budget := d.cfg.BudgetBytes
 	if budget <= 0 {
 		budget = model.Budget(d.cfg.BudgetShare)

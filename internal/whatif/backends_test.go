@@ -1,25 +1,45 @@
-package whatif
+package whatif_test
 
 import (
+	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/whatif"
+	"repro/internal/whatif/whatiftest"
 	"repro/internal/workload"
 )
 
-// The flat-table backend (New) and the retained string-keyed backend
-// (NewReference) implement one contract; every semantic test here runs
-// against both, so a regression in either backend — or a divergence between
-// them — fails by name.
+// The flat-table Optimizer (whatif.New) and the string-keyed test oracle
+// (whatiftest.New) implement one contract; every semantic test here runs
+// against both, so a regression in either — or a divergence between them —
+// fails by name.
 
-func forEachBackend(t *testing.T, run func(t *testing.T, mk func(Source) *Optimizer)) {
-	t.Run("flat", func(t *testing.T) { run(t, New) })
-	t.Run("reference", func(t *testing.T) { run(t, NewReference) })
+// backend is the probe surface both caches share.
+type backend interface {
+	BaseCost(q workload.Query) float64
+	CostWithIndex(q workload.Query, k workload.Index) float64
+	QueryCost(q workload.Query, sel workload.Selection) float64
+	MaintenanceCost(q workload.Query, k workload.Index) float64
+	IndexSize(k workload.Index) int64
+	Invalidate(q workload.Query)
+	Stats() whatif.Stats
+	TableBytes() int64
+	EvictTables() int64
+}
+
+func newFlat(src whatif.Source) backend      { return whatif.New(src) }
+func newReference(src whatif.Source) backend { return whatiftest.New(src) }
+
+func forEachBackend(t *testing.T, run func(t *testing.T, mk func(whatif.Source) backend)) {
+	t.Run("flat", func(t *testing.T) { run(t, newFlat) })
+	t.Run("reference", func(t *testing.T) { run(t, newReference) })
 }
 
 func TestBackendsCachingSemantics(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(Source) *Optimizer) {
-		w := testWorkload(t)
+	forEachBackend(t, func(t *testing.T, mk func(whatif.Source) backend) {
+		w := whatif.SmallWorkload(t)
 		m := costmodel.New(w, costmodel.SingleIndex)
 		o := mk(m)
 		q := w.Queries[0]
@@ -47,8 +67,8 @@ func TestBackendsCachingSemantics(t *testing.T) {
 }
 
 func TestBackendsNonApplicableIsFree(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(Source) *Optimizer) {
-		w := testWorkload(t)
+	forEachBackend(t, func(t *testing.T, mk func(whatif.Source) backend) {
+		w := whatif.SmallWorkload(t)
 		o := mk(costmodel.New(w, costmodel.SingleIndex))
 		q := w.Queries[0]
 		var lead int
@@ -70,8 +90,8 @@ func TestBackendsNonApplicableIsFree(t *testing.T) {
 }
 
 func TestBackendsInvalidate(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(Source) *Optimizer) {
-		w := testWorkload(t)
+	forEachBackend(t, func(t *testing.T, mk func(whatif.Source) backend) {
+		w := whatif.SmallWorkload(t)
 		o := mk(costmodel.New(w, costmodel.SingleIndex))
 		q0, q1 := w.Queries[0], w.Queries[1]
 		k0 := workload.MustIndex(w, q0.Attrs[0])
@@ -101,10 +121,10 @@ func TestBackendsInvalidate(t *testing.T) {
 }
 
 func TestBackendsOccupancyAgrees(t *testing.T) {
-	w := testWorkload(t)
+	w := whatif.SmallWorkload(t)
 	m := costmodel.New(w, costmodel.SingleIndex)
-	flat, ref := New(m), NewReference(m)
-	for _, o := range []*Optimizer{flat, ref} {
+	flat, ref := whatif.New(m), whatiftest.New(m)
+	for _, o := range []backend{flat, ref} {
 		for _, q := range w.Queries {
 			k := workload.MustIndex(w, q.Attrs[0])
 			o.CostWithIndex(q, k)
@@ -130,82 +150,135 @@ func TestBackendsOccupancyAgrees(t *testing.T) {
 	}
 }
 
-// TestFlatShardGrowthAndTombstones drives one flat shard through several
-// rehash generations with interleaved invalidations: values must survive
-// growth, tombstoned slots must be reusable, and live accounting must stay
-// exact. This is the open-addressing edge-case coverage the map-based
-// reference never needed.
-func TestFlatShardGrowthAndTombstones(t *testing.T) {
-	var sh flatShard
-	const queries = 64
-	const perQuery = 32 // 64*32 entries forces multiple rehashes from 64 slots
-	val := func(q, i int) float64 { return float64(q*1000 + i) }
-	for q := 0; q < queries; q++ {
-		for i := 0; i < perQuery; i++ {
-			sh.put(q, pairKeyOf(q, workload.IndexID(i)), val(q, i))
+// populate probes a spread of base, index, maintenance and size entries and
+// returns the values for later comparison.
+func populate(o backend, w *workload.Workload) map[string]float64 {
+	vals := make(map[string]float64)
+	for _, q := range w.Queries {
+		id := strconv.Itoa(q.ID)
+		vals["base:"+id] = o.BaseCost(q)
+		for _, a := range q.Attrs {
+			k := workload.MustIndex(w, a)
+			vals["cost:"+id+":"+k.Key()] = o.CostWithIndex(q, k)
+			vals["maint:"+id+":"+k.Key()] = o.MaintenanceCost(q, k)
+			vals["size:"+k.Key()] = float64(o.IndexSize(k))
 		}
 	}
-	if got := sh.len(); got != queries*perQuery {
-		t.Fatalf("live = %d, want %d", got, queries*perQuery)
-	}
-	for q := 0; q < queries; q++ {
-		for i := 0; i < perQuery; i++ {
-			if v, ok := sh.get(pairKeyOf(q, workload.IndexID(i))); !ok || v != val(q, i) {
-				t.Fatalf("entry (%d, %d) = %v, %v after growth", q, i, v, ok)
-			}
-		}
-	}
-	// Invalidate every other query: O(entries-for-q) tombstoning.
-	for q := 0; q < queries; q += 2 {
-		if dropped := sh.invalidate(q); dropped != perQuery {
-			t.Fatalf("invalidate(%d) dropped %d, want %d", q, dropped, perQuery)
-		}
-	}
-	if got := sh.len(); got != queries*perQuery/2 {
-		t.Fatalf("live after invalidation = %d, want %d", got, queries*perQuery/2)
-	}
-	for q := 0; q < queries; q++ {
-		_, ok := sh.get(pairKeyOf(q, 0))
-		if want := q%2 == 1; ok != want {
-			t.Fatalf("query %d present=%v, want %v", q, ok, want)
-		}
-	}
-	// Re-insert into tombstoned territory, then verify a subsequent rehash
-	// (triggered by more inserts) drops the dead weight without losing data.
-	for q := 0; q < queries; q += 2 {
-		for i := 0; i < 2*perQuery; i++ {
-			sh.put(q, pairKeyOf(q, workload.IndexID(i)), -val(q, i))
-		}
-	}
-	for q := 0; q < queries; q++ {
-		if q%2 == 0 {
-			if v, ok := sh.get(pairKeyOf(q, 1)); !ok || v != -val(q, 1) {
-				t.Fatalf("re-inserted (%d, 1) = %v, %v", q, v, ok)
-			}
-		} else if v, ok := sh.get(pairKeyOf(q, 1)); !ok || v != val(q, 1) {
-			t.Fatalf("untouched (%d, 1) = %v, %v", q, v, ok)
-		}
-	}
-	// A second invalidate of an already-invalidated query is a no-op on the
-	// perQuery ledger (no stale keys double-counted).
-	sh.invalidate(1)
-	if dropped := sh.invalidate(1); dropped != 0 {
-		t.Errorf("double invalidate dropped %d entries", dropped)
-	}
+	return vals
 }
 
-// TestFlatSizeZeroIsCached: 0 is a legitimate cached index size; a second
-// request must not re-ask the source.
-func TestFlatSizeZeroIsCached(t *testing.T) {
-	var ft flatTables
-	ft.sizePut(3, 0)
-	if v, ok := ft.sizeGet(3); !ok || v != 0 {
-		t.Fatalf("sizeGet(3) = %d, %v; want 0, true", v, ok)
+func TestEvictTablesRebuildIdentical(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, mk func(whatif.Source) backend) {
+		w := whatif.SmallWorkload(t)
+		o := mk(costmodel.New(w, costmodel.SingleIndex))
+
+		if o.TableBytes() != 0 {
+			t.Fatalf("fresh optimizer retains %d table bytes", o.TableBytes())
+		}
+		before := populate(o, w)
+		occupied := o.TableBytes()
+		if occupied <= 0 {
+			t.Fatal("populated optimizer reports no table bytes")
+		}
+		callsBefore := o.Stats().Calls
+
+		freed := o.EvictTables()
+		if freed != occupied {
+			t.Fatalf("EvictTables freed %d bytes, TableBytes reported %d", freed, occupied)
+		}
+		if after := o.TableBytes(); after != 0 {
+			t.Fatalf("after eviction %d table bytes remain", after)
+		}
+		if got := o.Stats().Calls; got != callsBefore {
+			t.Fatalf("eviction changed call counter: %d -> %d", callsBefore, got)
+		}
+
+		// Rebuild on demand: every probe must return the identical value.
+		after := populate(o, w)
+		if len(after) != len(before) {
+			t.Fatalf("rebuild produced %d entries, want %d", len(after), len(before))
+		}
+		for k, v := range before {
+			if after[k] != v {
+				t.Fatalf("entry %s changed across eviction: %v -> %v", k, v, after[k])
+			}
+		}
+		// The rebuild hit the source again (cold misses), so calls grew.
+		if got := o.Stats().Calls; got <= callsBefore {
+			t.Fatalf("rebuild consumed no source calls (%d -> %d)", callsBefore, got)
+		}
+		if o.TableBytes() != occupied {
+			t.Fatalf("rebuilt footprint %d differs from original %d", o.TableBytes(), occupied)
+		}
+	})
+}
+
+func TestTableBytesMonotoneUnderProbes(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, mk func(whatif.Source) backend) {
+		w := whatif.SmallWorkload(t)
+		o := mk(costmodel.New(w, costmodel.SingleIndex))
+		var prev int64
+		for i, q := range w.Queries {
+			o.BaseCost(q)
+			k := workload.MustIndex(w, q.Attrs[0])
+			o.CostWithIndex(q, k)
+			if b := o.TableBytes(); b < prev {
+				t.Fatalf("TableBytes shrank under inserts at query %d: %d -> %d", i, prev, b)
+			} else {
+				prev = b
+			}
+		}
+	})
+}
+
+func TestSanitizeCostBoundary(t *testing.T) {
+	cases := []struct {
+		name string
+		in   float64
+		want float64
+	}{
+		{"nan", math.NaN(), whatif.CostCap},
+		{"plus-inf", math.Inf(1), whatif.CostCap},
+		{"minus-inf", math.Inf(-1), 0},
+		{"negative", -12.5, 0},
+		{"over-cap", whatif.CostCap * 10, whatif.CostCap},
+		{"zero", 0, 0},
+		{"normal", 42.5, 42.5},
 	}
-	if _, ok := ft.sizeGet(2); ok {
-		t.Error("unset smaller ID reported as cached")
-	}
-	if _, ok := ft.sizeGet(100); ok {
-		t.Error("ID beyond table reported as cached")
-	}
+	forEachBackend(t, func(t *testing.T, mk func(whatif.Source) backend) {
+		w := whatif.SmallWorkload(t)
+		model := costmodel.New(w, costmodel.SingleIndex)
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				o := mk(whatif.BadSource{Source: model, Cost: tc.in, Size: 64})
+				q := w.Queries[0]
+				k := workload.MustIndex(w, q.Attrs[0])
+				if got := o.BaseCost(q); got != tc.want {
+					t.Errorf("BaseCost = %v, want %v", got, tc.want)
+				}
+				if got := o.CostWithIndex(q, k); got != tc.want {
+					t.Errorf("CostWithIndex = %v, want %v", got, tc.want)
+				}
+				if got := o.QueryCost(q, workload.Selection{k.Key(): k}); got != tc.want {
+					t.Errorf("QueryCost = %v, want %v", got, tc.want)
+				}
+				// Cached reads serve the sanitized value, not the raw one.
+				if got := o.CostWithIndex(q, k); got != tc.want {
+					t.Errorf("cached CostWithIndex = %v, want %v", got, tc.want)
+				}
+			})
+		}
+	})
+}
+
+func TestSanitizeSizeBoundary(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, mk func(whatif.Source) backend) {
+		w := whatif.SmallWorkload(t)
+		model := costmodel.New(w, costmodel.SingleIndex)
+		o := mk(whatif.BadSource{Source: model, Cost: 1, Size: -100})
+		k := workload.MustIndex(w, w.Queries[0].Attrs[0])
+		if got := o.IndexSize(k); got != 0 {
+			t.Errorf("negative IndexSize = %d, want clamp to 0", got)
+		}
+	})
 }

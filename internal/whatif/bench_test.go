@@ -1,16 +1,24 @@
-package whatif
+package whatif_test
 
 import (
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/whatif"
+	"repro/internal/whatif/whatiftest"
 	"repro/internal/workload"
 )
 
 // Hot-path microbenchmarks behind `make bench-whatif`. The flat/reference
 // pairs quantify exactly what the interned flat tables buy over the
-// string-keyed maps; CI guards the cached-probe allocation count (the
-// candidate-evaluation inner loop) against regressing back to allocating.
+// string-keyed whatiftest maps; CI guards the cached-probe allocation count
+// (the candidate-evaluation inner loop) against regressing back to
+// allocating.
+
+// prober is the probe both caches share.
+type prober interface {
+	CostWithIndex(q workload.Query, k workload.Index) float64
+}
 
 func benchWorkload(b *testing.B) *workload.Workload {
 	b.Helper()
@@ -53,7 +61,7 @@ func benchPool(b *testing.B, w *workload.Workload) ([]workload.Query, []workload
 	return qs, ks
 }
 
-func benchCachedProbe(b *testing.B, mk func(Source) *Optimizer) {
+func benchCachedProbe[O prober](b *testing.B, mk func(whatif.Source) O) {
 	w := benchWorkload(b)
 	o := mk(costmodel.New(w, costmodel.SingleIndex))
 	qs, ks := benchPool(b, w)
@@ -70,10 +78,10 @@ func benchCachedProbe(b *testing.B, mk func(Source) *Optimizer) {
 	_ = sink
 }
 
-func BenchmarkWhatifCachedProbe_Flat(b *testing.B)      { benchCachedProbe(b, New) }
-func BenchmarkWhatifCachedProbe_Reference(b *testing.B) { benchCachedProbe(b, NewReference) }
+func BenchmarkWhatifCachedProbe_Flat(b *testing.B)      { benchCachedProbe(b, whatif.New) }
+func BenchmarkWhatifCachedProbe_Reference(b *testing.B) { benchCachedProbe(b, whatiftest.New) }
 
-func benchColdProbe(b *testing.B, mk func(Source) *Optimizer) {
+func benchColdProbe[O prober](b *testing.B, mk func(whatif.Source) O) {
 	w := benchWorkload(b)
 	m := costmodel.New(w, costmodel.SingleIndex)
 	qs, ks := benchPool(b, w)
@@ -93,8 +101,8 @@ func benchColdProbe(b *testing.B, mk func(Source) *Optimizer) {
 	_ = sink
 }
 
-func BenchmarkWhatifColdProbe_Flat(b *testing.B)      { benchColdProbe(b, New) }
-func BenchmarkWhatifColdProbe_Reference(b *testing.B) { benchColdProbe(b, NewReference) }
+func BenchmarkWhatifColdProbe_Flat(b *testing.B)      { benchColdProbe(b, whatif.New) }
+func BenchmarkWhatifColdProbe_Reference(b *testing.B) { benchColdProbe(b, whatiftest.New) }
 
 // Applicable: the per-query attribute bitset versus the linear scan fallback
 // (a hand-built Query value has no precomputed access set).

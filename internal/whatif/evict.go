@@ -29,9 +29,6 @@ const (
 // and invalidation bookkeeping). The estimate is deterministic for a given
 // probe history and is the measure the fleet's TableBudget enforces.
 func (o *Optimizer) TableBytes() int64 {
-	if o.ref != nil {
-		return o.refTableBytes()
-	}
 	t := o.flat
 	t.mu.RLock()
 	b := int64(len(t.base))*8 + int64(len(t.baseSet)) + int64(len(t.sizes))*8
@@ -51,9 +48,6 @@ func (o *Optimizer) TableBytes() int64 {
 // cleared under its own lock, so a concurrent reader sees either the old
 // entries or a miss, never a torn table.
 func (o *Optimizer) EvictTables() int64 {
-	if o.ref != nil {
-		return o.refEvictTables()
-	}
 	t := o.flat
 	t.mu.Lock()
 	b := int64(len(t.base))*8 + int64(len(t.baseSet)) + int64(len(t.sizes))*8
@@ -88,59 +82,6 @@ func (s *flatShard) clear() int64 {
 	}
 	s.keys, s.vals, s.perQuery = nil, nil, nil
 	s.live, s.used = 0, 0
-	s.mu.Unlock()
-	return b
-}
-
-func (o *Optimizer) refTableBytes() int64 {
-	t := o.ref
-	t.mu.RLock()
-	b := int64(len(t.baseCache)) * mapEntryBytes
-	for k := range t.sizeCache {
-		b += int64(len(k)) + mapEntryBytes
-	}
-	t.mu.RUnlock()
-	for i := range t.indexCache {
-		b += t.indexCache[i].bytes()
-		b += t.maintCache[i].bytes()
-	}
-	return b
-}
-
-func (o *Optimizer) refEvictTables() int64 {
-	t := o.ref
-	t.mu.Lock()
-	b := int64(len(t.baseCache)) * mapEntryBytes
-	for k := range t.sizeCache {
-		b += int64(len(k)) + mapEntryBytes
-	}
-	t.baseCache = make(map[int]float64)
-	t.sizeCache = make(map[string]int64)
-	t.mu.Unlock()
-	for i := range t.indexCache {
-		b += t.indexCache[i].clearRef()
-		b += t.maintCache[i].clearRef()
-	}
-	return b
-}
-
-func (s *pairShard) bytes() int64 {
-	s.mu.RLock()
-	var b int64
-	for k := range s.m {
-		b += int64(len(k.index)) + mapEntryBytes
-	}
-	s.mu.RUnlock()
-	return b
-}
-
-func (s *pairShard) clearRef() int64 {
-	s.mu.Lock()
-	var b int64
-	for k := range s.m {
-		b += int64(len(k.index)) + mapEntryBytes
-	}
-	s.m = make(map[pairKey]float64)
 	s.mu.Unlock()
 	return b
 }

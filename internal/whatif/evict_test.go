@@ -7,99 +7,6 @@ import (
 	"repro/internal/workload"
 )
 
-// populate probes a spread of base, index, maintenance and size entries and
-// returns the values for later comparison.
-func populate(t *testing.T, o *Optimizer, w *workload.Workload) map[string]float64 {
-	t.Helper()
-	vals := make(map[string]float64)
-	for _, q := range w.Queries {
-		vals["base:"+itoa(q.ID)] = o.BaseCost(q)
-		for _, a := range q.Attrs {
-			k := workload.MustIndex(w, a)
-			vals["cost:"+itoa(q.ID)+":"+k.Key()] = o.CostWithIndex(q, k)
-			vals["maint:"+itoa(q.ID)+":"+k.Key()] = o.MaintenanceCost(q, k)
-			vals["size:"+k.Key()] = float64(o.IndexSize(k))
-		}
-	}
-	return vals
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
-}
-
-func TestEvictTablesRebuildIdentical(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(Source) *Optimizer) {
-		w := testWorkload(t)
-		o := mk(costmodel.New(w, costmodel.SingleIndex))
-
-		if o.TableBytes() != 0 {
-			t.Fatalf("fresh optimizer retains %d table bytes", o.TableBytes())
-		}
-		before := populate(t, o, w)
-		occupied := o.TableBytes()
-		if occupied <= 0 {
-			t.Fatal("populated optimizer reports no table bytes")
-		}
-		callsBefore := o.Stats().Calls
-
-		freed := o.EvictTables()
-		if freed != occupied {
-			t.Fatalf("EvictTables freed %d bytes, TableBytes reported %d", freed, occupied)
-		}
-		if after := o.TableBytes(); after != 0 {
-			t.Fatalf("after eviction %d table bytes remain", after)
-		}
-		if got := o.Stats().Calls; got != callsBefore {
-			t.Fatalf("eviction changed call counter: %d -> %d", callsBefore, got)
-		}
-
-		// Rebuild on demand: every probe must return the identical value.
-		after := populate(t, o, w)
-		if len(after) != len(before) {
-			t.Fatalf("rebuild produced %d entries, want %d", len(after), len(before))
-		}
-		for k, v := range before {
-			if after[k] != v {
-				t.Fatalf("entry %s changed across eviction: %v -> %v", k, v, after[k])
-			}
-		}
-		// The rebuild hit the source again (cold misses), so calls grew.
-		if got := o.Stats().Calls; got <= callsBefore {
-			t.Fatalf("rebuild consumed no source calls (%d -> %d)", callsBefore, got)
-		}
-		if o.TableBytes() != occupied {
-			t.Fatalf("rebuilt footprint %d differs from original %d", o.TableBytes(), occupied)
-		}
-	})
-}
-
-func TestTableBytesMonotoneUnderProbes(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(Source) *Optimizer) {
-		w := testWorkload(t)
-		o := mk(costmodel.New(w, costmodel.SingleIndex))
-		var prev int64
-		for i, q := range w.Queries {
-			o.BaseCost(q)
-			k := workload.MustIndex(w, q.Attrs[0])
-			o.CostWithIndex(q, k)
-			if b := o.TableBytes(); b < prev {
-				t.Fatalf("TableBytes shrank under inserts at query %d: %d -> %d", i, prev, b)
-			} else {
-				prev = b
-			}
-		}
-	})
-}
-
 func TestEvictTablesConcurrentProbes(t *testing.T) {
 	// Eviction racing live probes must not corrupt values: every read is
 	// either a hit on the old table or a fresh deterministic evaluation.

@@ -21,12 +21,12 @@ var mCostAnomalies = telemetry.Default().Counter("indexsel_cost_anomalies_total"
 // (~1.8e308).
 const costCap = 1e100
 
-// sanitizeCost enforces the Source contract (finite, non-negative costs) at
-// the caching boundary so an anomaly can never enter the gain cache or the
+// SanitizeCost enforces the Source contract (finite, non-negative costs) at
+// the caching boundary so an anomaly can never enter a cost cache or the
 // frontier. NaN and +Inf clamp to costCap (pessimistic: the candidate is
 // never chosen, but arithmetic downstream stays finite); -Inf and negative
 // values clamp to zero (a cost can legitimately be zero, never less).
-func sanitizeCost(c float64) float64 {
+func SanitizeCost(c float64) float64 {
 	if c >= 0 && c <= costCap { // finite, non-negative fast path
 		return c
 	}
@@ -37,9 +37,11 @@ func sanitizeCost(c float64) float64 {
 	return 0 // negative or -Inf
 }
 
-// sanitizeSize enforces non-negative index sizes; a negative size would make
+// SanitizeSize enforces non-negative index sizes; a negative size would make
 // a candidate look budget-free (or worse, relax the budget for others).
-func sanitizeSize(s int64) int64 {
+// Both sanitizers are exported so the whatiftest oracle clamps (and counts)
+// exactly like the Optimizer.
+func SanitizeSize(s int64) int64 {
 	if s >= 0 {
 		return s
 	}

@@ -28,58 +28,6 @@ func (b badSource) MaintenanceCost(q workload.Query, k workload.Index) float64 {
 }
 func (b badSource) IndexSize(k workload.Index) int64 { return b.Size }
 
-func TestSanitizeCostBoundary(t *testing.T) {
-	cases := []struct {
-		name string
-		in   float64
-		want float64
-	}{
-		{"nan", math.NaN(), costCap},
-		{"plus-inf", math.Inf(1), costCap},
-		{"minus-inf", math.Inf(-1), 0},
-		{"negative", -12.5, 0},
-		{"over-cap", costCap * 10, costCap},
-		{"zero", 0, 0},
-		{"normal", 42.5, 42.5},
-	}
-	forEachBackend(t, func(t *testing.T, mk func(Source) *Optimizer) {
-		w := testWorkload(t)
-		model := costmodel.New(w, costmodel.SingleIndex)
-		for _, tc := range cases {
-			t.Run(tc.name, func(t *testing.T) {
-				o := mk(badSource{Source: model, Cost: tc.in, Size: 64})
-				q := w.Queries[0]
-				k := workload.MustIndex(w, q.Attrs[0])
-				if got := o.BaseCost(q); got != tc.want {
-					t.Errorf("BaseCost = %v, want %v", got, tc.want)
-				}
-				if got := o.CostWithIndex(q, k); got != tc.want {
-					t.Errorf("CostWithIndex = %v, want %v", got, tc.want)
-				}
-				if got := o.QueryCost(q, workload.Selection{k.Key(): k}); got != tc.want {
-					t.Errorf("QueryCost = %v, want %v", got, tc.want)
-				}
-				// Cached reads serve the sanitized value, not the raw one.
-				if got := o.CostWithIndex(q, k); got != tc.want {
-					t.Errorf("cached CostWithIndex = %v, want %v", got, tc.want)
-				}
-			})
-		}
-	})
-}
-
-func TestSanitizeSizeBoundary(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(Source) *Optimizer) {
-		w := testWorkload(t)
-		model := costmodel.New(w, costmodel.SingleIndex)
-		o := mk(badSource{Source: model, Cost: 1, Size: -100})
-		k := workload.MustIndex(w, w.Queries[0].Attrs[0])
-		if got := o.IndexSize(k); got != 0 {
-			t.Errorf("negative IndexSize = %d, want clamp to 0", got)
-		}
-	})
-}
-
 func TestSanitizeCountsAnomalies(t *testing.T) {
 	w := testWorkload(t)
 	model := costmodel.New(w, costmodel.SingleIndex)

@@ -43,8 +43,6 @@ import (
 // layout.
 var spillMagic = [8]byte{'W', 'I', 'F', 'S', 'P', 'I', 'L', '1'}
 
-var errRefSpill = errors.New("whatif: table spill requires the flat backend")
-
 // ErrSpillCorrupt tags every way a spill file can fail structural
 // verification — truncation, checksum mismatch, bad magic, sentinel pair
 // keys, trailing bytes. Callers (fleet's TableBudget) classify restore
@@ -56,11 +54,8 @@ var ErrSpillCorrupt = errors.New("whatif: spill file corrupt")
 // WriteTables serializes the optimizer's cost tables to w in the spill format
 // and returns the number of bytes written. The tables are left intact; pair
 // EvictTables after a successful write to free them (or use SpillTables,
-// which does both). Flat backend only.
+// which does both).
 func (o *Optimizer) WriteTables(w io.Writer) (int64, error) {
-	if o.flat == nil {
-		return 0, errRefSpill
-	}
 	if o.canon != nil {
 		return 0, errors.New("whatif: spill through the base optimizer, not a tenant View")
 	}
@@ -141,11 +136,8 @@ func (s *flatShard) appendEntries(buf []byte) []byte {
 // Entries are merged into the current tables (identical values under a
 // deterministic source, so merging is safe); the expected use is restoring
 // into just-evicted, empty tables. The checksum trailer is verified before
-// any entry is applied. Flat backend only.
+// any entry is applied.
 func (o *Optimizer) ReadTables(r io.Reader) error {
-	if o.flat == nil {
-		return errRefSpill
-	}
 	if o.canon != nil {
 		return errors.New("whatif: restore through the base optimizer, not a tenant View")
 	}
@@ -262,9 +254,6 @@ func (c *spillCursor) u64() uint64 { return binary.LittleEndian.Uint64(c.take(8)
 // temp file) and then evicts them, returning the estimated bytes freed. On
 // write error the tables are left intact and nothing is evicted.
 func (o *Optimizer) SpillTables(path string) (int64, error) {
-	if o.flat == nil {
-		return 0, errRefSpill
-	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".spill-*")
 	if err != nil {
 		return 0, fmt.Errorf("whatif: creating spill file: %w", err)
@@ -289,9 +278,6 @@ func (o *Optimizer) SpillTables(path string) (int64, error) {
 // (typically just-evicted) tables and deletes it — spill files are consumed
 // exactly once. Returns the estimated resident bytes of the restored tables.
 func (o *Optimizer) RestoreTables(path string) (int64, error) {
-	if o.flat == nil {
-		return 0, errRefSpill
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, fmt.Errorf("whatif: opening spill file: %w", err)

@@ -152,14 +152,3 @@ func TestSpillTruncationDetected(t *testing.T) {
 		t.Fatal("ReadTables accepted a truncated spill stream")
 	}
 }
-
-func TestSpillRequiresFlatBackend(t *testing.T) {
-	w := testWorkload(t)
-	o := NewReference(costmodel.New(w, costmodel.SingleIndex))
-	if _, err := o.WriteTables(&bytes.Buffer{}); err == nil {
-		t.Error("WriteTables on reference backend did not error")
-	}
-	if err := o.ReadTables(bytes.NewReader(nil)); err == nil {
-		t.Error("ReadTables on reference backend did not error")
-	}
-}

@@ -5,13 +5,12 @@
 // execution costs from the column-store engine (package engine) — selection
 // algorithms are agnostic to which (Section IV-B).
 //
-// Two cache backends exist. New builds the flat backend: indexes are interned
-// to dense uint32 IDs (workload.Interner) and every cache is a numeric table
-// — open-addressed uint64-keyed shards for (query, index) costs, plain slices
-// for base costs and sizes — so a cached probe does no string work at all.
-// NewReference builds the original string-keyed map backend, retained as the
-// differential oracle; both backends implement identical caching semantics
-// and call accounting.
+// Indexes are interned to dense uint32 IDs (workload.Interner) and every
+// cache is a numeric table — open-addressed uint64-keyed shards for (query,
+// index) costs, plain slices for base costs and sizes — so a cached probe
+// does no string work at all. The original string-keyed map cache lives on
+// as the differential oracle in package whatiftest, which only tests import;
+// it implements identical caching semantics and call accounting.
 package whatif
 
 import (
@@ -52,8 +51,7 @@ type Stats struct {
 	// served — the advisor's touched index universe.
 	DistinctIndexes int
 	// InternedIndexes is the population of the optimizer's index interner:
-	// every distinct index identity that crossed the facade. Zero under the
-	// reference backend, which never interns.
+	// every distinct index identity that crossed the facade.
 	InternedIndexes int
 	// IndexCacheEntries is the total (query, index) cost-cache population,
 	// i.e. the sum over IndexShardEntries.
@@ -96,14 +94,12 @@ func shardOf(query int) uint32 {
 // Every value a Source returns is sanitized before caching (see sanitize.go):
 // NaN/±Inf/negative costs and negative sizes are clamped and counted in
 // indexsel_cost_anomalies_total, so a broken estimator cannot poison the gain
-// cache or the frontier. Both backends apply identical sanitization, keeping
-// the differential-oracle contract intact.
+// cache or the frontier. The whatiftest oracle applies the identical
+// sanitization, keeping the differential-oracle contract intact.
 type Optimizer struct {
-	src Source
-	in  *workload.Interner
-
-	flat *flatTables // New: interned flat tables
-	ref  *refTables  // NewReference: string-keyed maps
+	src  Source
+	in   *workload.Interner
+	flat *flatTables
 
 	// ctr is shared between an optimizer and all its Views, so fleet-wide
 	// call accounting stays in one place no matter which tenant view probed.
@@ -126,13 +122,6 @@ type optCounters struct {
 // New wraps src in a caching optimizer backed by the flat interned tables.
 func New(src Source) *Optimizer {
 	return &Optimizer{src: src, in: workload.NewInterner(), flat: &flatTables{}, ctr: &optCounters{}}
-}
-
-// NewReference wraps src in a caching optimizer backed by the original
-// string-keyed maps. Semantically identical to New; kept as the differential
-// oracle and for A/B benchmarks.
-func NewReference(src Source) *Optimizer {
-	return &Optimizer{src: src, in: workload.NewInterner(), ref: newRefTables(), ctr: &optCounters{}}
 }
 
 // View returns an optimizer that shares o's caches, interner, call counters
@@ -178,18 +167,7 @@ func (o *Optimizer) Interner() *workload.Interner { return o.in }
 
 // BaseCost returns f_j(0), cached per query.
 func (o *Optimizer) BaseCost(q workload.Query) float64 {
-	q = o.canonical(q)
-	if o.ref != nil {
-		return o.refBaseCost(q)
-	}
-	if c, ok := o.flat.baseGet(q.ID); ok {
-		o.ctr.cacheHits.Add(1)
-		return c
-	}
-	o.ctr.calls.Add(1)
-	c := sanitizeCost(o.src.BaseCost(q))
-	o.flat.basePut(q.ID, c)
-	return c
+	return o.baseCostCanonical(o.canonical(q))
 }
 
 // CostWithIndex returns f_j(k), cached per (query, index). Non-applicable
@@ -198,9 +176,6 @@ func (o *Optimizer) BaseCost(q workload.Query) float64 {
 // re-evaluation.
 func (o *Optimizer) CostWithIndex(q workload.Query, k workload.Index) float64 {
 	q = o.canonical(q)
-	if o.ref != nil {
-		return o.refCostWithIndex(q, k)
-	}
 	if !workload.Applicable(q, k) {
 		return o.baseCostCanonical(q)
 	}
@@ -208,28 +183,25 @@ func (o *Optimizer) CostWithIndex(q workload.Query, k workload.Index) float64 {
 }
 
 // CostWithInterned is CostWithIndex for a pre-interned index: id must be
-// o.Interner()'s ID for k. Under the reference backend the id is ignored.
+// o.Interner()'s ID for k.
 func (o *Optimizer) CostWithInterned(q workload.Query, k workload.Index, id workload.IndexID) float64 {
 	q = o.canonical(q)
-	if o.ref != nil {
-		return o.refCostWithIndex(q, k)
-	}
 	if !workload.Applicable(q, k) {
 		return o.baseCostCanonical(q)
 	}
 	return o.costWithInterned(q, k, id)
 }
 
-// baseCostCanonical is BaseCost for a query that is already canonical (flat
-// backend only); splitting it out keeps the applicability short-circuit from
-// canonicalizing twice.
+// baseCostCanonical is BaseCost for a query that is already canonical;
+// splitting it out keeps the applicability short-circuit from canonicalizing
+// twice.
 func (o *Optimizer) baseCostCanonical(q workload.Query) float64 {
 	if c, ok := o.flat.baseGet(q.ID); ok {
 		o.ctr.cacheHits.Add(1)
 		return c
 	}
 	o.ctr.calls.Add(1)
-	c := sanitizeCost(o.src.BaseCost(q))
+	c := SanitizeCost(o.src.BaseCost(q))
 	o.flat.basePut(q.ID, c)
 	return c
 }
@@ -242,7 +214,7 @@ func (o *Optimizer) costWithInterned(q workload.Query, k workload.Index, id work
 		return c
 	}
 	o.ctr.calls.Add(1)
-	c := sanitizeCost(o.src.CostWithIndex(q, k))
+	c := SanitizeCost(o.src.CostWithIndex(q, k))
 	shard.put(q.ID, key, c)
 	return c
 }
@@ -252,7 +224,7 @@ func (o *Optimizer) costWithInterned(q workload.Query, k workload.Index, id work
 func (o *Optimizer) QueryCost(q workload.Query, sel workload.Selection) float64 {
 	q = o.canonical(q)
 	o.ctr.calls.Add(1)
-	return sanitizeCost(o.src.QueryCost(q, sel))
+	return SanitizeCost(o.src.QueryCost(q, sel))
 }
 
 // MaintenanceCost returns the write-maintenance cost of (q, k), cached.
@@ -260,9 +232,6 @@ func (o *Optimizer) QueryCost(q workload.Query, sel workload.Selection) float64 
 // plan evaluations, and are not counted as what-if calls.
 func (o *Optimizer) MaintenanceCost(q workload.Query, k workload.Index) float64 {
 	q = o.canonical(q)
-	if o.ref != nil {
-		return o.refMaintenanceCost(q, k)
-	}
 	if !q.Maintains(k) {
 		return 0
 	}
@@ -272,9 +241,6 @@ func (o *Optimizer) MaintenanceCost(q workload.Query, k workload.Index) float64 
 // MaintenanceCostInterned is MaintenanceCost for a pre-interned index.
 func (o *Optimizer) MaintenanceCostInterned(q workload.Query, k workload.Index, id workload.IndexID) float64 {
 	q = o.canonical(q)
-	if o.ref != nil {
-		return o.refMaintenanceCost(q, k)
-	}
 	if !q.Maintains(k) {
 		return 0
 	}
@@ -287,7 +253,7 @@ func (o *Optimizer) maintInterned(q workload.Query, k workload.Index, id workloa
 	if c, ok := shard.get(key); ok {
 		return c
 	}
-	c := sanitizeCost(o.src.MaintenanceCost(q, k))
+	c := SanitizeCost(o.src.MaintenanceCost(q, k))
 	shard.put(q.ID, key, c)
 	return c
 }
@@ -295,44 +261,28 @@ func (o *Optimizer) maintInterned(q workload.Query, k workload.Index, id workloa
 // IndexSize returns p_k, cached per index. Size lookups are catalog reads,
 // not what-if calls, and are not counted.
 func (o *Optimizer) IndexSize(k workload.Index) int64 {
-	if o.ref != nil {
-		return o.refIndexSize(k)
-	}
-	return o.sizeInterned(k, o.in.Intern(k))
+	return o.IndexSizeInterned(k, o.in.Intern(k))
 }
 
 // IndexSizeInterned is IndexSize for a pre-interned index.
 func (o *Optimizer) IndexSizeInterned(k workload.Index, id workload.IndexID) int64 {
-	if o.ref != nil {
-		return o.refIndexSize(k)
-	}
-	return o.sizeInterned(k, id)
-}
-
-func (o *Optimizer) sizeInterned(k workload.Index, id workload.IndexID) int64 {
 	if s, ok := o.flat.sizeGet(id); ok {
 		return s
 	}
-	s := sanitizeSize(o.src.IndexSize(k))
+	s := SanitizeSize(o.src.IndexSize(k))
 	o.flat.sizePut(id, s)
 	return s
 }
 
 // Invalidate drops all cached costs for query q. Used in multi-index mode
 // (Remark 2) when the current selection changes the context earlier calls
-// were made under. Under the flat backend this walks only q's recorded
-// entries (O(entries for q)); the reference backend scans its shard.
+// were made under. It walks only q's recorded entries (O(entries for q)).
 func (o *Optimizer) Invalidate(q workload.Query) {
 	q = o.canonical(q)
-	var dropped int
-	if o.ref != nil {
-		dropped = o.refInvalidate(q)
-	} else {
-		o.flat.baseDrop(q.ID)
-		shard := shardOf(q.ID)
-		dropped = o.flat.indexCache[shard].invalidate(q.ID) +
-			o.flat.maintCache[shard].invalidate(q.ID)
-	}
+	o.flat.baseDrop(q.ID)
+	shard := shardOf(q.ID)
+	dropped := o.flat.indexCache[shard].invalidate(q.ID) +
+		o.flat.maintCache[shard].invalidate(q.ID)
 	if lg := telemetry.L(); lg.Enabled(context.Background(), slog.LevelDebug) {
 		lg.Debug("whatif cache invalidated", "query", q.ID, "entries_dropped", dropped)
 	}
@@ -344,10 +294,6 @@ func (o *Optimizer) Stats() Stats {
 		Calls:           o.ctr.calls.Load(),
 		CacheHits:       o.ctr.cacheHits.Load(),
 		InternedIndexes: o.in.Len(),
-	}
-	if o.ref != nil {
-		o.refStats(&s)
-		return s
 	}
 	o.flat.mu.RLock()
 	s.DistinctIndexes = o.flat.sizeCount
