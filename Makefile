@@ -1,6 +1,7 @@
 # Developer entry points. `make bench-core` records the BenchmarkSelect
 # matrix (serial/parallel x uncached-sweep/lazy step loop, in
-# internal/core) as results/BENCH_core.json; `make bench-lp` records
+# internal/core, plus the lazy loop on the full-size ERP) as
+# results/BENCH_core.json; `make bench-lp` records
 # branch-and-bound node throughput (sparse warm-started vs the dense
 # cold-start test oracle) as results/BENCH_lp.json; `make bench-whatif`
 # records the what-if hot-path microbenchmarks (cached/cold probes,
@@ -12,7 +13,7 @@
 
 GO ?= go
 BENCH_COUNT ?= 3
-BENCH_PATTERN := ^BenchmarkSelect(Seed|Parallel|Lazy|ParallelLazy)$$
+BENCH_PATTERN := ^BenchmarkSelect(Seed|Parallel|Lazy|ParallelLazy|LazyERPFull)$$
 BENCH_LP_PATTERN := ^BenchmarkMIP(Sparse|Dense)$$
 BENCH_FLEET_PATTERN := ^BenchmarkFleet(Sequential|Pooled|PooledShared|NearCloneTwin|NearCloneNearMatch|Unstreamed|Streamed|SpillRebuild|SpillRestore)$$
 BENCH_WHATIF_PATTERN := ^Benchmark(WhatifCachedProbe|WhatifColdProbe|Applicable|SelectionClone)_
@@ -34,9 +35,9 @@ race:
 	$(GO) test -race ./internal/core ./internal/whatif ./internal/engine ./internal/lp
 
 # The differential oracles (the string-keyed reference selector and what-if
-# cache, the dense LP) live in test code only: no shipped command or example
-# may link them.
-ORACLE_SYMBOLS := refSelector|refTables|denseSolve
+# cache, the dense LP) and the noisy cost-source double live in test code
+# only: no shipped command or example may link them.
+ORACLE_SYMBOLS := refSelector|refTables|denseSolve|NoisySource
 ORACLE_PKG := repro/internal/whatif/whatiftest
 
 oracle-guard:

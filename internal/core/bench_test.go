@@ -18,7 +18,9 @@ import (
 // changes. All variants produce identical step traces (asserted by
 // TestParallelTraceMatchesSerial and TestDifferentialLazyVsSweep); only the
 // wall clock and the evaluated_per_step metric differ — the lazy variants
-// bound-prune candidates the sweeps re-evaluate.
+// bound-prune candidates the sweeps re-evaluate. BenchmarkSelectLazyERPFull
+// adds the lazy loop at the full ERP scale, where the run is long enough for
+// per-step overheads to dominate.
 
 type selectBenchCase struct {
 	name string
@@ -46,27 +48,35 @@ func runSelectBench(b *testing.B, opts Options, sel func(*workload.Workload, *wh
 	b.Helper()
 	for _, bc := range selectBenchCases(b) {
 		b.Run(bc.name, func(b *testing.B) {
-			m := costmodel.New(bc.w, costmodel.SingleIndex)
-			budget := m.Budget(0.8) // frontier run: one trace serves every smaller budget
-			var res *Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				opt := whatif.New(m) // cold what-if cache every iteration
-				o := opts
-				o.Budget = budget
-				r, err := sel(bc.w, opt, o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
-			}
-			b.StopTimer()
-			if res != nil && len(res.Steps) > 0 {
-				// Evaluations per construction step: the lazy loop's headline
-				// number, recorded in BENCH_core.json for every variant.
-				b.ReportMetric(float64(res.Evaluated)/float64(len(res.Steps)), "evaluated_per_step")
-			}
+			// Frontier run: one trace serves every smaller budget.
+			benchSelect(b, bc.w, 0.8, opts, sel)
 		})
+	}
+}
+
+// benchSelect times sel on w at the given budget share, with a cold what-if
+// cache every iteration.
+func benchSelect(b *testing.B, w *workload.Workload, share float64, opts Options, sel func(*workload.Workload, *whatif.Optimizer, Options) (*Result, error)) {
+	b.Helper()
+	m := costmodel.New(w, costmodel.SingleIndex)
+	budget := m.Budget(share)
+	var res *Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt := whatif.New(m)
+		o := opts
+		o.Budget = budget
+		r, err := sel(w, opt, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res = r
+	}
+	b.StopTimer()
+	if res != nil && len(res.Steps) > 0 {
+		// Evaluations per construction step: the lazy loop's headline
+		// number, recorded in BENCH_core.json for every variant.
+		b.ReportMetric(float64(res.Evaluated)/float64(len(res.Steps)), "evaluated_per_step")
 	}
 }
 
@@ -91,4 +101,19 @@ func BenchmarkSelectLazy(b *testing.B) {
 // plus the lazy (CELF) step loop with bound-based bucket pruning.
 func BenchmarkSelectParallelLazy(b *testing.B) {
 	runSelectBench(b, Options{}, Select)
+}
+
+// BenchmarkSelectLazyERPFull is the lazy loop at the paper's full ERP scale
+// (DefaultERPConfig: 4 204 attributes, 2 271 templates) at budget share 0.5,
+// serial and on all cores. The scaled ERP above selects a few hundred
+// indexes; here the selection grows past two thousand over ~2 400 steps, so
+// any per-step bookkeeping that scales with the selection size or the
+// attribute count shows up.
+func BenchmarkSelectLazyERPFull(b *testing.B) {
+	erp, err := workload.GenerateERP(workload.DefaultERPConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Serial", func(b *testing.B) { benchSelect(b, erp, 0.5, Options{Parallelism: 1}, Select) })
+	b.Run("Parallel", func(b *testing.B) { benchSelect(b, erp, 0.5, Options{}, Select) })
 }

@@ -35,6 +35,7 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -344,6 +345,15 @@ type selector struct {
 	mem   int64                      // P(I)
 	recon float64                    // R(I) under opts.Reconfig (0 if nil)
 
+	// selByLead holds the selected indexes grouped by leading attribute,
+	// each list in canonical key order (addIndex/removeIndex keep it);
+	// leadOrder lists every attribute in decimal-string order. Canonical key
+	// order is lead-first, so walking the lists in leadOrder yields the whole
+	// selection sorted without sorting it (sortedSel), and one lead's
+	// extension bases are read without touching the rest (rebuildBucket).
+	selByLead [][]selEntry
+	leadOrder []int
+
 	writeQs []int
 
 	// candCost caches f_j(candidate) aligned with queriesWith[lead];
@@ -452,6 +462,14 @@ func newSelector(w *workload.Workload, opt *whatif.Optimizer, opts Options) *sel
 		s.served[q.ID] = make(map[workload.IndexID]float64)
 		s.fsum += float64(q.Freq) * s.base[q.ID]
 	}
+	s.selByLead = make([][]selEntry, w.NumAttrs())
+	s.leadOrder = make([]int, w.NumAttrs())
+	for a := range s.leadOrder {
+		s.leadOrder[a] = a
+	}
+	slices.SortFunc(s.leadOrder, func(a, b int) int {
+		return workload.CompareIndexKeys(workload.Index{Attrs: []int{a}}, workload.Index{Attrs: []int{b}})
+	})
 	s.singles = make([]workload.Index, w.NumAttrs())
 	s.singleIDs = make([]workload.IndexID, w.NumAttrs())
 	for _, a := range w.Attrs() {
@@ -688,17 +706,15 @@ type selEntry struct {
 	k  workload.Index
 }
 
-// sortedSel returns the selection in canonical key order — the iteration
-// order every order-sensitive loop (enumerate, dropUnused) uses, matching
-// the reference selector's Selection.Sorted.
+// sortedSel returns a snapshot of the selection in canonical key order — the
+// iteration order every order-sensitive loop (enumerate, dropUnused) uses,
+// matching the reference selector's Selection.Sorted. It concatenates the
+// per-lead lists in lead order: O(attributes + selection), no sort.
 func (s *selector) sortedSel() []selEntry {
 	out := make([]selEntry, 0, s.sel.Len())
-	for _, id := range s.sel.IDs() {
-		out = append(out, selEntry{id: id, k: s.in.Index(id)})
+	for _, a := range s.leadOrder {
+		out = append(out, s.selByLead[a]...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return workload.CompareIndexKeys(out[i].k, out[j].k) < 0
-	})
 	return out
 }
 
@@ -710,6 +726,7 @@ func (s *selector) sortedSel() []selEntry {
 // serially; callers must ensure() before fanning the tasks out to workers.
 func (s *selector) enumerate() []evalTask {
 	var tasks []evalTask
+	sel := s.sortedSel()
 
 	// Step (3a): new single-attribute indexes.
 	for _, a := range s.w.Attrs() {
@@ -726,7 +743,7 @@ func (s *selector) enumerate() []evalTask {
 	}
 
 	// Step (3b): append one attribute to each selected index.
-	for _, e := range s.sortedSel() {
+	for _, e := range sel {
 		for _, a := range s.w.Tables[e.k.Table].Attrs {
 			if e.k.Contains(a) {
 				continue
@@ -747,7 +764,7 @@ func (s *selector) enumerate() []evalTask {
 			if !s.sel.Has(id) {
 				tasks = append(tasks, evalTask{kind: StepNewPair, index: idx, id: id})
 			}
-			for _, e := range s.sortedSel() {
+			for _, e := range sel {
 				if e.k.Table != idx.Table || e.k.Contains(p[0]) || e.k.Contains(p[1]) {
 					continue
 				}
@@ -1025,12 +1042,17 @@ func (s *selector) apply(c candidate, second candidate, haveSecond bool) {
 // invalidation.
 func (s *selector) addIndex(idx workload.Index, id workload.IndexID) {
 	s.sel.Add(id)
+	k, lead := s.in.Index(id), idx.Leading()
+	i, _ := slices.BinarySearchFunc(s.selByLead[lead], k, func(e selEntry, k workload.Index) int {
+		return workload.CompareIndexKeys(e.k, k)
+	})
+	s.selByLead[lead] = slices.Insert(s.selByLead[lead], i, selEntry{id: id, k: k})
 	sz := s.indexSize(idx, id)
 	s.size[id] = sz
 	s.mem += sz
 	s.wsum += s.maintFor(idx, id)
 	costs := s.costsFor(idx, id)
-	for i, qid := range s.queriesWith[idx.Leading()] {
+	for i, qid := range s.queriesWith[lead] {
 		s.served[qid][id] = costs[i]
 		if costs[i] < s.cost[qid] {
 			s.fsum -= float64(s.w.Queries[qid].Freq) * (s.cost[qid] - costs[i])
@@ -1044,10 +1066,14 @@ func (s *selector) addIndex(idx workload.Index, id workload.IndexID) {
 // mutateStep, which handles the lazy loop's invalidation.
 func (s *selector) removeIndex(idx workload.Index, id workload.IndexID) {
 	s.sel.Remove(id)
+	lead := idx.Leading()
+	if i := slices.IndexFunc(s.selByLead[lead], func(e selEntry) bool { return e.id == id }); i >= 0 {
+		s.selByLead[lead] = slices.Delete(s.selByLead[lead], i, i+1)
+	}
 	s.mem -= s.size[id]
 	s.wsum -= s.maintFor(idx, id)
 	delete(s.size, id)
-	for _, qid := range s.queriesWith[idx.Leading()] {
+	for _, qid := range s.queriesWith[lead] {
 		if _, ok := s.served[qid][id]; !ok {
 			continue
 		}

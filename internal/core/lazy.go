@@ -44,11 +44,16 @@
 // winner, so the decided step, runner-up, and stop reason are bit-identical
 // to the sweep's.
 //
-// On top of the entry heap sits one sentinel per lead-attribute bucket:
+// Beside the entry heap sits one sentinel per lead-attribute bucket:
 // buckets keep an aggregate bound (max entry bound at a recorded rise level,
 // plus the bucket's minimum memory delta to convert future rise into ratio),
-// so a bucket whose aggregate cannot beat the winner costs one heap node per
-// step — its entries are never touched, no evalTask is rebuilt.
+// so a bucket whose aggregate cannot beat the winner is never opened — its
+// entries are never touched, no evalTask is rebuilt. The sentinels live in
+// a heap that persists across steps and is re-keyed only for buckets whose
+// inputs changed, and every other per-step structure (dirty buckets,
+// re-keys, the candidate total) is a list or counter of what changed, so a
+// step's bookkeeping scales with what the step changed, not with the number
+// of attributes or the size of the selection.
 //
 // Universe maintenance exploits that a step's candidate-set changes are
 // confined to the applied (or dropped) index's lead bucket: extensions of
@@ -64,19 +69,21 @@
 // query's cost net-changed, governs new-index entries. An entry whose epoch
 // still matches is served from cache without re-evaluation.
 //
-// Determinism: the heap is built and consumed serially with a push-sequence
-// tie-break, and stale candidates are re-evaluated in constant-size batches
-// (lazyBatchSize, independent of the worker count) on the PR-1 worker pool,
-// so the set of evaluated candidates — and with it the whole trace and the
-// Step accounting — is identical at every Parallelism. The stop rule is
-// strict (top bound < threshold): candidates whose bound ties the winner are
-// still evaluated so tie-breaks match the sweep. Options.Approximate
-// relaxes only this cut to threshold*(1+eps), trading exactness of the step
-// choice (within a (1+eps) ratio factor) for fewer evaluations.
+// Determinism: both heaps are consumed serially with fixed tie-breaks
+// (sentinel before entry, then bucket index or push sequence), and stale
+// candidates are re-evaluated in constant-size batches (lazyBatchSize,
+// independent of the worker count) on the shared worker pool, so the set of
+// evaluated candidates — and with it the whole trace and the Step
+// accounting — is identical at every Parallelism. The stop rule is strict
+// (top bound < threshold): candidates whose bound ties the winner are still
+// evaluated so tie-breaks match the sweep. Options.Approximate relaxes only
+// this cut to threshold*(1+eps), trading exactness of the step choice
+// (within a (1+eps) ratio factor) for fewer evaluations.
 package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/explain"
@@ -128,16 +135,37 @@ type lazyBucket struct {
 }
 
 // lazyState is the selector's CELF machinery, indexed by lead attribute.
+// Everything a step touches is found through lists of what changed (dirty
+// buckets, re-keyed sentinels, opened buckets), so a step's bookkeeping
+// costs what the step changed — never a pass over every bucket.
 type lazyState struct {
 	extEpoch []uint64  // bumped when served[]/cost of a co-occurring query changed
 	newEpoch []uint64  // bumped when a co-occurring query's cost net-changed
 	rise     []float64 // accumulated freq-weighted net cost increases
 	slack    []float64 // absolute numerator slack per bucket
-	dirty    []bool    // bucket universe must be re-enumerated
 	buckets  []lazyBucket
 
-	heap   lazyHeap
-	opened []int32 // buckets opened during the current step (scratch)
+	// dirty holds the buckets whose universe must be re-enumerated before
+	// the next decision; rekey those whose sentinel priority inputs — rise,
+	// aggregate, unevaluated count, entry count — changed since the sentinel
+	// was last keyed.
+	dirty bucketSet
+	rekey bucketSet
+	// total is the number of entries across all buckets, kept by
+	// rebuildBucket: the step's Candidates count.
+	total int
+
+	// sentinels holds one node per non-empty bucket and lives across steps;
+	// a bucket a step opens leaves it until the next step re-keys it. heap
+	// holds the opened buckets' entries and is emptied every step.
+	sentinels sentinelHeap
+	heap      lazyHeap
+	opened    []int32 // buckets opened during the current step
+
+	// Evaluation batch scratch, reused across steps.
+	batch   []*lazyEntry
+	tasks   []evalTask
+	results []gainEntry
 }
 
 // lazyAuditHook, when non-nil, runs after every lazy step decision, before
@@ -149,15 +177,20 @@ var lazyAuditHook func(s *selector)
 func newLazyState(s *selector) *lazyState {
 	n := s.w.NumAttrs()
 	lz := &lazyState{
-		extEpoch: make([]uint64, n),
-		newEpoch: make([]uint64, n),
-		rise:     make([]float64, n),
-		slack:    make([]float64, n),
-		dirty:    make([]bool, n),
-		buckets:  make([]lazyBucket, n),
+		extEpoch:  make([]uint64, n),
+		newEpoch:  make([]uint64, n),
+		rise:      make([]float64, n),
+		slack:     make([]float64, n),
+		buckets:   make([]lazyBucket, n),
+		dirty:     newBucketSet(n),
+		rekey:     newBucketSet(n),
+		sentinels: newSentinelHeap(n),
+		batch:     make([]*lazyEntry, 0, lazyBatchSize),
+		tasks:     make([]evalTask, lazyBatchSize),
+		results:   make([]gainEntry, lazyBatchSize),
 	}
-	for b := range lz.dirty {
-		lz.dirty[b] = true // first step enumerates (and evaluates) everything
+	for b := 0; b < n; b++ {
+		lz.dirty.add(b) // first step enumerates (and evaluates) everything
 	}
 	for b, qs := range s.queriesWith {
 		var wgt float64
@@ -167,6 +200,48 @@ func newLazyState(s *selector) *lazyState {
 		lz.slack[b] = lazyBoundSlackRel * wgt
 	}
 	return lz
+}
+
+// bucketSet is a set of buckets kept as a member list plus a membership
+// flag per bucket: adding is O(1) and draining visits only the members.
+type bucketSet struct {
+	in      []bool
+	members []int32
+}
+
+func newBucketSet(n int) bucketSet { return bucketSet{in: make([]bool, n)} }
+
+func (bs *bucketSet) add(b int) {
+	if !bs.in[b] {
+		bs.in[b] = true
+		bs.members = append(bs.members, int32(b))
+	}
+}
+
+// drain calls f on every member in insertion order and empties the set.
+func (bs *bucketSet) drain(f func(b int)) {
+	for _, b := range bs.members {
+		bs.in[b] = false
+		f(int(b))
+	}
+	bs.members = bs.members[:0]
+}
+
+// keySentinel recomputes bucket b's sentinel priority from its current
+// inputs and files it in the sentinel heap: +Inf while the bucket holds an
+// unevaluated entry or has no aggregate yet, else the aggregate advanced by
+// the rise since it was recorded. An empty bucket has no sentinel.
+func (lz *lazyState) keySentinel(b int) {
+	bk := &lz.buckets[b]
+	if len(bk.entries) == 0 {
+		lz.sentinels.remove(int32(b))
+		return
+	}
+	prio := math.Inf(1)
+	if bk.unevaled == 0 && bk.hasAgg {
+		prio = bk.agg + (lz.rise[b]-bk.aggRiseAt)/bk.minDM
+	}
+	lz.sentinels.set(int32(b), prio)
 }
 
 // epoch returns the bucket epoch governing entries of the given step kind.
@@ -185,9 +260,10 @@ func (lz *lazyState) entryBound(e *lazyEntry) float64 {
 
 // noteMutation is mutateStep's lazy arm: translate one applied/dropped
 // step's net per-query cost movement into epoch bumps and rise accumulation,
-// and mark the mutated lead bucket's universe dirty.
+// mark the mutated lead bucket's universe dirty, and schedule a re-key of
+// every sentinel whose rise grew.
 func (lz *lazyState) noteMutation(s *selector, lead int, snap []float64) {
-	lz.dirty[lead] = true
+	lz.dirty.add(lead)
 	for i, qid := range s.queriesWith[lead] {
 		q := s.w.Queries[qid]
 		old, now := snap[i], s.cost[qid]
@@ -200,6 +276,9 @@ func (lz *lazyState) noteMutation(s *selector, lead int, snap []float64) {
 			if now != old {
 				lz.newEpoch[a]++
 				lz.rise[a] += riseDelta
+				if riseDelta > 0 {
+					lz.rekey.add(a)
+				}
 			}
 		}
 	}
@@ -213,6 +292,7 @@ func (s *selector) rebuildBucket(b int) {
 	lz := s.lazy
 	bk := &lz.buckets[b]
 	old := bk.byKey
+	lz.total -= len(bk.entries)
 	bk.entries = bk.entries[:0]
 	bk.byKey = make(map[gainKey]*lazyEntry, len(old)+1)
 	add := func(t evalTask) {
@@ -235,11 +315,8 @@ func (s *selector) rebuildBucket(b int) {
 	}
 
 	// Step (3b): one-attribute extensions of selected indexes leading with b.
-	sel := s.sortedSel()
+	sel := s.selByLead[b]
 	for _, e := range sel {
-		if e.k.Leading() != b {
-			continue
-		}
 		for _, a := range s.w.Tables[e.k.Table].Attrs {
 			if e.k.Contains(a) {
 				continue
@@ -263,7 +340,7 @@ func (s *selector) rebuildBucket(b int) {
 				}
 			}
 			for _, e := range sel {
-				if e.k.Leading() != b || e.k.Table != s.w.TableOf(p[0]) ||
+				if e.k.Table != s.w.TableOf(p[0]) ||
 					e.k.Contains(p[0]) || e.k.Contains(p[1]) {
 					continue
 				}
@@ -283,6 +360,8 @@ func (s *selector) rebuildBucket(b int) {
 			bk.unevaled++
 		}
 	}
+	lz.total += len(bk.entries)
+	lz.rekey.add(b)
 	// The surviving aggregate (if any) is still sound: dropped entries only
 	// removed constraints, and newcomers force the +Inf sentinel via
 	// unevaled anyway.
@@ -334,31 +413,24 @@ func (lz *lazyState) refreshAgg(b int) {
 func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, err error) {
 	lz := s.lazy
 
-	// Serial phase: refresh dirty bucket universes, then cover any freshly
-	// interned IDs before workers may touch the flat tables.
-	for b := range lz.dirty {
-		if lz.dirty[b] {
-			s.rebuildBucket(b)
-			lz.dirty[b] = false
-		}
-	}
+	// Serial phase: refresh dirty bucket universes in ascending bucket order,
+	// so the IDs their interning assigns do not depend on the order in which
+	// mutations marked the buckets; then cover any freshly interned IDs
+	// before workers may touch the flat tables.
+	slices.Sort(lz.dirty.members)
+	lz.dirty.drain(s.rebuildBucket)
 	s.ensure()
 
-	total := 0
+	// Re-key the sentinels whose inputs changed since the last decision: the
+	// rebuilt buckets, the buckets the last step opened, and those whose
+	// rise grew. Every other sentinel's priority is unchanged.
+	lz.rekey.drain(lz.keySentinel)
+
+	total := lz.total
 	lz.heap.reset()
-	for b := range lz.buckets {
-		bk := &lz.buckets[b]
-		n := len(bk.entries)
-		total += n
-		if n == 0 {
-			continue
-		}
-		prio := math.Inf(1)
-		if bk.unevaled == 0 && bk.hasAgg {
-			prio = bk.agg + (lz.rise[b]-bk.aggRiseAt)/bk.minDM
-		}
-		lz.heap.push(prio, int32(b), nil)
-	}
+	// depth is the step's peak count of pending heap nodes, sentinels and
+	// entries together.
+	depth := lz.sentinels.len()
 
 	evaluated, cached := 0, 0
 	budgetExcluded, approxCut, stopped := false, false, false
@@ -390,9 +462,7 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 		return best.ratio, true
 	}
 
-	batch := make([]*lazyEntry, 0, lazyBatchSize)
-	tasks := make([]evalTask, lazyBatchSize)
-	results := make([]gainEntry, lazyBatchSize)
+	batch, tasks, results := lz.batch[:0], lz.tasks, lz.results
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -423,8 +493,11 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 	}
 
 	lz.opened = lz.opened[:0]
-	for lz.heap.len() > 0 {
-		top := lz.heap.peekPrio()
+	for {
+		top, sentinel, pending := lz.peek()
+		if !pending {
+			break
+		}
 		if t, have := threshold(); have {
 			cut := t
 			if s.opts.Approximate > 0 {
@@ -435,29 +508,33 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 				break
 			}
 		}
-		it := lz.heap.pop()
-		if it.entry == nil {
-			// Bucket sentinel: open the bucket, pricing each entry.
-			b := int(it.bucket)
-			lz.opened = append(lz.opened, it.bucket)
+		if sentinel {
+			// Bucket sentinel: open the bucket, pricing each entry. The
+			// sentinel returns, re-keyed, at the next decision.
+			b := lz.sentinels.pop()
+			lz.opened = append(lz.opened, b)
+			lz.rekey.add(int(b))
 			for _, e := range lz.buckets[b].entries {
 				switch {
 				case !e.evaluated:
-					lz.heap.push(math.Inf(1), it.bucket, e)
+					lz.heap.push(math.Inf(1), e)
 				case e.dead:
 					cached++ // known non-viable forever, no recomputation
-				case lz.epoch(e.key.kind, b) == e.epochAt:
+				case lz.epoch(e.key.kind, int(b)) == e.epochAt:
 					cached++ // exact: the recorded evaluation still holds
 					if e.viable {
-						lz.heap.push(e.cand.ratio, it.bucket, e)
+						lz.heap.push(e.cand.ratio, e)
 					}
 				default:
-					lz.heap.push(lz.entryBound(e), it.bucket, e)
+					lz.heap.push(lz.entryBound(e), e)
 				}
+			}
+			if d := lz.sentinels.len() + lz.heap.len(); d > depth {
+				depth = d
 			}
 			continue
 		}
-		e := it.entry
+		e := lz.heap.pop().entry
 		if e.evaluated && !e.dead && lz.epoch(e.key.kind, int(e.lead)) == e.epochAt {
 			reduce(e.cand) // exact entries were pushed only when viable
 			continue
@@ -495,7 +572,7 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 	s.totalCached += cached
 	s.totalPruned += s.lastPruned
 	mLazyEvalsSaved.Add(int64(s.lastPruned))
-	mLazyHeapDepth.Set(float64(lz.heap.maxLen))
+	mLazyHeapDepth.Set(float64(depth))
 	if approxCut {
 		mLazyApproxSteps.Inc()
 	}
@@ -520,7 +597,7 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 	return best, second, haveSecond, ok, nil
 }
 
-// captureLedger builds the decided step's prune ledger from the heap items
+// captureLedger builds the decided step's prune ledger from the heap nodes
 // the cut left behind: a remaining bucket sentinel means the whole bucket
 // was pruned by its aggregate bound without being opened; a remaining entry
 // item is an individually pruned stale candidate (exact entries left on the
@@ -532,22 +609,19 @@ func (lz *lazyState) captureLedger(s *selector) {
 	bkts := make(map[int32]*explain.PrunedBucket)
 	order := make([]int32, 0, 16)
 	skipped := 0
-	for _, it := range lz.heap.items {
-		if it.entry == nil {
-			b := it.bucket
-			bk := &lz.buckets[b]
-			n := len(bk.entries)
-			bkts[b] = &explain.PrunedBucket{
-				Lead:    int(b),
-				Bound:   it.prio,
-				Epoch:   lz.extEpoch[b],
-				Entries: n,
-				Skipped: n,
-			}
-			order = append(order, b)
-			skipped += n
-			continue
+	for _, b := range lz.sentinels.items {
+		n := len(lz.buckets[b].entries)
+		bkts[b] = &explain.PrunedBucket{
+			Lead:    int(b),
+			Bound:   lz.sentinels.prio[b],
+			Epoch:   lz.extEpoch[b],
+			Entries: n,
+			Skipped: n,
 		}
+		order = append(order, b)
+		skipped += n
+	}
+	for _, it := range lz.heap.items {
 		e := it.entry
 		if e.evaluated && !e.dead && lz.epoch(e.key.kind, int(e.lead)) == e.epochAt {
 			continue // exact: counted cache-served at bucket open
@@ -589,27 +663,139 @@ func (lz *lazyState) captureLedger(s *selector) {
 	s.lastLedger = ledger
 }
 
-// lazyItem is one heap node: a candidate entry, or a bucket sentinel when
-// entry is nil.
-type lazyItem struct {
-	prio   float64
-	seq    int32 // deterministic tie-break: push order
-	bucket int32
-	entry  *lazyEntry
+// peek returns the highest pending priority across the sentinel and entry
+// heaps, whether it is a bucket sentinel's, and false when both are empty.
+// On equal priority the sentinel comes first: the order of one combined heap
+// into which every sentinel was pushed, in bucket order, before any entry.
+func (lz *lazyState) peek() (prio float64, sentinel, pending bool) {
+	switch ns, ne := lz.sentinels.len(), lz.heap.len(); {
+	case ns == 0 && ne == 0:
+		return 0, false, false
+	case ne == 0:
+		return lz.sentinels.peekPrio(), true, true
+	case ns == 0:
+		return lz.heap.peekPrio(), false, true
+	}
+	sp, ep := lz.sentinels.peekPrio(), lz.heap.peekPrio()
+	if sp >= ep {
+		return sp, true, true
+	}
+	return ep, false, true
 }
 
-// lazyHeap is a serial max-heap over bound priorities with a push-order
-// tie-break, so pop order — and with it the evaluated set — is deterministic.
+// sentinelHeap is an indexed max-heap of bucket sentinels ordered by
+// priority, then by bucket index. It persists across steps: a sentinel is
+// inserted, re-keyed in place, or removed only when its bucket changes, so
+// a step pays O(log buckets) per changed bucket instead of a rebuild.
+type sentinelHeap struct {
+	items []int32   // buckets in heap order
+	pos   []int32   // bucket -> position in items, -1 when absent
+	prio  []float64 // bucket -> priority while present
+}
+
+func newSentinelHeap(n int) sentinelHeap {
+	h := sentinelHeap{pos: make([]int32, n), prio: make([]float64, n)}
+	for b := range h.pos {
+		h.pos[b] = -1
+	}
+	return h
+}
+
+func (h *sentinelHeap) len() int { return len(h.items) }
+
+func (h *sentinelHeap) peekPrio() float64 { return h.prio[h.items[0]] }
+
+func (h *sentinelHeap) before(a, b int32) bool {
+	if h.prio[a] != h.prio[b] {
+		return h.prio[a] > h.prio[b]
+	}
+	return a < b
+}
+
+// set inserts bucket b with the given priority, or re-keys it in place.
+func (h *sentinelHeap) set(b int32, prio float64) {
+	h.prio[b] = prio
+	i := int(h.pos[b])
+	if i < 0 {
+		i = len(h.items)
+		h.items = append(h.items, b)
+		h.pos[b] = int32(i)
+	}
+	h.fix(i)
+}
+
+// remove drops bucket b's sentinel if present.
+func (h *sentinelHeap) remove(b int32) {
+	i := int(h.pos[b])
+	if i < 0 {
+		return
+	}
+	last := len(h.items) - 1
+	h.swap(i, last)
+	h.items = h.items[:last]
+	h.pos[b] = -1
+	if i < last {
+		h.fix(i)
+	}
+}
+
+func (h *sentinelHeap) pop() int32 {
+	b := h.items[0]
+	h.remove(b)
+	return b
+}
+
+func (h *sentinelHeap) swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.pos[h.items[i]] = int32(i)
+	h.pos[h.items[j]] = int32(j)
+}
+
+// fix restores the heap order around position i after its key changed.
+func (h *sentinelHeap) fix(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(h.items[i], h.items[p]) {
+			break
+		}
+		h.swap(i, p)
+		i = p
+	}
+	for n := len(h.items); ; {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		c := l
+		if r := l + 1; r < n && h.before(h.items[r], h.items[l]) {
+			c = r
+		}
+		if !h.before(h.items[c], h.items[i]) {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
+}
+
+// lazyItem is one entry-heap node.
+type lazyItem struct {
+	prio  float64
+	seq   int32 // deterministic tie-break: push order
+	entry *lazyEntry
+}
+
+// lazyHeap is a serial max-heap over the opened buckets' entry bounds with a
+// push-order tie-break, so pop order — and with it the evaluated set — is
+// deterministic. It is emptied at the start of every step.
 type lazyHeap struct {
-	items  []lazyItem
-	next   int32
-	maxLen int
+	items []lazyItem
+	next  int32
 }
 
 func (h *lazyHeap) reset() {
 	h.items = h.items[:0]
 	h.next = 0
-	h.maxLen = 0
 }
 
 func (h *lazyHeap) len() int { return len(h.items) }
@@ -623,13 +809,10 @@ func (h *lazyHeap) before(a, b lazyItem) bool {
 	return a.seq < b.seq
 }
 
-func (h *lazyHeap) push(prio float64, bucket int32, e *lazyEntry) {
-	it := lazyItem{prio: prio, seq: h.next, bucket: bucket, entry: e}
+func (h *lazyHeap) push(prio float64, e *lazyEntry) {
+	it := lazyItem{prio: prio, seq: h.next, entry: e}
 	h.next++
 	h.items = append(h.items, it)
-	if len(h.items) > h.maxLen {
-		h.maxLen = len(h.items)
-	}
 	i := len(h.items) - 1
 	for i > 0 {
 		p := (i - 1) / 2

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -125,6 +126,123 @@ func TestLazyEvaluatesAtMostSweepERP(t *testing.T) {
 		t.Errorf("lazy evaluated %d total candidates on ERP smoke, not fewer than the sweep's %d",
 			lazy.Evaluated, sweep.Evaluated)
 	}
+}
+
+// invariantRuns drives the lazy loop over workloads whose traces remove
+// indexes (extensions replace their base; DropUnused evicts under writes)
+// and apply pair steps, calling check at every step decision — that is,
+// after every applied step and the drops that followed it — and once more on
+// the final state.
+func invariantRuns(t *testing.T, check func(label string, s *selector)) {
+	t.Helper()
+	cases := []struct {
+		name string
+		w    *workload.Workload
+		opts Options
+	}{
+		{"writes", writeGen(t, 0.1, 21), Options{DropUnused: true, PairSteps: true, PairLimit: 30}},
+		{"writes-heavy", writeGen(t, 0.3, 15), Options{DropUnused: true, PairSteps: true, PairLimit: 30, TrackSecondBest: true}},
+		{"tpcc", workload.MustTPCC(20), Options{DropUnused: true, PairSteps: true}},
+	}
+	for _, c := range cases {
+		m := costmodel.New(c.w, costmodel.SingleIndex)
+		opts := c.opts
+		opts.Budget, opts.Parallelism = m.Budget(0.6), 2
+		decisions := 0
+		lazyAuditHook = func(s *selector) {
+			decisions++
+			check(fmt.Sprintf("%s/decision %d", c.name, decisions), s)
+		}
+		s := newSelector(c.w, whatif.New(m), opts)
+		res, err := s.run()
+		lazyAuditHook = nil
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		check(c.name+"/final", s)
+		kinds := map[StepKind]int{}
+		for _, st := range res.Steps {
+			kinds[st.Kind]++
+		}
+		if kinds[StepExtend] == 0 || (c.name != "tpcc" && (kinds[StepDrop] == 0 || kinds[StepNewPair] == 0)) {
+			t.Errorf("%s: trace %v lacks the removals or pair steps the invariant needs", c.name, kinds)
+		}
+	}
+}
+
+// TestSelByLeadMatchesSortedSelection: the per-lead selection lists,
+// concatenated in lead order, must be the selection sorted by canonical key
+// — the order the selector used to obtain by sorting the whole selection
+// every step, kept here as the oracle.
+func TestSelByLeadMatchesSortedSelection(t *testing.T) {
+	invariantRuns(t, func(label string, s *selector) {
+		want := make([]selEntry, 0, s.sel.Len())
+		for _, id := range s.sel.IDs() {
+			want = append(want, selEntry{id: id, k: s.in.Index(id)})
+		}
+		sort.Slice(want, func(i, j int) bool {
+			return workload.CompareIndexKeys(want[i].k, want[j].k) < 0
+		})
+		got := s.sortedSel()
+		if len(got) != len(want) {
+			t.Fatalf("%s: per-lead lists hold %d indexes, selection %d", label, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].id != want[i].id || got[i].k.Key() != want[i].k.Key() {
+				t.Fatalf("%s: position %d holds %s, sorted selection %s", label, i, got[i].k.Key(), want[i].k.Key())
+			}
+		}
+		for a, lst := range s.selByLead {
+			for _, e := range lst {
+				if e.k.Leading() != a {
+					t.Fatalf("%s: index %s filed under lead %d", label, e.k.Key(), a)
+				}
+			}
+		}
+	})
+}
+
+// TestSentinelHeapMatchesFreshKeys: the persistent sentinel heap is re-keyed
+// only for buckets whose inputs changed, so at every decision each bucket
+// the step did not open must still be filed exactly as a fresh keying would
+// file it now — present iff it has entries, at the same priority — and the
+// running candidate total must equal a recount.
+func TestSentinelHeapMatchesFreshKeys(t *testing.T) {
+	invariantRuns(t, func(label string, s *selector) {
+		lz := s.lazy
+		opened := map[int32]bool{}
+		for _, b := range lz.opened {
+			opened[b] = true
+		}
+		total := 0
+		for b := range lz.buckets {
+			bk := &lz.buckets[b]
+			total += len(bk.entries)
+			in := lz.sentinels.pos[b] >= 0
+			if opened[int32(b)] {
+				if in {
+					t.Fatalf("%s: opened bucket %d still has a sentinel", label, b)
+				}
+				continue
+			}
+			if in != (len(bk.entries) > 0) {
+				t.Fatalf("%s: bucket %d with %d entries: sentinel present %t", label, b, len(bk.entries), in)
+			}
+			if !in {
+				continue
+			}
+			want := math.Inf(1)
+			if bk.unevaled == 0 && bk.hasAgg {
+				want = bk.agg + (lz.rise[b]-bk.aggRiseAt)/bk.minDM
+			}
+			if got := lz.sentinels.prio[b]; got != want {
+				t.Fatalf("%s: bucket %d sentinel keyed %v, fresh key %v", label, b, got, want)
+			}
+		}
+		if total != lz.total {
+			t.Fatalf("%s: running total %d, recount %d", label, lz.total, total)
+		}
+	})
 }
 
 // TestLazyBoundsDominateFreshGains is the bound-soundness property, fuzzed

@@ -1,10 +1,11 @@
-// Package whatiftest holds the string-keyed what-if cache that the flat,
-// interned tables of package whatif replaced. It is the differential oracle
-// for those tables: the same caching semantics, call accounting and
-// sanitization over plain Go maps keyed by index key strings, so tests can
-// run a whole selection over both and compare traces and Calls/CacheHits bit
-// for bit. Only test code imports this package; a CI guard keeps it out of
-// every shipped binary.
+// Package whatiftest holds what-if test doubles. Reference is the
+// string-keyed what-if cache that the flat, interned tables of package whatif
+// replaced. It is the differential oracle for those tables: the same caching
+// semantics, call accounting and sanitization over plain Go maps keyed by
+// index key strings, so tests can run a whole selection over both and compare
+// traces and Calls/CacheHits bit for bit. NoisySource perturbs a cost source
+// for robustness tests. Only test code imports this package; a CI guard
+// keeps it out of every shipped binary.
 package whatiftest
 
 import (

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/whatif"
+	"repro/internal/whatif/whatiftest"
 )
 
 // TestNoisyCostRobustness injects multiplicative what-if noise (the paper's
@@ -24,7 +25,7 @@ func TestNoisyCostRobustness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, eps := range []float64{0.05, 0.15, 0.3} {
-		noisy := whatif.NoisySource{Src: m, Eps: eps, Seed: 99}
+		noisy := whatiftest.NoisySource{Src: m, Eps: eps, Seed: 99}
 		res, err := core.Select(w, whatif.New(noisy), core.Options{Budget: budget})
 		if err != nil {
 			t.Fatalf("eps %v: %v", eps, err)
@@ -52,7 +53,7 @@ func TestNoisyCostInternedFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := whatif.New(whatif.NoisySource{Src: m, Eps: 0.2, Seed: 17})
+	opt := whatif.New(whatiftest.NoisySource{Src: m, Eps: 0.2, Seed: 17})
 	in := opt.Interner()
 	checked := 0
 	for _, k := range cands {
@@ -87,7 +88,7 @@ func TestNoisyCostRobustnessMeasured(t *testing.T) {
 	}
 	ms := NewMeasuredSource(db, 5)
 	budget := ms.Budget(0.3)
-	noisy := whatif.NoisySource{Src: ms, Eps: 0.15, Seed: 31}
+	noisy := whatiftest.NoisySource{Src: ms, Eps: 0.15, Seed: 31}
 	opt := whatif.New(noisy)
 	res, err := core.Select(w, opt, core.Options{Budget: budget, ExactEvaluation: true})
 	if err != nil {
