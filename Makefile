@@ -7,9 +7,12 @@
 # records the what-if hot-path microbenchmarks (cached/cold probes,
 # applicability checks, selection clones; flat interned tables vs the
 # string-keyed whatiftest oracle) as results/BENCH_whatif.json and fails if
-# the flat cached probe allocates. All are committed so perf trajectories are
-# tracked across changes. `make oracle-guard` fails if a differential oracle
-# leaks into a shipped binary.
+# the flat cached probe allocates; `make bench-candidates` records candidate
+# enumeration on the SQL-log write workload (Combos + Select for the H5 and
+# CoPhy candidate sets) as results/BENCH_candidates.json and fails if an
+# allocation per combination comes back. All are committed so perf
+# trajectories are tracked across changes. `make oracle-guard` fails if a
+# differential oracle leaks into a shipped binary.
 
 GO ?= go
 BENCH_COUNT ?= 3
@@ -22,8 +25,14 @@ BENCH_WHATIF_PATTERN := ^Benchmark(WhatifCachedProbe|WhatifColdProbe|Applicable|
 BENCH_WHATIF_GUARDS := \
 	-max-allocs 'BenchmarkWhatifCachedProbe_Flat=0' \
 	-max-allocs 'BenchmarkSelectionClone_IDSet=1'
+BENCH_CANDIDATES_PATTERN := ^BenchmarkCandidateSet$$
+# One candidate set expands to about 319 000 combinations; any allocation per
+# combination breaks this ceiling.
+BENCH_CANDIDATES_GUARDS := \
+	-max-allocs 'BenchmarkCandidateSet/H5_15000=100000' \
+	-max-allocs 'BenchmarkCandidateSet/CoPhy_500=100000'
 
-.PHONY: build test race oracle-guard bench-core bench-lp bench-whatif bench-fleet bench-compare
+.PHONY: build test race oracle-guard bench-core bench-lp bench-whatif bench-candidates bench-fleet bench-compare
 
 build:
 	$(GO) build ./...
@@ -35,9 +44,10 @@ race:
 	$(GO) test -race ./internal/core ./internal/whatif ./internal/engine ./internal/lp
 
 # The differential oracles (the string-keyed reference selector and what-if
-# cache, the dense LP) and the noisy cost-source double live in test code
-# only: no shipped command or example may link them.
-ORACLE_SYMBOLS := refSelector|refTables|denseSolve|NoisySource
+# cache, the dense LP, the map-and-sort candidate enumeration) and the noisy
+# cost-source double live in test code only: no shipped command or example
+# may link them.
+ORACLE_SYMBOLS := refSelector|refTables|denseSolve|NoisySource|combosReference|selectReference
 ORACLE_PKG := repro/internal/whatif/whatiftest
 
 oracle-guard:
@@ -64,6 +74,12 @@ bench-whatif:
 		-count $(BENCH_COUNT) -timeout 30m ./internal/whatif \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson $(BENCH_WHATIF_GUARDS) \
 		> results/BENCH_whatif.json
+
+bench-candidates:
+	$(GO) test -run '^$$' -bench '$(BENCH_CANDIDATES_PATTERN)' -benchmem \
+		-count $(BENCH_COUNT) -timeout 30m ./internal/candidates \
+		| tee /dev/stderr | $(GO) run ./cmd/benchjson $(BENCH_CANDIDATES_GUARDS) \
+		> results/BENCH_candidates.json
 
 # Fleet-mode throughput. Three arm groups, all recorded into
 # results/BENCH_fleet.json (tracked by bench-compare against the committed
