@@ -10,7 +10,9 @@
 # the flat cached probe allocates; `make bench-candidates` records candidate
 # enumeration on the SQL-log write workload (Combos + Select for the H5 and
 # CoPhy candidate sets) as results/BENCH_candidates.json and fails if an
-# allocation per combination comes back. All are committed so perf
+# allocation per combination comes back; `make bench-engine` records engine
+# index builds over key widths and table sizes as results/BENCH_engine.json
+# and fails if a build allocates more than its output. All are committed so perf
 # trajectories are tracked across changes. `make oracle-guard` fails if a
 # differential oracle leaks into a shipped binary.
 
@@ -31,8 +33,14 @@ BENCH_CANDIDATES_PATTERN := ^BenchmarkCandidateSet$$
 BENCH_CANDIDATES_GUARDS := \
 	-max-allocs 'BenchmarkCandidateSet/H5_15000=100000' \
 	-max-allocs 'BenchmarkCandidateSet/CoPhy_500=100000'
+BENCH_ENGINE_PATTERN := ^BenchmarkEngineIndexBuild$$
+# A build allocates its output permutation and the index header; the pass
+# buffer and bucket counts are pooled. The ceiling of 3 leaves one spare
+# small allocation and fails on any allocation per key column or per pass.
+BENCH_ENGINE_GUARDS := $(foreach arm,w1_rows5000 w2_rows5000 w4_rows5000 \
+	w1_rows100000 w2_rows100000 w4_rows100000,-max-allocs 'BenchmarkEngineIndexBuild/$(arm)=3')
 
-.PHONY: build test race oracle-guard bench-core bench-lp bench-whatif bench-candidates bench-fleet bench-compare
+.PHONY: build test race oracle-guard bench-core bench-lp bench-whatif bench-candidates bench-engine bench-fleet bench-compare
 
 build:
 	$(GO) build ./...
@@ -44,10 +52,10 @@ race:
 	$(GO) test -race ./internal/core ./internal/whatif ./internal/engine ./internal/lp
 
 # The differential oracles (the string-keyed reference selector and what-if
-# cache, the dense LP, the map-and-sort candidate enumeration) and the noisy
-# cost-source double live in test code only: no shipped command or example
-# may link them.
-ORACLE_SYMBOLS := refSelector|refTables|denseSolve|NoisySource|combosReference|selectReference
+# cache, the dense LP, the map-and-sort candidate enumeration, the
+# comparison-sort index build) and the noisy cost-source double live in test
+# code only: no shipped command or example may link them.
+ORACLE_SYMBOLS := refSelector|refTables|denseSolve|NoisySource|combosReference|selectReference|buildIndexSorted
 ORACLE_PKG := repro/internal/whatif/whatiftest
 
 oracle-guard:
@@ -80,6 +88,12 @@ bench-candidates:
 		-count $(BENCH_COUNT) -timeout 30m ./internal/candidates \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson $(BENCH_CANDIDATES_GUARDS) \
 		> results/BENCH_candidates.json
+
+bench-engine:
+	$(GO) test -run '^$$' -bench '$(BENCH_ENGINE_PATTERN)' -benchmem \
+		-count $(BENCH_COUNT) -timeout 30m . \
+		| tee /dev/stderr | $(GO) run ./cmd/benchjson $(BENCH_ENGINE_GUARDS) \
+		> results/BENCH_engine.json
 
 # Fleet-mode throughput. Three arm groups, all recorded into
 # results/BENCH_fleet.json (tracked by bench-compare against the committed

@@ -6,6 +6,7 @@ package indexsel
 // cmd/experiments regenerates the full-size artifacts.
 
 import (
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -192,21 +193,36 @@ func BenchmarkEngineProbe(b *testing.B) {
 	}
 }
 
+// builtIndex keeps the benchmarked build's result live.
+var builtIndex *engine.SecondaryIndex
+
 // BenchmarkEngineIndexBuild measures composite-index construction (the
-// dominant cost of the paper's end-to-end methodology).
+// largest single cost of the paper's end-to-end methodology) over key
+// widths and table sizes. Each build allocates its output permutation and
+// the index header; `make bench-engine` caps allocs/op.
 func BenchmarkEngineIndexBuild(b *testing.B) {
-	cfg := workload.DefaultGenConfig()
-	cfg.Tables, cfg.AttrsPerTable, cfg.QueriesPerTable = 1, 10, 10
-	cfg.RowsBase = 100_000
-	w := workload.MustGenerate(cfg)
-	db, err := engine.New(w, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	k := workload.MustIndex(w, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db.BuildIndex(k)
+	for _, rows := range []int64{5_000, 100_000} {
+		cfg := workload.DefaultGenConfig()
+		cfg.Tables, cfg.AttrsPerTable, cfg.QueriesPerTable = 1, 10, 10
+		cfg.RowsBase = rows
+		w := workload.MustGenerate(cfg)
+		db, err := engine.New(w, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, width := range []int{1, 2, 4} {
+			attrs := make([]int, width)
+			for i := range attrs {
+				attrs[i] = i
+			}
+			k := workload.MustIndex(w, attrs...)
+			b.Run(fmt.Sprintf("w%d_rows%d", width, rows), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					builtIndex = db.BuildIndex(k)
+				}
+			})
+		}
 	}
 }
 

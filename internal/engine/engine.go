@@ -14,8 +14,11 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/workload"
@@ -38,7 +41,9 @@ type tableData struct {
 const MaxRows = 20_000_000
 
 // New materializes data for every table of w. Column values for attribute i
-// are uniform over [0, d_i), generated deterministically from the seed.
+// are uniform over [0, min(d_i, MaxInt32)), generated deterministically from
+// the seed: columns are int32, so a domain wider than int32 is clamped
+// rather than wrapped into negative values.
 func New(w *workload.Workload, seed int64) (*DB, error) {
 	var total int64
 	for _, t := range w.Tables {
@@ -54,7 +59,7 @@ func New(w *workload.Workload, seed int64) (*DB, error) {
 		for _, a := range t.Attrs {
 			attr := w.Attr(a)
 			col := make([]int32, td.rows)
-			d := attr.Distinct
+			d := min(attr.Distinct, math.MaxInt32)
 			for i := range col {
 				col[i] = int32(r.Int63n(d))
 			}
@@ -85,27 +90,114 @@ type SecondaryIndex struct {
 	db   *DB
 }
 
-// BuildIndex sorts a row permutation by the index's key attributes.
+// BuildIndex sorts a row permutation by the index's key attributes, ties
+// broken by row ID. It panics if a key attribute is not a column of the
+// index's table.
+//
+// The sort is a stable LSD counting sort: starting from the identity
+// permutation it makes one or more counting passes per key column, last
+// attribute first. A stable sort from the identity order breaks every tie
+// by row ID, so the result is exactly the (key attributes..., row ID)
+// order of a comparison sort, in O(rows + buckets) per pass. A build
+// allocates the returned permutation and index header; the pass buffers
+// are pooled.
 func (db *DB) BuildIndex(k workload.Index) *SecondaryIndex {
 	td := db.tables[k.Table]
+	for _, a := range k.Attrs {
+		if _, ok := td.cols[a]; !ok {
+			panic(fmt.Sprintf("engine: index %s: attribute %d is not a column of table %d", k.Key(), a, k.Table))
+		}
+	}
 	perm := make([]int32, td.rows)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	cols := make([][]int32, len(k.Attrs))
-	for i, a := range k.Attrs {
-		cols[i] = td.cols[a]
-	}
-	sort.Slice(perm, func(x, y int) bool {
-		rx, ry := perm[x], perm[y]
-		for _, col := range cols {
-			if col[rx] != col[ry] {
-				return col[rx] < col[ry]
-			}
+	if td.rows > 1 {
+		sc := getScratch(td.rows)
+		src, dst := perm, sc.buf
+		for i := len(k.Attrs) - 1; i >= 0; i-- {
+			src, dst = sortByColumn(td.cols[k.Attrs[i]], src, dst, sc.counts[:])
 		}
-		return rx < ry
-	})
+		if &src[0] != &perm[0] {
+			copy(perm, src)
+		}
+		scratchPool.Put(sc)
+	}
 	return &SecondaryIndex{Key: k, perm: perm, db: db}
+}
+
+// maxDigitBits caps the width of one counting pass: 2^16 buckets.
+const maxDigitBits = 16
+
+// sortScratch is the pooled working memory of one index build: the
+// ping-pong permutation buffer and the bucket counts.
+type sortScratch struct {
+	buf    []int32
+	counts [1 << maxDigitBits]int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(sortScratch) }}
+
+// getScratch returns pooled scratch whose buffer holds rows entries.
+func getScratch(rows int) *sortScratch {
+	sc := scratchPool.Get().(*sortScratch)
+	if cap(sc.buf) < rows {
+		sc.buf = make([]int32, rows)
+	}
+	sc.buf = sc.buf[:rows]
+	return sc
+}
+
+// signFlip maps int32 values to uint32 keys in the same order: flipping
+// the sign bit puts negative values below non-negative ones.
+const signFlip = 0x80000000
+
+// sortByColumn stably sorts the row IDs of src by their value in col and
+// returns the sorted permutation and the free buffer (src and dst, possibly
+// swapped). Keys are offset by the column minimum, so the number of
+// counting passes follows the column's value span, not the int32 range; a
+// constant column costs none. The digit width grows with the row count up
+// to maxDigitBits, which keeps the bucket array small next to the rows.
+func sortByColumn(col, src, dst, counts []int32) ([]int32, []int32) {
+	lo, hi := uint32(math.MaxUint32), uint32(0)
+	for _, v := range col {
+		key := uint32(v) ^ signFlip
+		lo = min(lo, key)
+		hi = max(hi, key)
+	}
+	nbits := bits.Len32(hi - lo)
+	if nbits == 0 {
+		return src, dst
+	}
+	digit := min(maxDigitBits, max(8, bits.Len(uint(len(src)))))
+	passes := (nbits + digit - 1) / digit
+	digit = (nbits + passes - 1) / passes
+	for shift := 0; shift < nbits; shift += digit {
+		mask := uint32(1)<<digit - 1
+		countingPass(col, src, dst, counts[:min(mask, (hi-lo)>>shift)+1], lo, uint(shift), mask)
+		src, dst = dst, src
+	}
+	return src, dst
+}
+
+// countingPass writes src to dst stably ordered by the digit
+// ((key - lo) >> shift) & mask of each row's column key; counts holds a
+// bucket for every digit value the column can produce.
+func countingPass(col, src, dst, counts []int32, lo uint32, shift uint, mask uint32) {
+	clear(counts)
+	for _, r := range src {
+		counts[((uint32(col[r])^signFlip)-lo)>>shift&mask]++
+	}
+	var sum int32
+	for i, c := range counts {
+		counts[i] = sum
+		sum += c
+	}
+	for _, r := range src {
+		d := ((uint32(col[r]) ^ signFlip) - lo) >> shift & mask
+		dst[counts[d]] = r
+		counts[d]++
+	}
 }
 
 // SizeBytes reports the index's memory footprint: the permutation (4 bytes

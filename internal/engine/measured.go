@@ -11,9 +11,10 @@ import (
 	"repro/internal/workload"
 )
 
-// Index-build telemetry (default registry). Builds dominate end-to-end
-// advisor time, so they are worth journaling individually; execution paths
-// stay uninstrumented (they run millions of times).
+// Index-build telemetry (default registry). Builds are the largest single
+// share of measured-cost advisor time, so they are worth journaling
+// individually; execution paths stay uninstrumented (they run millions of
+// times).
 var (
 	mBuilds = telemetry.Default().Counter("indexsel_engine_index_builds_total",
 		"Secondary indexes physically built by the measured source.")
@@ -111,9 +112,11 @@ func (ms *MeasuredSource) ForWorkload(w *workload.Workload) *MeasuredSource {
 }
 
 // index returns the (cached) built secondary index for k. Index construction
-// dominates end-to-end advisor time, so concurrent requests for the same key
-// are deduplicated: the first caller builds, later callers wait on the
-// in-flight build instead of sorting a duplicate permutation.
+// is the largest single share of measured-cost advisor time (about 30% of
+// the CPU of a near-match fleet since builds became a counting sort, 80%
+// before), so concurrent requests for the same key are deduplicated: the
+// first caller builds, later callers wait on the in-flight build instead of
+// sorting a duplicate permutation.
 func (ms *MeasuredSource) index(k workload.Index) *SecondaryIndex {
 	bc := ms.bc
 	id := bc.in.Intern(k)

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,16 +20,23 @@ func TestBuildPanicReleasesWaiters(t *testing.T) {
 	}
 	ms := NewMeasuredSource(db, 1)
 
-	// An attribute ID no table owns: BuildIndex sorts against a nil column
-	// and panics mid-build, after the dedup entry is registered.
+	// An attribute ID no table owns: BuildIndex panics naming it, after the
+	// dedup entry is registered.
 	bogus := workload.Index{Table: 0, Attrs: []int{1 << 30}}
 	mustPanic := func() (panicked bool) {
-		defer func() { panicked = recover() != nil }()
+		defer func() {
+			if r := recover(); r != nil {
+				panicked = true
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "attribute 1073741824") {
+					t.Errorf("panic %q does not name the missing attribute", msg)
+				}
+			}
+		}()
 		ms.index(bogus)
 		return false
 	}
 	if !mustPanic() {
-		t.Skip("bogus index did not panic BuildIndex; nothing to clean up")
+		t.Fatal("BuildIndex did not panic on an attribute no table owns")
 	}
 
 	// The retry must reach BuildIndex again (and panic again) rather than

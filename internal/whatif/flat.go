@@ -2,6 +2,7 @@ package whatif
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/workload"
 )
@@ -175,6 +176,27 @@ type flatTables struct {
 
 	indexCache [optShards]flatShard // f_j(k)
 	maintCache [optShards]flatShard // per-execution maintenance cost
+
+	// queryLimit and indexLimit are one past the largest query and index
+	// IDs ever cached or restored. They survive EvictTables, like the
+	// interner, and bound the IDs a spill restore accepts.
+	queryLimit, indexLimit atomic.Int64
+}
+
+// raiseLimit raises limit to cover id.
+func raiseLimit(limit *atomic.Int64, id int64) {
+	for {
+		cur := limit.Load()
+		if id < cur || limit.CompareAndSwap(cur, id+1) {
+			return
+		}
+	}
+}
+
+// notePair raises the ID limits to cover a pair key's query and index.
+func (t *flatTables) notePair(key uint64) {
+	raiseLimit(&t.queryLimit, int64(key>>32))
+	raiseLimit(&t.indexLimit, int64(uint32(key)))
 }
 
 func (t *flatTables) baseGet(qid int) (float64, bool) {
@@ -189,6 +211,7 @@ func (t *flatTables) baseGet(qid int) (float64, bool) {
 }
 
 func (t *flatTables) basePut(qid int, v float64) {
+	raiseLimit(&t.queryLimit, int64(qid))
 	t.mu.Lock()
 	for qid >= len(t.base) {
 		t.base = append(t.base, 0)
@@ -218,6 +241,7 @@ func (t *flatTables) sizeGet(id workload.IndexID) (int64, bool) {
 }
 
 func (t *flatTables) sizePut(id workload.IndexID, v int64) {
+	raiseLimit(&t.indexLimit, int64(id))
 	t.mu.Lock()
 	for int(id) >= len(t.sizes) {
 		t.sizes = append(t.sizes, -1)

@@ -44,9 +44,10 @@ import (
 var spillMagic = [8]byte{'W', 'I', 'F', 'S', 'P', 'I', 'L', '1'}
 
 // ErrSpillCorrupt tags every way a spill file can fail structural
-// verification — truncation, checksum mismatch, bad magic, sentinel pair
-// keys, trailing bytes. Callers (fleet's TableBudget) classify restore
-// failures with errors.Is(err, ErrSpillCorrupt) and degrade to a source
+// verification — truncation, checksum mismatch, bad magic, a count larger
+// than the bytes left, an out-of-range ID, cost or size, trailing bytes.
+// Callers (fleet's TableBudget) classify restore failures with
+// errors.Is(err, ErrSpillCorrupt) and degrade to a source
 // rebuild instead of failing the tenant: corruption costs performance,
 // never correctness. No table entry is applied before verification passes.
 var ErrSpillCorrupt = errors.New("whatif: spill file corrupt")
@@ -135,8 +136,8 @@ func (s *flatShard) appendEntries(buf []byte) []byte {
 // ReadTables restores cost tables from a spill stream written by WriteTables.
 // Entries are merged into the current tables (identical values under a
 // deterministic source, so merging is safe); the expected use is restoring
-// into just-evicted, empty tables. The checksum trailer is verified before
-// any entry is applied.
+// into just-evicted, empty tables. The checksum trailer and the whole
+// structure are verified before any entry is applied.
 func (o *Optimizer) ReadTables(r io.Reader) error {
 	if o.canon != nil {
 		return errors.New("whatif: restore through the base optimizer, not a tenant View")
@@ -154,65 +155,136 @@ func (o *Optimizer) ReadTables(r io.Reader) error {
 	if got, want := h.Sum64(), binary.LittleEndian.Uint64(trailer); got != want {
 		return fmt.Errorf("%w: checksum mismatch: %#x != %#x", ErrSpillCorrupt, got, want)
 	}
-	c := spillCursor{buf: payload}
-	var magic [8]byte
-	copy(magic[:], c.take(8))
-	if magic != spillMagic {
-		return fmt.Errorf("%w: bad magic %q", ErrSpillCorrupt, magic[:])
+	l, err := o.parseSpill(payload)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrSpillCorrupt, err)
 	}
 
 	t := o.flat
-	nBase := int(c.u32())
-	for i := 0; i < nBase; i++ {
-		qid := int(c.u32())
-		t.basePut(qid, math.Float64frombits(c.u64()))
+	for b := l.base; len(b) > 0; b = b[12:] {
+		t.basePut(int(binary.LittleEndian.Uint32(b)), math.Float64frombits(binary.LittleEndian.Uint64(b[4:])))
 	}
-	nSizes := int(c.u32())
-	for i := 0; i < nSizes; i++ {
-		id := c.u32()
-		t.sizePut(workload.IndexID(id), int64(c.u64()))
+	for b := l.sizes; len(b) > 0; b = b[12:] {
+		t.sizePut(workload.IndexID(binary.LittleEndian.Uint32(b)), int64(binary.LittleEndian.Uint64(b[4:])))
 	}
 	for i := range t.indexCache {
-		if err := t.indexCache[i].readEntries(&c); err != nil {
-			return err
-		}
+		t.indexCache[i].putEntries(l.index[i])
+		t.maintCache[i].putEntries(l.maint[i])
 	}
-	for i := range t.maintCache {
-		if err := t.maintCache[i].readEntries(&c); err != nil {
-			return err
-		}
-	}
-	if c.err != nil {
-		return fmt.Errorf("%w: truncated: %v", ErrSpillCorrupt, c.err)
-	}
-	if len(c.buf) != c.off {
-		return fmt.Errorf("%w: %d trailing bytes in payload", ErrSpillCorrupt, len(c.buf)-c.off)
-	}
+	raiseLimit(&t.queryLimit, l.maxQuery)
+	raiseLimit(&t.indexLimit, l.maxIndex)
 	return nil
 }
 
-// readEntries merges one serialized shard into s, pre-sizing the table so the
-// inserts never rehash mid-restore.
-func (s *flatShard) readEntries(c *spillCursor) error {
-	n := int(c.u32())
-	if c.err != nil {
-		return fmt.Errorf("%w: truncated: %v", ErrSpillCorrupt, c.err)
+// spillLayout holds the record sections of a verified spill payload,
+// sub-slices of the payload itself: 12-byte (ID, value) records for base
+// costs and sizes, 16-byte (pair key, cost) records per shard; and the
+// largest query and index IDs the records hold (-1 if none).
+type spillLayout struct {
+	base, sizes        []byte
+	index, maint       [optShards][]byte
+	maxQuery, maxIndex int64
+}
+
+// parseSpill verifies the whole payload and locates its record sections.
+// Every count must fit in the bytes that remain; every query and index ID
+// must lie below the optimizer's ID limits or below the payload length;
+// pair keys must sit in their query's shard; costs and sizes must lie in
+// the range the optimizer boundary lets into the caches. A file the
+// optimizer wrote always passes, and a restore's work and table growth are
+// bounded by the file's size and the tables the optimizer already held.
+func (o *Optimizer) parseSpill(payload []byte) (spillLayout, error) {
+	l := spillLayout{maxQuery: -1, maxIndex: -1}
+	if magic := payload[:len(spillMagic)]; string(magic) != string(spillMagic[:]) {
+		return l, fmt.Errorf("bad magic %q", magic)
 	}
-	if n > 0 {
-		s.reserve(n)
-	}
-	for i := 0; i < n; i++ {
-		key := c.u64()
-		bits := c.u64()
-		if c.err != nil {
-			return fmt.Errorf("%w: truncated: %v", ErrSpillCorrupt, c.err)
+	c := spillCursor{buf: payload, off: len(spillMagic)}
+	queries := max(o.flat.queryLimit.Load(), int64(len(payload)))
+	indexes := max(o.flat.indexLimit.Load(), int64(len(payload)))
+	checkQuery := func(qid uint32) error {
+		if int64(qid) >= queries {
+			return fmt.Errorf("query ID %d above the limit %d", qid, queries)
 		}
-		if key == emptyKey || key == tombKey {
-			return fmt.Errorf("%w: sentinel pair key %#x", ErrSpillCorrupt, key)
-		}
-		s.put(int(key>>32), key, math.Float64frombits(bits))
+		l.maxQuery = max(l.maxQuery, int64(qid))
+		return nil
 	}
-	return nil
+	checkIndex := func(id uint32) error {
+		if int64(id) >= indexes {
+			return fmt.Errorf("index ID %d above the limit %d", id, indexes)
+		}
+		l.maxIndex = max(l.maxIndex, int64(id))
+		return nil
+	}
+	checkCost := func(bits uint64) error {
+		if v := math.Float64frombits(bits); !(v >= 0 && v <= costCap) {
+			return fmt.Errorf("cost %v outside [0, %g]", v, costCap)
+		}
+		return nil
+	}
+
+	var err error
+	if l.base, err = c.records("base", 12); err != nil {
+		return l, err
+	}
+	for b := l.base; len(b) > 0; b = b[12:] {
+		if err := checkQuery(binary.LittleEndian.Uint32(b)); err != nil {
+			return l, err
+		}
+		if err := checkCost(binary.LittleEndian.Uint64(b[4:])); err != nil {
+			return l, err
+		}
+	}
+	if l.sizes, err = c.records("size", 12); err != nil {
+		return l, err
+	}
+	for b := l.sizes; len(b) > 0; b = b[12:] {
+		if err := checkIndex(binary.LittleEndian.Uint32(b)); err != nil {
+			return l, err
+		}
+		if size := int64(binary.LittleEndian.Uint64(b[4:])); size < 0 {
+			return l, fmt.Errorf("negative index size %d", size)
+		}
+	}
+	for _, sections := range []*[optShards][]byte{&l.index, &l.maint} {
+		for i := range sections {
+			if sections[i], err = c.records("shard", 16); err != nil {
+				return l, err
+			}
+			for b := sections[i]; len(b) > 0; b = b[16:] {
+				key := binary.LittleEndian.Uint64(b)
+				qid := uint32(key >> 32)
+				if err := checkQuery(qid); err != nil {
+					return l, err
+				}
+				if err := checkIndex(uint32(key)); err != nil {
+					return l, err
+				}
+				if shardOf(int(qid)) != uint32(i) {
+					return l, fmt.Errorf("pair key %#x in shard %d, not its query's shard %d", key, i, shardOf(int(qid)))
+				}
+				if err := checkCost(binary.LittleEndian.Uint64(b[8:])); err != nil {
+					return l, err
+				}
+			}
+		}
+	}
+	if len(c.buf) != c.off {
+		return l, fmt.Errorf("%d trailing bytes in payload", len(c.buf)-c.off)
+	}
+	return l, nil
+}
+
+// putEntries merges verified 16-byte (pair key, cost) records into s,
+// pre-sizing the table so the inserts never rehash mid-restore.
+func (s *flatShard) putEntries(records []byte) {
+	if len(records) == 0 {
+		return
+	}
+	s.reserve(len(records) / 16)
+	for b := records; len(b) > 0; b = b[16:] {
+		key := binary.LittleEndian.Uint64(b)
+		s.put(int(key>>32), key, math.Float64frombits(binary.LittleEndian.Uint64(b[8:])))
+	}
 }
 
 // reserve grows the shard to hold at least n live entries without rehashing.
@@ -228,27 +300,27 @@ func (s *flatShard) reserve(n int) {
 	s.mu.Unlock()
 }
 
-// spillCursor walks a byte slice with sticky short-read error tracking.
+// spillCursor walks a spill payload.
 type spillCursor struct {
 	buf []byte
 	off int
-	err error
 }
 
-func (c *spillCursor) take(n int) []byte {
-	if c.err != nil || c.off+n > len(c.buf) {
-		if c.err == nil {
-			c.err = io.ErrUnexpectedEOF
-		}
-		return make([]byte, n)
+// records reads a uint32 record count and returns that many size-byte
+// records, refusing a count the remaining bytes cannot hold.
+func (c *spillCursor) records(what string, size int) ([]byte, error) {
+	left := len(c.buf) - c.off - 4
+	if left < 0 {
+		return nil, fmt.Errorf("truncated %s count", what)
 	}
-	b := c.buf[c.off : c.off+n]
-	c.off += n
-	return b
+	n := uint64(binary.LittleEndian.Uint32(c.buf[c.off:]))
+	if n*uint64(size) > uint64(left) {
+		return nil, fmt.Errorf("%s count %d needs %d bytes, %d left", what, n, n*uint64(size), left)
+	}
+	b := c.buf[c.off+4 : c.off+4+int(n)*size]
+	c.off += 4 + len(b)
+	return b, nil
 }
-
-func (c *spillCursor) u32() uint32 { return binary.LittleEndian.Uint32(c.take(4)) }
-func (c *spillCursor) u64() uint64 { return binary.LittleEndian.Uint64(c.take(8)) }
 
 // SpillTables writes the tables to path (atomically, via a same-directory
 // temp file) and then evicts them, returning the estimated bytes freed. On

@@ -214,6 +214,7 @@ func (o *Optimizer) costWithInterned(q workload.Query, k workload.Index, id work
 	}
 	o.ctr.calls.Add(1)
 	c := SanitizeCost(o.src.CostWithIndex(q, k))
+	o.flat.notePair(key)
 	shard.put(q.ID, key, c)
 	return c
 }
@@ -253,6 +254,7 @@ func (o *Optimizer) maintInterned(q workload.Query, k workload.Index, id workloa
 		return c
 	}
 	c := SanitizeCost(o.src.MaintenanceCost(q, k))
+	o.flat.notePair(key)
 	shard.put(q.ID, key, c)
 	return c
 }
