@@ -1,9 +1,10 @@
 # Developer entry points. `make bench-core` records the BenchmarkSelect
-# matrix (serial/parallel x uncached-sweep/lazy step loop, in
-# internal/core, plus the lazy loop on the full-size ERP) as
-# results/BENCH_core.json; `make bench-lp` records
-# branch-and-bound node throughput (sparse warm-started vs the dense
-# cold-start test oracle) as results/BENCH_lp.json; `make bench-whatif`
+# matrix (uncached sweep vs lazy step loop, in internal/core, plus the lazy
+# loop on the full-size ERP) as results/BENCH_core.json; `make bench-lp`
+# records branch-and-bound node throughput (sparse warm-started with one
+# node-solve worker and with GOMAXPROCS workers, on two instance sizes, vs
+# the dense cold-start test oracle) at GOMAXPROCS 1 and 2 as
+# results/BENCH_lp.json; `make bench-whatif`
 # records the what-if hot-path microbenchmarks (cached/cold probes,
 # applicability checks, selection clones; flat interned tables vs the
 # string-keyed whatiftest oracle) as results/BENCH_whatif.json and fails if
@@ -18,7 +19,7 @@
 
 GO ?= go
 BENCH_COUNT ?= 3
-BENCH_PATTERN := ^BenchmarkSelect(Seed|Parallel|Lazy|ParallelLazy|LazyERPFull)$$
+BENCH_PATTERN := ^BenchmarkSelect(Seed|Lazy|LazyERPFull)$$
 BENCH_LP_PATTERN := ^BenchmarkMIP(Sparse|Dense)$$
 BENCH_FLEET_PATTERN := ^BenchmarkFleet(Sequential|Pooled|PooledShared|NearCloneTwin|NearCloneNearMatch|Unstreamed|Streamed|SpillRebuild|SpillRestore)$$
 BENCH_WHATIF_PATTERN := ^Benchmark(WhatifCachedProbe|WhatifColdProbe|Applicable|SelectionClone)_
@@ -73,7 +74,7 @@ bench-core:
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > results/BENCH_core.json
 
 bench-lp:
-	$(GO) test -run '^$$' -bench '$(BENCH_LP_PATTERN)' -benchmem \
+	$(GO) test -run '^$$' -bench '$(BENCH_LP_PATTERN)' -benchmem -cpu 1,2 \
 		-count $(BENCH_COUNT) -timeout 60m ./internal/lp \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > results/BENCH_lp.json
 

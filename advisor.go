@@ -158,12 +158,12 @@ func WithTelemetry(t *Telemetry) Option {
 	return func(ad *Advisor) { ad.tel = t }
 }
 
-// WithParallelism sets the number of worker goroutines Algorithm 1 uses to
-// evaluate candidate steps, and that the CoPhy explicit-LP branch and bound
-// uses to solve node relaxations (0, the default, uses GOMAXPROCS; 1 forces
-// serial evaluation). Results are identical at every setting — work units are
-// computed whole per goroutine and reduced deterministically. It overrides
-// the Parallelism field of WithExtendOptions regardless of option order.
+// WithParallelism sets the number of worker goroutines the CoPhy
+// explicit-LP branch and bound uses to solve node relaxations (0, the
+// default, uses GOMAXPROCS; 1 forces serial solves). Results are identical
+// at every setting — each node LP is solved whole by one goroutine and the
+// results are reduced deterministically. Algorithm 1 (StrategyExtend) and
+// H1-H5 are serial and ignore it.
 func WithParallelism(n int) Option {
 	return func(ad *Advisor) { ad.parallelism = n }
 }
@@ -172,7 +172,7 @@ func WithParallelism(n int) Option {
 // construction step may stop re-evaluating candidates once the best remaining
 // gain upper bound falls below bestRatio*(1+eps), so every chosen step's
 // ratio is within a (1+eps) factor of the exact maximum. Runs stay
-// deterministic at every parallelism but are no longer bit-identical to the
+// deterministic but are no longer bit-identical to the
 // exact default (eps = 0). Ignored by strategies other than Extend and when
 // Reconfig or MultiIndex is set. It overrides the Approximate field of
 // WithExtendOptions regardless of option order.
@@ -252,9 +252,6 @@ type Recommendation struct {
 	// step carries its candidate-evaluation accounting (Candidates,
 	// Evaluated, CacheServed).
 	Steps []ConstructionStep
-	// Workers is the candidate-evaluation parallelism the run resolved to
-	// (StrategyExtend only).
-	Workers int
 	// Evaluated and CacheServed total, over the whole run (including the
 	// final enumeration round that found no viable step), how many candidate
 	// gains were (re)computed versus decided by the lazy loop from a
@@ -328,8 +325,7 @@ func (ad *Advisor) Select(s Strategy) (*Recommendation, error) {
 // interrupts the run at the next strategy checkpoint and returns the best
 // feasible recommendation found so far with Partial and StopReason set — an
 // interrupted run is not an error. Extend's partial result is the
-// bit-identical prefix of the unbounded construction trace at the same
-// Parallelism; CoPhy degrades to its best incumbent (greedy at worst) with
+// bit-identical prefix of the unbounded construction trace; CoPhy degrades to its best incumbent (greedy at worst) with
 // the root-relaxation gap as certificate; H1-H5 fill greedily over the
 // candidates scored before the cut. A panic inside a strategy (e.g. a
 // crashing cost source) is recovered and returned as a *WorkerPanicError.
@@ -407,9 +403,6 @@ func (ad *Advisor) runStrategy(ctx context.Context, s Strategy, budget int64, ro
 		opts := ad.extendOpts
 		opts.Budget = budget
 		opts.Context = ctx
-		if ad.parallelism != 0 {
-			opts.Parallelism = ad.parallelism
-		}
 		if ad.approximate > 0 {
 			opts.Approximate = ad.approximate
 		}
@@ -434,7 +427,6 @@ func (ad *Advisor) runStrategy(ctx context.Context, s Strategy, budget int64, ro
 		rec.BaseCost = res.InitialCost
 		rec.Memory = res.Memory
 		rec.Steps = res.Steps
-		rec.Workers = res.Workers
 		rec.Evaluated = res.Evaluated
 		rec.CacheServed = res.CacheServed
 		rec.Pruned = res.Pruned

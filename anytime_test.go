@@ -29,19 +29,36 @@ func (s *cancelAfterSource) CostWithIndex(q Query, k Index) float64 {
 	return s.WhatIfSource.CostWithIndex(q, k)
 }
 
+// expiringCtx is a context whose deadline passes when expire is called
+// rather than at a wall-clock instant, so a test can fire a deadline at an
+// exact what-if call.
+type expiringCtx struct {
+	context.Context
+	expired atomic.Bool
+}
+
+func (c *expiringCtx) expire() { c.expired.Store(true) }
+
+func (c *expiringCtx) Err() error {
+	if c.expired.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // TestAnytimePrefixBitIdentity is the anytime acceptance property: an Extend
-// run interrupted mid-construction returns, at the same Parallelism, a
-// bit-identical PREFIX of the unbounded run's step trace — the in-flight step
-// is discarded, never applied from partially evaluated candidates. This pins
-// the lazy (CELF) default, whose in-flight batches must be discarded without
-// corrupting its persistent bound state; internal/core pins the sweep that
-// Reconfig runs take.
+// run interrupted mid-construction returns a bit-identical PREFIX of the
+// unbounded run's step trace — the in-flight step is discarded, never applied
+// from partially evaluated candidates. This pins the lazy (CELF) default,
+// whose in-flight batches must be discarded without corrupting its
+// persistent bound state; internal/core pins the sweep that Reconfig runs
+// take.
 func TestAnytimePrefixBitIdentity(t *testing.T) {
 	w := smallWorkload(t)
 	m := costmodel.New(w, costmodel.SingleIndex)
 	budget := m.Budget(0.5)
 
-	full, err := core.Select(w, whatif.New(m), core.Options{Budget: budget, Parallelism: 4})
+	full, err := core.Select(w, whatif.New(m), core.Options{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +69,26 @@ func TestAnytimePrefixBitIdentity(t *testing.T) {
 		t.Fatalf("unbounded run reported Partial=%v StopReason=%v", full.Partial, full.StopReason)
 	}
 
-	// Cut at several depths: cancel after N what-if calls for growing N.
+	// Cut at several depths: cancel after N what-if calls for growing N. The
+	// deadline at call 490 fires a dozen steps in, inside a lazy
+	// re-evaluation batch and between two of its stop polls, so the tasks
+	// after it in the batch still run before the step is discarded.
 	interrupted := 0
-	for _, after := range []int64{1, 50, 400, 2000} {
+	for _, tc := range []struct {
+		after    int64
+		deadline bool
+	}{{1, false}, {50, false}, {400, false}, {2000, false}, {490, true}} {
+		after, want := tc.after, StopCancelled
 		ctx, cancel := context.WithCancel(context.Background())
-		src := &cancelAfterSource{WhatIfSource: m, cancel: cancel, after: after}
+		var runCtx context.Context = ctx
+		trip := cancel
+		if tc.deadline {
+			ec := &expiringCtx{Context: ctx}
+			runCtx, trip, want = ec, ec.expire, StopDeadline
+		}
+		src := &cancelAfterSource{WhatIfSource: m, cancel: trip, after: after}
 		part, err := core.Select(w, whatif.New(src), core.Options{
-			Budget: budget, Parallelism: 4, Context: ctx,
+			Budget: budget, Context: runCtx,
 		})
 		cancel()
 		if err != nil {
@@ -73,9 +103,9 @@ func TestAnytimePrefixBitIdentity(t *testing.T) {
 			continue
 		}
 		interrupted++
-		if !part.Partial || part.StopReason != StopCancelled {
-			t.Errorf("after %d calls: Partial=%v StopReason=%v, want partial/cancelled",
-				after, part.Partial, part.StopReason)
+		if !part.Partial || part.StopReason != want {
+			t.Errorf("after %d calls: Partial=%v StopReason=%v, want partial/%v",
+				after, part.Partial, part.StopReason, want)
 		}
 		if len(part.Steps) > len(full.Steps) {
 			t.Fatalf("after %d calls: partial run has MORE steps (%d) than unbounded (%d)",
@@ -103,7 +133,7 @@ func TestAnytimePrefixBitIdentity(t *testing.T) {
 // and records the deadline as its stop reason.
 func TestSelectContextDeadline(t *testing.T) {
 	w := smallWorkload(t)
-	adv := NewAdvisor(w, WithBudgetShare(0.5), WithParallelism(4))
+	adv := NewAdvisor(w, WithBudgetShare(0.5))
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()

@@ -7,7 +7,8 @@
 //	indexadvisor -workload w.json -budget-share 0.2
 //	indexadvisor -workload w.json -strategy cophy -candidates 1000 -gap 0.05
 //	indexadvisor -workload w.json -strategy h5 -budget-bytes 100000000
-//	indexadvisor -workload w.json -parallelism 8 -cpuprofile extend.pprof
+//	indexadvisor -workload w.json -cpuprofile extend.pprof
+//	indexadvisor -workload w.json -strategy cophy -parallelism 2
 //	indexadvisor -workload w.json -metrics-addr 127.0.0.1:9177 -trace-out run.jsonl -json
 //	indexadvisor -workload w.json -timeout 500ms -json
 //	indexadvisor -workload w.json -approximate 0.1 -json
@@ -56,9 +57,9 @@
 // not an error.
 //
 // The default strategy is the paper's recursive Extend algorithm (H6), which
-// evaluates candidate steps on all cores (-parallelism to override) with
-// identical results at any setting; -cpuprofile records a pprof profile of
-// the selection for performance work.
+// runs serially. -parallelism sizes CoPhy's branch-and-bound node pool
+// (0 = all cores), with identical results at any setting; -cpuprofile
+// records a pprof profile of the selection for performance work.
 //
 // Observability: -metrics-addr serves Prometheus text exposition at /metrics
 // (plus expvar and pprof under /debug/) while the advisor runs; -trace-out
@@ -125,7 +126,7 @@ func main() {
 		timeLimit        = flag.Duration("timelimit", time.Minute, "cophy time limit")
 		timeout          = flag.Duration("timeout", 0, "overall selection deadline (any strategy); on expiry the best partial result found so far is reported and the exit code stays 0")
 		showSteps        = flag.Bool("steps", false, "print the Extend construction trace")
-		parallelism      = flag.Int("parallelism", 0, "worker goroutines for extend evaluation and cophy branch-and-bound node solves (0 = all cores, 1 = serial; identical results)")
+		parallelism      = flag.Int("parallelism", 0, "worker goroutines for cophy branch-and-bound node solves (0 = all cores, 1 = serial; identical results)")
 		approximate      = flag.Float64("approximate", 0, "extend only: relax the lazy step loop by this relative eps (each step's ratio within a (1+eps) factor of exact); 0 = provably exact")
 		cpuProfile       = flag.String("cpuprofile", "", "write a pprof CPU profile of the selection to this file")
 		memProfile       = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -438,7 +439,6 @@ type jsonReport struct {
 	Gap         float64     `json:"gap,omitempty"`
 	Partial     bool        `json:"partial,omitempty"`
 	StopReason  string      `json:"stop_reason,omitempty"`
-	Workers     int         `json:"workers,omitempty"`
 	Evaluated   int         `json:"evaluated,omitempty"`
 	CacheServed int         `json:"cache_served,omitempty"`
 	Pruned      int         `json:"pruned,omitempty"`
@@ -504,7 +504,6 @@ func writeJSON(out *os.File, w *indexsel.Workload, adv *indexsel.Advisor, rec *i
 		Gap:         rec.Gap,
 		Partial:     rec.Partial,
 		StopReason:  rec.StopReason.String(),
-		Workers:     rec.Workers,
 		Evaluated:   rec.Evaluated,
 		CacheServed: rec.CacheServed,
 		Pruned:      rec.Pruned,

@@ -53,7 +53,6 @@ func runServe(args []string) {
 		backoffBase = fs.Duration("backoff-base", time.Second, "initial retry backoff after a failed/rejected retune")
 		backoffMax  = fs.Duration("backoff-max", 5*time.Minute, "retry backoff cap")
 		seed        = fs.Int64("seed", 1, "seed for backoff jitter")
-		parallelism = fs.Int("parallelism", 0, "selection worker goroutines (0 = all cores)")
 		faultClass  = fs.String("fault-class", "", "chaos: inject faults into the cost source (nan | inf | negative | latency | error | panic)")
 		faultRate   = fs.Float64("fault-rate", 0.1, "chaos: fraction of (query,index) pairs hit by value/latency faults")
 		faultOnCall = fs.Int64("fault-on-call", 1, "chaos: 1-based call number tripping error/panic faults (per retune)")
@@ -91,7 +90,6 @@ func runServe(args []string) {
 		BackoffBase:     *backoffBase,
 		BackoffMax:      *backoffMax,
 		Seed:            *seed,
-		Parallelism:     *parallelism,
 	}
 	if *faultClass != "" {
 		class, ok := map[string]faultinject.Class{

@@ -81,9 +81,10 @@ type FleetOptions struct {
 	// CostMode selects the analytic model mode for nil-Source tenants.
 	// MultiIndexCosts disables cross-tenant sharing (see package comment).
 	CostMode CostMode
-	// Parallelism is each tenant selection's candidate-evaluation
-	// parallelism (0 = GOMAXPROCS; fleet throughput usually wants 1 so the
-	// pool, not the tenant, owns the cores).
+	// Parallelism is each tenant's CoPhy branch-and-bound node pool size
+	// (WithParallelism; 0 = GOMAXPROCS). Only StrategyCoPhy runs in
+	// parallel inside a tenant; Extend and H1-H5 tenants are serial and the
+	// scheduler pool (Workers) owns the cores. CoPhy fleets usually want 1.
 	Parallelism int
 	// DisableSharing forces per-tenant caches even for structural twins
 	// (the fleet benchmark's pooled-unshared arm; also a safety valve).

@@ -245,9 +245,8 @@ func CompressByCoverage(w *Workload, eps float64) (*Workload, CompressionStats, 
 type ConstructionStep = core.Step
 
 // ExtendOptions re-exports Algorithm 1's knobs (budget, max steps, the
-// Remark 1 extensions, and the candidate-evaluator knobs Parallelism and
-// Approximate); pass via WithExtendOptions. The advisor's budget options
-// override the Budget field, and WithParallelism overrides the Parallelism
+// Remark 1 extensions, and the lazy loop's Approximate); pass via
+// WithExtendOptions. The advisor's budget options override the Budget
 // field.
 type ExtendOptions = core.Options
 

@@ -30,14 +30,13 @@ func (s *cancelAfterSource) CostWithIndex(q workload.Query, k workload.Index) fl
 
 // TestSweepAnytimePrefixBitIdentity pins the anytime contract on the sweep,
 // the loop Reconfig runs take (the root package pins the lazy loop): a run
-// interrupted mid-construction returns, at the same Parallelism, a
-// bit-identical PREFIX of the unbounded run's step trace — the in-flight
+// interrupted mid-construction returns a bit-identical PREFIX of the unbounded run's step trace — the in-flight
 // step is discarded, never applied from partially evaluated candidates.
 func TestSweepAnytimePrefixBitIdentity(t *testing.T) {
 	w := gen(t, 2, 10, 20, 50_000, 1)
 	m := costmodel.New(w, costmodel.SingleIndex)
 	budget := m.Budget(0.5)
-	opts := Options{Budget: budget, Parallelism: 4}
+	opts := Options{Budget: budget}
 
 	full, err := selectSweep(w, whatif.New(m), opts)
 	if err != nil {

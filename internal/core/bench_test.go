@@ -10,17 +10,17 @@ import (
 
 // --- BenchmarkSelect family: the Algorithm-1 step-loop matrix ---
 //
-// Four variants of the same frontier run — serial/parallel crossed with the
-// uncached sweep and the lazy (CELF) loop — over the TPC-C template workload
-// (whose single trace answers the paper's 16-budget sweep via SelectionAt)
-// and a scaled-down generated ERP workload. `make bench-core` records the
-// matrix as results/BENCH_core.json so the perf trajectory is tracked across
-// changes. All variants produce identical step traces (asserted by
-// TestParallelTraceMatchesSerial and TestDifferentialLazyVsSweep); only the
-// wall clock and the evaluated_per_step metric differ — the lazy variants
-// bound-prune candidates the sweeps re-evaluate. BenchmarkSelectLazyERPFull
-// adds the lazy loop at the full ERP scale, where the run is long enough for
-// per-step overheads to dominate.
+// Two variants of the same frontier run — the uncached sweep and the lazy
+// (CELF) loop — over the TPC-C template workload (whose single trace answers
+// the paper's 16-budget sweep via SelectionAt) and a scaled-down generated
+// ERP workload. `make bench-core` records the matrix as
+// results/BENCH_core.json so the perf trajectory is tracked across changes.
+// Both variants produce identical step traces (asserted by
+// TestDifferentialLazyVsSweep); only the wall clock and the
+// evaluated_per_step metric differ — the lazy loop bound-prunes candidates
+// the sweep re-evaluates. BenchmarkSelectLazyERPFull adds the lazy loop at
+// the full ERP scale, where the run is long enough for per-step overheads to
+// dominate.
 
 type selectBenchCase struct {
 	name string
@@ -80,40 +80,27 @@ func benchSelect(b *testing.B, w *workload.Workload, share float64, opts Options
 	}
 }
 
-// BenchmarkSelectSeed is the pre-optimization evaluator: one worker, every
-// candidate re-evaluated at every construction step (the uncached sweep).
+// BenchmarkSelectSeed is the pre-optimization evaluator: every candidate
+// re-evaluated at every construction step (the uncached sweep).
 func BenchmarkSelectSeed(b *testing.B) {
-	runSelectBench(b, Options{Parallelism: 1}, selectSweep)
-}
-
-// BenchmarkSelectParallel isolates the worker pool (all cores, the uncached
-// sweep recomputing every gain every step).
-func BenchmarkSelectParallel(b *testing.B) {
 	runSelectBench(b, Options{}, selectSweep)
 }
 
-// BenchmarkSelectLazy is the lazy (CELF) step loop, serial.
+// BenchmarkSelectLazy is the production configuration: the lazy (CELF) step
+// loop with bound-based bucket pruning.
 func BenchmarkSelectLazy(b *testing.B) {
-	runSelectBench(b, Options{Parallelism: 1}, Select)
-}
-
-// BenchmarkSelectParallelLazy is the production configuration: worker pool
-// plus the lazy (CELF) step loop with bound-based bucket pruning.
-func BenchmarkSelectParallelLazy(b *testing.B) {
 	runSelectBench(b, Options{}, Select)
 }
 
 // BenchmarkSelectLazyERPFull is the lazy loop at the paper's full ERP scale
-// (DefaultERPConfig: 4 204 attributes, 2 271 templates) at budget share 0.5,
-// serial and on all cores. The scaled ERP above selects a few hundred
-// indexes; here the selection grows past two thousand over ~2 400 steps, so
-// any per-step bookkeeping that scales with the selection size or the
-// attribute count shows up.
+// (DefaultERPConfig: 4 204 attributes, 2 271 templates) at budget share 0.5.
+// The scaled ERP above selects a few hundred indexes; here the selection
+// grows past two thousand over ~2 400 steps, so any per-step bookkeeping
+// that scales with the selection size or the attribute count shows up.
 func BenchmarkSelectLazyERPFull(b *testing.B) {
 	erp, err := workload.GenerateERP(workload.DefaultERPConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("Serial", func(b *testing.B) { benchSelect(b, erp, 0.5, Options{Parallelism: 1}, Select) })
-	b.Run("Parallel", func(b *testing.B) { benchSelect(b, erp, 0.5, Options{}, Select) })
+	benchSelect(b, erp, 0.5, Options{}, Select)
 }

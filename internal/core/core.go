@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -83,24 +82,19 @@ type Options struct {
 	ExactEvaluation bool
 	// Reconfig, if non-nil, returns R(I*, I-bar*) for a candidate selection;
 	// it is added to the workload cost when comparing steps. The current
-	// selection I-bar* is the caller's to capture. Because the callback's
-	// thread-safety is unknown and its value depends on the whole selection,
-	// setting it forces serial evaluation by the uncached sweep instead of
-	// the lazy loop.
+	// selection I-bar* is the caller's to capture. Because its value
+	// depends on the whole selection, setting it forces the uncached sweep
+	// instead of the lazy loop.
 	Reconfig func(sel workload.Selection) float64
-	// Parallelism is the number of worker goroutines that evaluate candidate
-	// steps concurrently; 0 uses GOMAXPROCS, 1 forces serial evaluation.
-	// Parallel and serial runs produce identical step traces: candidates are
-	// enumerated in a fixed order, each candidate's gain is computed by a
-	// single goroutine, and the winning step is chosen by a serial reduction
-	// over that fixed order.
+	// Deprecated: ignored. Candidate evaluation is serial; the field stays
+	// only because the end-to-end benchmark (bench/e2e/erp.go) still sets it.
 	Parallelism int
 	// Approximate, when > 0, relaxes the lazy loop's stop rule: a step stops
 	// re-evaluating stale candidates once the best remaining upper bound
 	// falls below bestRatio*(1+Approximate), so the chosen step's ratio is
 	// within a (1+Approximate) factor of the exact maximum. Traces remain
-	// deterministic at every Parallelism, but are no longer bit-identical to
-	// exact mode; steps that actually engaged the relaxed cut are counted in
+	// deterministic, but are no longer bit-identical to exact mode; steps
+	// that actually engaged the relaxed cut are counted in
 	// indexsel_lazy_approx_steps_total. 0 (the default) is provably exact.
 	// Ignored when Reconfig or MultiIndex is set.
 	Approximate float64
@@ -120,7 +114,7 @@ type Options struct {
 	// step under it. Nil disables tracing with zero overhead.
 	Span *telemetry.Span
 	// Context, if non-nil, cancels the run: cancellation is checked at every
-	// step boundary and polled inside the parallel evaluation loop. An
+	// step boundary and polled inside the candidate evaluation loop. An
 	// interrupted run is not an error — Extend is an anytime algorithm, every
 	// completed step is a feasible frontier point — so Select returns the
 	// best-so-far Result with Partial set and StopReason saying why.
@@ -212,8 +206,6 @@ type Result struct {
 	Cost float64
 	// Memory is the final P(I*).
 	Memory int64
-	// Workers is the resolved candidate-evaluation parallelism the run used.
-	Workers int
 	// Evaluated and CacheServed total the candidate accounting over the whole
 	// run (see Step). They can exceed the per-step sums: the final enumeration
 	// round that finds no viable step still evaluates candidates but records
@@ -233,9 +225,9 @@ type Result struct {
 	StopReason fault.StopReason
 	// Partial is true when the run was interrupted (deadline or cancellation)
 	// before reaching convergence. The trace is then a bit-identical prefix
-	// of what an unbounded run at the same Parallelism would produce: a step
-	// whose evaluation was in flight at the stop is discarded, never applied
-	// over partially evaluated candidates.
+	// of what an unbounded run would produce: a step whose evaluation was in
+	// flight at the stop is discarded, never applied over partially
+	// evaluated candidates.
 	Partial bool
 }
 
@@ -288,8 +280,8 @@ func (r *Result) SelectionAt(budget int64) (workload.Selection, float64, int64) 
 
 // Select runs Algorithm 1 on workload w with costs served by opt.
 //
-// Select never lets a panic escape: a panic in a serial phase or a worker
-// goroutine (e.g. a crashing cost source) is recovered and returned as a
+// Select never lets a panic escape: a panic anywhere in the run (e.g. a
+// crashing cost source) is recovered and returned as a
 // *fault.WorkerPanicError, so one bad estimate cannot take down a serving
 // process.
 func Select(w *workload.Workload, opt *whatif.Optimizer, opts Options) (res *Result, err error) {
@@ -307,23 +299,9 @@ func Select(w *workload.Workload, opt *whatif.Optimizer, opts Options) (res *Res
 	return newSelector(w, opt, opts).run()
 }
 
-// resolveWorkers returns the effective candidate-evaluation parallelism.
-func resolveWorkers(opts Options) int {
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Reconfig != nil {
-		// The reconfiguration callback is user code of unknown thread-safety
-		// and couples every candidate's gain to the whole selection.
-		workers = 1
-	}
-	return workers
-}
-
 // selector holds the incremental state of a run. All index identities are
 // interned IDs from the what-if optimizer's interner; candidate enumeration
-// (serial) interns, the parallel evaluation phase only reads.
+// interns, evaluation only reads.
 type selector struct {
 	w    *workload.Workload
 	opt  *whatif.Optimizer
@@ -356,12 +334,12 @@ type selector struct {
 
 	writeQs []int
 
-	// candCost caches f_j(candidate) aligned with queriesWith[lead];
-	// maintTab caches the frequency-weighted maintenance cost. Both are flat
-	// tables indexed by interned ID, grown only in serial phases (ensure) and
-	// filled lock-free by the worker goroutines during the parallel phase.
-	candCost costTable
-	maintTab maintTable
+	// candCost caches f_j(candidate) aligned with queriesWith[lead] (nil =
+	// not yet computed); maintTab caches the frequency-weighted maintenance
+	// cost (NaN = not yet computed). Both are flat tables indexed by interned
+	// ID, grown by ensure() after each batch of interning.
+	candCost [][]float64
+	maintTab []float64
 
 	// singles pre-builds the step-(3a) candidate per attribute (nil where no
 	// read query accesses the attribute), so enumerate allocates nothing for
@@ -369,8 +347,6 @@ type selector struct {
 	singles   []workload.Index
 	singleIDs []workload.IndexID
 
-	// workers is the resolved evaluation parallelism (>= 1).
-	workers int
 	// lazy is the CELF priority-queue state (lazy.go); non-nil exactly when
 	// the lazy step loop decides steps (neither Reconfig nor MultiIndex set).
 	// When nil, run() decides every step with the uncached sweep (collect).
@@ -403,7 +379,7 @@ type selector struct {
 	lastLedgerTrunc bool
 
 	// stop folds Options.Context and Options.Deadline into the sticky stop
-	// signal checked at step boundaries and polled by the evaluation workers.
+	// signal checked at step boundaries and polled by evalAll.
 	// stopReason records why the construction loop ended.
 	stop       *fault.Stopper
 	stopReason fault.StopReason
@@ -443,7 +419,6 @@ func newSelector(w *workload.Workload, opt *whatif.Optimizer, opts Options) *sel
 	}
 	s.sel = workload.NewIDSelection(s.in)
 	s.stop = fault.NewStopper(opts.Context, opts.Deadline)
-	s.workers = resolveWorkers(opts)
 	s.queriesWith = make([][]int32, w.NumAttrs())
 	for a := range s.queriesWith {
 		s.queriesWith[a] = w.ReadQueriesWithAttr(a)
@@ -491,21 +466,19 @@ func newSelector(w *workload.Workload, opt *whatif.Optimizer, opts Options) *sel
 }
 
 // ensure grows the flat per-ID tables to cover every ID interned so far.
-// Must be called from a serial phase after any batch of interning (table
-// growth and the workers' lock-free accesses must not overlap).
+// Must be called after any batch of interning, before the new IDs are
+// evaluated.
 func (s *selector) ensure() {
-	n := s.in.Len()
-	s.candCost.grow(n)
-	s.maintTab.grow(n)
+	for n := s.in.Len(); len(s.maintTab) < n; {
+		s.candCost = append(s.candCost, nil)
+		s.maintTab = append(s.maintTab, math.NaN())
+	}
 }
 
 // costsFor returns f_j(k) for the queries in queriesWith[k.Leading()],
-// computing and caching them on first use; id must be k's interned ID. Safe
-// for concurrent use: workers evaluating distinct candidates share the
-// table; a racing recomputation of the same ID produces the identical
-// (deterministic) slice.
+// computing and caching them on first use; id must be k's interned ID.
 func (s *selector) costsFor(k workload.Index, id workload.IndexID) []float64 {
-	if c, ok := s.candCost.get(id); ok {
+	if c := s.candCost[id]; c != nil {
 		return c
 	}
 	qs := s.queriesWith[k.Leading()]
@@ -513,7 +486,7 @@ func (s *selector) costsFor(k workload.Index, id workload.IndexID) []float64 {
 	for i, qid := range qs {
 		c[i] = s.opt.CostWithInterned(s.w.Queries[qid], k, id)
 	}
-	s.candCost.put(id, c)
+	s.candCost[id] = c
 	return c
 }
 
@@ -523,7 +496,7 @@ func (s *selector) costsFor(k workload.Index, id workload.IndexID) []float64 {
 // "do not change and have already been determined previously"
 // (Section III-A), so no what-if call is spent on them.
 func (s *selector) extCostsFor(base workload.Index, baseID workload.IndexID, ext workload.Index, extID workload.IndexID) []float64 {
-	if c, ok := s.candCost.get(extID); ok {
+	if c := s.candCost[extID]; c != nil {
 		return c
 	}
 	if s.opts.ExactEvaluation {
@@ -540,14 +513,14 @@ func (s *selector) extCostsFor(base workload.Index, baseID workload.IndexID, ext
 			c[i] = s.opt.CostWithInterned(q, ext, extID)
 		}
 	}
-	s.candCost.put(extID, c)
+	s.candCost[extID] = c
 	return c
 }
 
 // maintFor returns the frequency-weighted maintenance cost the selected
 // write templates impose on index k, cached per interned ID.
 func (s *selector) maintFor(k workload.Index, id workload.IndexID) float64 {
-	if c, ok := s.maintTab.get(id); ok {
+	if c := s.maintTab[id]; !math.IsNaN(c) {
 		return c
 	}
 	var cost float64
@@ -555,7 +528,7 @@ func (s *selector) maintFor(k workload.Index, id workload.IndexID) float64 {
 		q := s.w.Queries[qid]
 		cost += float64(q.Freq) * s.opt.MaintenanceCostInterned(q, k, id)
 	}
-	s.maintTab.put(id, cost)
+	s.maintTab[id] = cost
 	return cost
 }
 
@@ -579,8 +552,8 @@ type candidate struct {
 }
 
 // evalNew computes the gain of adding idx as a brand-new index. It is a pure
-// function of the frozen per-step state (cost, served, selection sizes) and
-// may run on any worker goroutine; selection-membership filtering happens in
+// function of the per-step state (cost, served, selection sizes), which no
+// evaluation mutates; selection-membership filtering happens in
 // enumerate(). For a new index the gain already is the optimistic surrogate
 // of lazy.go (there is no replaced index whose loss could offset it), so
 // optGain == gain.
@@ -614,8 +587,8 @@ func (s *selector) evalNew(idx workload.Index, id workload.IndexID, kind StepKin
 // evalExtend computes the gain of morphing selected index k into k with
 // extra attributes appended. Extending can degrade queries that used k but
 // cannot cover the new attributes (wider keys probe slower), so the gain
-// accounts for replacements, not just improvements. Like evalNew it is safe
-// to run on any worker goroutine.
+// accounts for replacements, not just improvements. Like evalNew it leaves
+// the per-step state untouched.
 func (s *selector) evalExtend(k workload.Index, kID workload.IndexID, ext workload.Index, extID workload.IndexID, kind StepKind) gainEntry {
 	costs := s.extCostsFor(k, kID, ext, extID)
 	qs := s.queriesWith[k.Leading()]
@@ -722,8 +695,8 @@ func (s *selector) sortedSel() []selEntry {
 // fixed, deterministic order: step (3a) singles, step (3b) one-attribute
 // extensions, then the Remark 1.4 pair universe. Cheap state-dependent
 // filters (TopNSingle, empty query sets, already-selected indexes) are
-// applied here, outside the parallel phase. All interning happens here,
-// serially; callers must ensure() before fanning the tasks out to workers.
+// applied here. All interning happens here; callers must ensure() before
+// evaluating the tasks.
 func (s *selector) enumerate() []evalTask {
 	var tasks []evalTask
 	sel := s.sortedSel()
@@ -780,20 +753,47 @@ func (s *selector) enumerate() []evalTask {
 	return tasks
 }
 
+// stopCheckStride is how many tasks evalAll evaluates between full
+// Stopper.Check polls (clock + context). Powers of two keep the modulo a
+// mask.
+const stopCheckStride = 32
+
+// evalAll evaluates every task in order, storing tasks[i]'s outcome into
+// results[i].
+//
+// Two failure paths cut the evaluation short. If the run's Stopper fires,
+// evalAll returns early, leaving the remaining results unset — the caller
+// discards the whole step, so partially filled results are never reduced
+// over. If a candidate evaluation panics (a crashing cost source), the panic
+// is recovered and returned as a *fault.WorkerPanicError.
+func (s *selector) evalAll(tasks []evalTask, results []gainEntry) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fault.AsPanicError("core.evalCandidate", r)
+		}
+	}()
+	for i, t := range tasks {
+		if i%stopCheckStride == 0 && s.stop.Check() != fault.StopNone {
+			return nil
+		}
+		results[i] = s.evalCandidate(t)
+	}
+	return nil
+}
+
 // collect is the uncached sweep: it enumerates and evaluates every candidate
-// step afresh, fanning the evaluations out over the worker pool, and keeps
-// those that fit the budget. The reduction runs serially over the fixed
-// enumeration order with the deterministic better() tie-break, so the chosen
-// step (and runner-up) is identical for every Parallelism setting — and
-// bit-identical to the lazy loop's decision.
+// step afresh and keeps those that fit the budget. The reduction runs over
+// the fixed enumeration order with the deterministic better() tie-break, so
+// the chosen step (and runner-up) is bit-identical to the lazy loop's
+// decision.
 //
 // If the stopper fires while the step is being evaluated, the whole in-flight
 // step is discarded (ok=false, stopReason set): applying a step decided over
 // partially evaluated candidates would break the bit-identical-prefix
-// guarantee. A worker panic surfaces as a non-nil err.
+// guarantee. An evaluation panic surfaces as a non-nil err.
 func (s *selector) collect() (best, second candidate, haveSecond, ok bool, err error) {
 	tasks := s.enumerate()
-	s.ensure() // cover freshly interned candidates before workers start
+	s.ensure() // cover freshly interned candidates before evaluating them
 	results := make([]gainEntry, len(tasks))
 	s.lastCandidates, s.lastEvaluated = len(tasks), len(tasks)
 	s.lastCached, s.lastPruned = 0, 0
@@ -803,8 +803,8 @@ func (s *selector) collect() (best, second candidate, haveSecond, ok bool, err e
 		return candidate{}, candidate{}, false, false, err
 	}
 	if r := s.stop.Check(); r != fault.StopNone {
-		// Some results may be missing (workers drained); discard the step
-		// rather than reducing over an incomplete evaluation.
+		// Some results may be missing (evalAll stopped early); discard the
+		// step rather than reducing over an incomplete evaluation.
 		s.stopReason = r
 		return candidate{}, candidate{}, false, false, nil
 	}
@@ -1218,7 +1218,7 @@ func (s *selector) run() (*Result, error) {
 			break // collect set stopReason
 		}
 		s.apply(best, second, haveSecond)
-		finishStep(sp, stepStart, &s.steps[len(s.steps)-1], s.workers, s.lastProv())
+		finishStep(sp, stepStart, &s.steps[len(s.steps)-1], s.lastProv())
 		if s.opts.DropUnused {
 			s.dropUnused()
 		}
@@ -1231,7 +1231,6 @@ func (s *selector) run() (*Result, error) {
 		InitialCost: initial,
 		Cost:        s.total(),
 		Memory:      s.mem,
-		Workers:     s.workers,
 		Evaluated:   s.totalEvaluated,
 		CacheServed: s.totalCached,
 		Pruned:      s.totalPruned,
@@ -1250,7 +1249,7 @@ func (s *selector) run() (*Result, error) {
 // the package metrics. One call per construction step — never per candidate.
 // prov, when non-nil, is journaled as a structured attribute so the run
 // journal carries the full decision provenance (journal schema v2).
-func finishStep(sp *telemetry.Span, start time.Time, st *Step, workers int, prov *explain.StepProvenance) {
+func finishStep(sp *telemetry.Span, start time.Time, st *Step, prov *explain.StepProvenance) {
 	mSteps.Inc()
 	mStepDur.Observe(time.Since(start).Seconds())
 	mEvaluated.Add(int64(st.Evaluated))
@@ -1268,7 +1267,6 @@ func finishStep(sp *telemetry.Span, start time.Time, st *Step, workers int, prov
 	sp.SetInt("evaluated", int64(st.Evaluated))
 	sp.SetInt("cache_served", int64(st.CacheServed))
 	sp.SetInt("pruned", int64(st.Pruned))
-	sp.SetInt("workers", int64(workers))
 	if prov != nil {
 		sp.SetAny("provenance", *prov)
 	}
@@ -1285,7 +1283,6 @@ func logRun(res *Result) {
 			"cost", res.Cost,
 			"initial_cost", res.InitialCost,
 			"memory_bytes", res.Memory,
-			"workers", res.Workers,
 			"candidates_evaluated", res.Evaluated,
 			"candidates_cache_served", res.CacheServed,
 		)
@@ -1297,7 +1294,6 @@ func logRun(res *Result) {
 // the context earlier calls were made under, affected queries' cached costs
 // are refreshed rather than reused. Intended for small workloads.
 func (s *selector) runMultiIndex() (*Result, error) {
-	s.workers = 1 // Remark 2's stale-refresh semantics are inherently serial
 	queryCost := func(sel workload.Selection, q workload.Query) float64 {
 		return s.opt.QueryCost(q, sel)
 	}
@@ -1457,7 +1453,7 @@ func (s *selector) runMultiIndex() (*Result, error) {
 			}
 			s.prov = append(s.prov, p)
 		}
-		finishStep(sp, stepStart, &s.steps[len(s.steps)-1], s.workers, s.lastProv())
+		finishStep(sp, stepStart, &s.steps[len(s.steps)-1], s.lastProv())
 		s.opts.Progress.Update(len(s.steps), initial, curCost, curMem,
 			int64(s.totalEvaluated), 0, 0)
 	}
@@ -1467,7 +1463,6 @@ func (s *selector) runMultiIndex() (*Result, error) {
 		InitialCost: initial,
 		Cost:        curCost,
 		Memory:      curMem,
-		Workers:     1,
 		Evaluated:   s.totalEvaluated,
 		Provenance:  s.prov,
 		StopReason:  s.stopReason,

@@ -330,6 +330,20 @@ func TestReconfigDiscouragesChurn(t *testing.T) {
 	if len(charged.Selection) > len(free.Selection) {
 		t.Errorf("reconfig charge grew selection: %d > %d", len(charged.Selection), len(free.Selection))
 	}
+	// R couples every gain to the whole selection, so the uncached sweep
+	// decides each step: even a zero charge prunes nothing and serves
+	// nothing from cache.
+	zero, err := Select(w, whatif.New(m), Options{
+		Budget:   m.Budget(0.5),
+		Reconfig: func(workload.Selection) float64 { return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(zero.Steps) == 0 || zero.Pruned != 0 || zero.CacheServed != 0 {
+		t.Errorf("zero-charge Reconfig run: %d steps, %d pruned, %d cache-served; want the sweep",
+			len(zero.Steps), zero.Pruned, zero.CacheServed)
+	}
 	// With an absurd charge nothing should be worth building.
 	rcHuge := costmodel.Reconfig{CreatePerByte: 1e18}
 	opt3 := whatif.New(m)

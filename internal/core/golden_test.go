@@ -22,8 +22,7 @@ import (
 // ledger, and compares the lot against testdata. Any change in the heap's
 // pop order — which candidates get evaluated before the cut, which stay
 // pruned, which bucket sentinels are never opened — shows up here even when
-// the decided trace is unchanged. The same golden serves Parallelism 1 and
-// 2: the evaluated set is independent of the worker count. A change that
+// the decided trace is unchanged. A change that
 // alters the pop order on purpose rewrites testdata/lazy_golden_*.txt from
 // lazyGoldenTrace and says why.
 
@@ -54,16 +53,16 @@ func goldenCases(t *testing.T) []goldenCase {
 	}
 }
 
-// lazyGoldenTrace runs c at the given parallelism with Explain on and
-// renders every decision as one line of text.
-func lazyGoldenTrace(t *testing.T, c goldenCase, parallelism int) string {
+// lazyGoldenTrace runs c with Explain on and renders every decision as one
+// line of text.
+func lazyGoldenTrace(t *testing.T, c goldenCase) string {
 	t.Helper()
 	var depths []float64
 	lazyAuditHook = func(*selector) { depths = append(depths, mLazyHeapDepth.Value()) }
 	defer func() { lazyAuditHook = nil }()
 
 	opts := c.opts
-	opts.Parallelism, opts.Explain = parallelism, true
+	opts.Explain = true
 	m := costmodel.New(c.w, costmodel.SingleIndex)
 	res, err := Select(c.w, whatif.New(m), opts)
 	if err != nil {
@@ -118,21 +117,18 @@ func TestLazyAccountingGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantLines := strings.Split(string(want), "\n")
-		for _, p := range []int{1, 2} {
-			got := lazyGoldenTrace(t, c, p)
-			gotLines := strings.Split(got, "\n")
-			for i := 0; i < len(wantLines) || i < len(gotLines); i++ {
-				var w, g string
-				if i < len(wantLines) {
-					w = wantLines[i]
-				}
-				if i < len(gotLines) {
-					g = gotLines[i]
-				}
-				if w != g {
-					t.Errorf("%s/P%d: line %d differs from %s\n got: %s\nwant: %s", c.name, p, i+1, path, g, w)
-					break
-				}
+		gotLines := strings.Split(lazyGoldenTrace(t, c), "\n")
+		for i := 0; i < len(wantLines) || i < len(gotLines); i++ {
+			var w, g string
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if w != g {
+				t.Errorf("%s: line %d differs from %s\n got: %s\nwant: %s", c.name, i+1, path, g, w)
+				break
 			}
 		}
 	}

@@ -69,12 +69,12 @@
 // query's cost net-changed, governs new-index entries. An entry whose epoch
 // still matches is served from cache without re-evaluation.
 //
-// Determinism: both heaps are consumed serially with fixed tie-breaks
-// (sentinel before entry, then bucket index or push sequence), and stale
-// candidates are re-evaluated in constant-size batches (lazyBatchSize,
-// independent of the worker count) on the shared worker pool, so the set of
-// evaluated candidates — and with it the whole trace and the Step
-// accounting — is identical at every Parallelism. The stop rule is strict
+// Determinism: both heaps are consumed with fixed tie-breaks (sentinel
+// before entry, then bucket index or push sequence), and stale candidates
+// are re-evaluated in constant-size batches (lazyBatchSize) whose results are
+// reduced only once the whole batch is in, so the set of evaluated
+// candidates — and with it the whole trace and the Step accounting — is a
+// fixed function of the workload and options. The stop rule is strict
 // (top bound < threshold): candidates whose bound ties the winner are still
 // evaluated so tie-breaks match the sweep. Options.Approximate relaxes only
 // this cut to threshold*(1+eps), trading exactness of the step choice
@@ -91,10 +91,12 @@ import (
 	"repro/internal/workload"
 )
 
-// lazyBatchSize is the number of stale candidates re-evaluated per worker-pool
-// dispatch. A constant — never derived from the worker count — so the set of
-// candidates evaluated before the stop threshold is reached is identical at
-// every Parallelism.
+// lazyBatchSize is the number of stale candidates popped and re-evaluated
+// before their results are reduced and the stop threshold is re-checked. It
+// pins the per-step accounting (Step.Evaluated, Step.Pruned): a batch may
+// evaluate candidates a one-at-a-time loop would have pruned, and the
+// committed lazy golden (testdata/lazy_golden_erp.txt) records the counts
+// this size produces.
 const lazyBatchSize = 64
 
 // lazyBoundSlackRel scales each bucket's total freq-weighted base cost into
@@ -413,10 +415,10 @@ func (lz *lazyState) refreshAgg(b int) {
 func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, err error) {
 	lz := s.lazy
 
-	// Serial phase: refresh dirty bucket universes in ascending bucket order,
-	// so the IDs their interning assigns do not depend on the order in which
-	// mutations marked the buckets; then cover any freshly interned IDs
-	// before workers may touch the flat tables.
+	// Refresh dirty bucket universes in ascending bucket order, so the IDs
+	// their interning assigns do not depend on the order in which mutations
+	// marked the buckets; then cover any freshly interned IDs in the flat
+	// tables before evaluating.
 	slices.Sort(lz.dirty.members)
 	lz.dirty.drain(s.rebuildBucket)
 	s.ensure()
@@ -475,8 +477,9 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 			return err
 		}
 		if r := s.stop.Check(); r != fault.StopNone {
-			// Workers drained; results may be incomplete. Discard the step,
-			// leaving the entries' previous (still sound) state untouched.
+			// evalAll stopped early; results may be incomplete. Discard the
+			// step, leaving the entries' previous (still sound) state
+			// untouched.
 			s.stopReason = r
 			stopped = true
 			return nil

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -13,12 +12,10 @@ import (
 )
 
 // TestDifferentialLazyVsSweep is the lazy loop's exactness contract: on ERP
-// and TPC-C, across feature combinations and parallelism levels, the lazy
-// default must produce bit-identical step traces, frontiers, and candidate
-// universes versus the uncached sweep — while never evaluating more
-// candidates.
+// and TPC-C, across feature combinations, the lazy default must produce
+// bit-identical step traces, frontiers, and candidate universes versus the
+// uncached sweep — while never evaluating more candidates.
 func TestDifferentialLazyVsSweep(t *testing.T) {
-	parallelisms := []int{1, 4, runtime.NumCPU()}
 	features := []Options{
 		{},
 		{TrackSecondBest: true, DropUnused: true},
@@ -29,57 +26,55 @@ func TestDifferentialLazyVsSweep(t *testing.T) {
 		m := costmodel.New(w, costmodel.SingleIndex)
 		budget := m.Budget(0.5)
 		for fi, feat := range features {
-			for _, p := range parallelisms {
-				label := fmt.Sprintf("%s/feature%d/P%d", name, fi, p)
+			label := fmt.Sprintf("%s/feature%d", name, fi)
 
-				opts := feat
-				opts.Budget, opts.Parallelism = budget, p
-				want, err := selectSweep(w, whatif.New(m), opts)
-				if err != nil {
-					t.Fatalf("%s: sweep: %v", label, err)
-				}
-				got, err := Select(w, whatif.New(m), opts)
-				if err != nil {
-					t.Fatalf("%s: lazy: %v", label, err)
-				}
+			opts := feat
+			opts.Budget = budget
+			want, err := selectSweep(w, whatif.New(m), opts)
+			if err != nil {
+				t.Fatalf("%s: sweep: %v", label, err)
+			}
+			got, err := Select(w, whatif.New(m), opts)
+			if err != nil {
+				t.Fatalf("%s: lazy: %v", label, err)
+			}
 
-				traceEqual(t, label, want, got)
-				if want.StopReason != got.StopReason {
-					t.Errorf("%s: stop reason %v (sweep) vs %v (lazy)", label, want.StopReason, got.StopReason)
-				}
+			traceEqual(t, label, want, got)
+			if want.StopReason != got.StopReason {
+				t.Errorf("%s: stop reason %v (sweep) vs %v (lazy)", label, want.StopReason, got.StopReason)
+			}
 
-				wf, gf := want.Frontier(), got.Frontier()
-				if len(wf) != len(gf) {
-					t.Fatalf("%s: frontier lengths %d vs %d", label, len(wf), len(gf))
+			wf, gf := want.Frontier(), got.Frontier()
+			if len(wf) != len(gf) {
+				t.Fatalf("%s: frontier lengths %d vs %d", label, len(wf), len(gf))
+			}
+			for i := range wf {
+				if wf[i] != gf[i] {
+					t.Errorf("%s: frontier[%d] %+v vs %+v", label, i, wf[i], gf[i])
 				}
-				for i := range wf {
-					if wf[i] != gf[i] {
-						t.Errorf("%s: frontier[%d] %+v vs %+v", label, i, wf[i], gf[i])
-					}
-				}
+			}
 
-				// Same candidate universe per step (the lazy bucket stores must
-				// enumerate exactly what the sweep enumerates), and the bounds
-				// must only ever save work, never add it.
-				for i := range got.Steps {
-					ws, gs := want.Steps[i], got.Steps[i]
-					if ws.Candidates != gs.Candidates {
-						t.Errorf("%s: step %d candidates %d (sweep) vs %d (lazy)",
-							label, i, ws.Candidates, gs.Candidates)
-					}
-					if gs.Candidates != gs.Evaluated+gs.CacheServed+gs.Pruned {
-						t.Errorf("%s: step %d lazy accounting %d != %d+%d+%d",
-							label, i, gs.Candidates, gs.Evaluated, gs.CacheServed, gs.Pruned)
-					}
-					if ws.Pruned != 0 || ws.CacheServed != 0 || ws.Evaluated != ws.Candidates {
-						t.Errorf("%s: step %d sweep accounting %d/%d/%d of %d, want every candidate evaluated",
-							label, i, ws.Evaluated, ws.CacheServed, ws.Pruned, ws.Candidates)
-					}
+			// Same candidate universe per step (the lazy bucket stores must
+			// enumerate exactly what the sweep enumerates), and the bounds
+			// must only ever save work, never add it.
+			for i := range got.Steps {
+				ws, gs := want.Steps[i], got.Steps[i]
+				if ws.Candidates != gs.Candidates {
+					t.Errorf("%s: step %d candidates %d (sweep) vs %d (lazy)",
+						label, i, ws.Candidates, gs.Candidates)
 				}
-				if got.Evaluated > want.Evaluated {
-					t.Errorf("%s: lazy evaluated %d candidates, sweep only %d",
-						label, got.Evaluated, want.Evaluated)
+				if gs.Candidates != gs.Evaluated+gs.CacheServed+gs.Pruned {
+					t.Errorf("%s: step %d lazy accounting %d != %d+%d+%d",
+						label, i, gs.Candidates, gs.Evaluated, gs.CacheServed, gs.Pruned)
 				}
+				if ws.Pruned != 0 || ws.CacheServed != 0 || ws.Evaluated != ws.Candidates {
+					t.Errorf("%s: step %d sweep accounting %d/%d/%d of %d, want every candidate evaluated",
+						label, i, ws.Evaluated, ws.CacheServed, ws.Pruned, ws.Candidates)
+				}
+			}
+			if got.Evaluated > want.Evaluated {
+				t.Errorf("%s: lazy evaluated %d candidates, sweep only %d",
+					label, got.Evaluated, want.Evaluated)
 			}
 		}
 	}
@@ -98,7 +93,7 @@ func TestLazyEvaluatesAtMostSweepERP(t *testing.T) {
 	cfg.TotalExecutions = 1_000_000
 	w := workload.MustGenerateERP(cfg)
 	m := costmodel.New(w, costmodel.SingleIndex)
-	opts := Options{Budget: m.Budget(0.5), Parallelism: 4}
+	opts := Options{Budget: m.Budget(0.5)}
 
 	sweep, err := selectSweep(w, whatif.New(m), opts)
 	if err != nil {
@@ -147,7 +142,7 @@ func invariantRuns(t *testing.T, check func(label string, s *selector)) {
 	for _, c := range cases {
 		m := costmodel.New(c.w, costmodel.SingleIndex)
 		opts := c.opts
-		opts.Budget, opts.Parallelism = m.Budget(0.6), 2
+		opts.Budget = m.Budget(0.6)
 		decisions := 0
 		lazyAuditHook = func(s *selector) {
 			decisions++
@@ -298,7 +293,7 @@ func TestLazyBoundsDominateFreshGains(t *testing.T) {
 				}
 			})
 			opts := sh.feat
-			opts.Budget, opts.Parallelism = m.Budget(0.5), 2
+			opts.Budget = m.Budget(0.5)
 			_, err := Select(w, whatif.New(m), opts)
 			lazyAuditHook = nil
 			if err != nil {
@@ -312,7 +307,7 @@ func TestLazyBoundsDominateFreshGains(t *testing.T) {
 }
 
 // TestLazyApproximateTier pins the Options.Approximate contract: runs stay
-// deterministic across parallelism, never evaluate more than exact mode, echo
+// deterministic across repeated runs, never evaluate more than exact mode, echo
 // the eps in the result, and the first step's ratio — decided from the same
 // initial state as exact mode — is within the documented (1+eps) factor.
 func TestLazyApproximateTier(t *testing.T) {
@@ -321,20 +316,20 @@ func TestLazyApproximateTier(t *testing.T) {
 	budget := m.Budget(0.5)
 	const eps = 0.2
 
-	exact, err := Select(w, whatif.New(m), Options{Budget: budget, Parallelism: 4})
+	exact, err := Select(w, whatif.New(m), Options{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx := func(p int) *Result {
+	approx := func() *Result {
 		t.Helper()
-		r, err := Select(w, whatif.New(m), Options{Budget: budget, Parallelism: p, Approximate: eps})
+		r, err := Select(w, whatif.New(m), Options{Budget: budget, Approximate: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	a1, a4 := approx(1), approx(4)
-	traceEqual(t, "approx P1 vs P4", a1, a4)
+	a1, a4 := approx(), approx()
+	traceEqual(t, "approx run 1 vs run 2", a1, a4)
 
 	if a4.Approximate != eps {
 		t.Errorf("Result.Approximate = %v, want %v", a4.Approximate, eps)
@@ -359,51 +354,13 @@ func TestLazyApproximateTier(t *testing.T) {
 	}
 
 	// The sweep ignores the knob entirely.
-	sweep, err := selectSweep(w, whatif.New(m), Options{Budget: budget, Parallelism: 4, Approximate: eps})
+	sweep, err := selectSweep(w, whatif.New(m), Options{Budget: budget, Approximate: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	traceEqual(t, "sweep ignores Approximate", exact, sweep)
 	if sweep.Approximate != 0 {
 		t.Errorf("sweep run echoes Approximate = %v", sweep.Approximate)
-	}
-}
-
-// TestLazyAccountingDeterministicAcrossParallelism: the evaluated set — not
-// just the decided trace — must be identical at every worker count, or the
-// "deterministic batches" claim is hollow and Step accounting becomes flaky.
-func TestLazyAccountingDeterministicAcrossParallelism(t *testing.T) {
-	w := gen(t, 4, 12, 50, 100_000, 17)
-	m, _ := setup(w)
-	budget := m.Budget(0.5)
-	run := func(p int) *Result {
-		t.Helper()
-		r, err := Select(w, whatif.New(m), Options{
-			Budget: budget, Parallelism: p, TrackSecondBest: true, DropUnused: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	base := run(1)
-	for _, p := range []int{2, 4, 7} {
-		got := run(p)
-		traceEqual(t, fmt.Sprintf("P%d", p), base, got)
-		if len(base.Steps) != len(got.Steps) {
-			t.Fatal("step counts diverged")
-		}
-		for i := range base.Steps {
-			b, g := base.Steps[i], got.Steps[i]
-			if b.Evaluated != g.Evaluated || b.CacheServed != g.CacheServed || b.Pruned != g.Pruned {
-				t.Errorf("P%d step %d accounting (%d,%d,%d) vs serial (%d,%d,%d)",
-					p, i, g.Evaluated, g.CacheServed, g.Pruned, b.Evaluated, b.CacheServed, b.Pruned)
-			}
-		}
-		if base.Evaluated != got.Evaluated || base.Pruned != got.Pruned {
-			t.Errorf("P%d run totals (%d,%d) vs serial (%d,%d)",
-				p, got.Evaluated, got.Pruned, base.Evaluated, base.Pruned)
-		}
 	}
 }
 

@@ -3,15 +3,13 @@
 // oracle for the interned selector in core.go. selectReference runs it over
 // the string-keyed whatiftest cache; the differential tests assert that both
 // stacks produce bit-identical step traces, frontiers, and what-if call
-// counts at every Parallelism setting. This file intentionally mirrors the
+// counts. This file intentionally mirrors the
 // old structure — do not "optimize" it, its value is being the unchanged
 // baseline.
 package core
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -44,11 +42,10 @@ type refSelector struct {
 	recon float64          // R(I) under opts.Reconfig (0 if nil)
 
 	writeQs   []int
-	maintCost *shardedCache[float64]
-	candCost  *shardedCache[[]float64]
+	maintCost map[string]float64
+	candCost  map[string][]float64
 
-	workers int
-	gains   map[int]map[refGainKey]refGainEntry
+	gains map[int]map[refGainKey]refGainEntry
 
 	singleAllowed map[int]bool
 	pairs         [][2]int
@@ -82,10 +79,9 @@ func newRefSelector(w *workload.Workload, opt *whatiftest.Reference, opts Option
 		opts:     opts,
 		sel:      workload.NewSelection(),
 		size:     make(map[string]int64),
-		candCost: newShardedCache[[]float64](),
+		candCost: make(map[string][]float64),
 	}
 	s.stop = fault.NewStopper(opts.Context, opts.Deadline)
-	s.workers = resolveWorkers(opts)
 	if opts.Reconfig == nil {
 		s.gains = make(map[int]map[refGainKey]refGainEntry)
 	}
@@ -101,7 +97,7 @@ func newRefSelector(w *workload.Workload, opt *whatiftest.Reference, opts Option
 			s.queriesWith[a] = append(s.queriesWith[a], q.ID)
 		}
 	}
-	s.maintCost = newShardedCache[float64]()
+	s.maintCost = make(map[string]float64)
 	s.base = make([]float64, w.NumQueries())
 	s.cost = make([]float64, w.NumQueries())
 	s.served = make([]map[string]float64, w.NumQueries())
@@ -119,7 +115,7 @@ func newRefSelector(w *workload.Workload, opt *whatiftest.Reference, opts Option
 
 func (s *refSelector) costsFor(k workload.Index) []float64 {
 	key := k.Key()
-	if c, ok := s.candCost.get(key); ok {
+	if c, ok := s.candCost[key]; ok {
 		return c
 	}
 	qs := s.queriesWith[k.Leading()]
@@ -127,13 +123,13 @@ func (s *refSelector) costsFor(k workload.Index) []float64 {
 	for i, qid := range qs {
 		c[i] = s.opt.CostWithIndex(s.w.Queries[qid], k)
 	}
-	s.candCost.put(key, c)
+	s.candCost[key] = c
 	return c
 }
 
 func (s *refSelector) extCostsFor(base, ext workload.Index) []float64 {
 	key := ext.Key()
-	if c, ok := s.candCost.get(key); ok {
+	if c, ok := s.candCost[key]; ok {
 		return c
 	}
 	if s.opts.ExactEvaluation {
@@ -150,13 +146,13 @@ func (s *refSelector) extCostsFor(base, ext workload.Index) []float64 {
 			c[i] = s.opt.CostWithIndex(q, ext)
 		}
 	}
-	s.candCost.put(key, c)
+	s.candCost[key] = c
 	return c
 }
 
 func (s *refSelector) maintFor(k workload.Index) float64 {
 	key := k.Key()
-	if c, ok := s.maintCost.get(key); ok {
+	if c, ok := s.maintCost[key]; ok {
 		return c
 	}
 	var cost float64
@@ -164,7 +160,7 @@ func (s *refSelector) maintFor(k workload.Index) float64 {
 		q := s.w.Queries[qid]
 		cost += float64(q.Freq) * s.opt.MaintenanceCost(q, k)
 	}
-	s.maintCost.put(key, cost)
+	s.maintCost[key] = cost
 	return cost
 }
 
@@ -374,60 +370,18 @@ func (s *refSelector) collect() (best, second refCandidate, haveSecond, ok bool,
 }
 
 // evalPending mirrors selector.evalAll for the reference types, including
-// the stop-drain and panic-recovery behavior.
+// the stop and panic-recovery behavior.
 func (s *refSelector) evalPending(tasks []refEvalTask, results []refGainEntry, pending []int) (err error) {
-	workers := s.workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers <= 1 {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fault.AsPanicError("core.evalCandidate", r)
-			}
-		}()
-		for n, i := range pending {
-			if n%stopCheckStride == 0 && s.stop.Check() != fault.StopNone {
-				return nil
-			}
-			results[i].c, results[i].ok = s.evalCandidate(tasks[i])
+	defer func() {
+		if r := recover(); r != nil {
+			err = fault.AsPanicError("core.evalCandidate", r)
 		}
-		return nil
-	}
-	var panicErr atomic.Pointer[fault.WorkerPanicError]
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if panicErr.Load() != nil || s.stop.Stopped() {
-					return
-				}
-				j := int(next.Add(1)) - 1
-				if j >= len(pending) {
-					return
-				}
-				if j%stopCheckStride == 0 && s.stop.Check() != fault.StopNone {
-					return
-				}
-				i := pending[j]
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							pe := fault.AsPanicError("core.evalCandidate", r)
-							panicErr.CompareAndSwap(nil, pe)
-						}
-					}()
-					results[i].c, results[i].ok = s.evalCandidate(tasks[i])
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if pe := panicErr.Load(); pe != nil {
-		return pe
+	}()
+	for n, i := range pending {
+		if n%stopCheckStride == 0 && s.stop.Check() != fault.StopNone {
+			return nil
+		}
+		results[i].c, results[i].ok = s.evalCandidate(tasks[i])
 	}
 	return nil
 }
@@ -688,7 +642,7 @@ func (s *refSelector) run() (*Result, error) {
 			break // collect set stopReason
 		}
 		s.apply(best, second, haveSecond)
-		finishStep(sp, stepStart, &s.steps[len(s.steps)-1], s.workers, nil)
+		finishStep(sp, stepStart, &s.steps[len(s.steps)-1], nil)
 		if s.opts.DropUnused {
 			s.dropUnused()
 		}
@@ -699,7 +653,6 @@ func (s *refSelector) run() (*Result, error) {
 		InitialCost: initial,
 		Cost:        s.total(),
 		Memory:      s.mem,
-		Workers:     s.workers,
 		Evaluated:   s.totalEvaluated,
 		CacheServed: s.totalCached,
 		StopReason:  s.stopReason,
@@ -707,51 +660,4 @@ func (s *refSelector) run() (*Result, error) {
 	}
 	logRun(res)
 	return res, nil
-}
-
-// cacheShards is the shard count of the string-keyed caches. 32 keeps lock
-// contention negligible at any realistic GOMAXPROCS while staying cheap for
-// the serial path (one uncontended RWMutex acquisition per lookup).
-const cacheShards = 32
-
-// shardedCache is a string-keyed map sharded by FNV-1a hash. Values must be
-// deterministic functions of their key: concurrent fills of the same key may
-// both compute, and either result must be interchangeable.
-type shardedCache[V any] struct {
-	shards [cacheShards]struct {
-		mu sync.RWMutex
-		m  map[string]V
-	}
-}
-
-func newShardedCache[V any]() *shardedCache[V] {
-	c := &shardedCache[V]{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]V)
-	}
-	return c
-}
-
-func shardOf(key string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h % cacheShards
-}
-
-func (c *shardedCache[V]) get(key string) (V, bool) {
-	sh := &c.shards[shardOf(key)]
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	return v, ok
-}
-
-func (c *shardedCache[V]) put(key string, v V) {
-	sh := &c.shards[shardOf(key)]
-	sh.mu.Lock()
-	sh.m[key] = v
-	sh.mu.Unlock()
 }

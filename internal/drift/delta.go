@@ -28,12 +28,10 @@ type PlanOptions struct {
 	// ReconfigPerByte, when > 0, charges the selection strategies a
 	// reconfiguration cost of ReconfigPerByte per byte of index created
 	// relative to the deployed set, biasing the search toward low-churn
-	// deltas. It forces serial non-incremental evaluation (see
+	// deltas. It forces the uncached sweep instead of the lazy loop (see
 	// core.Options.Reconfig), so leave it 0 when planning latency matters
 	// more than churn.
 	ReconfigPerByte float64
-	// Parallelism is passed through to the selection strategies.
-	Parallelism int
 	// MaxSteps bounds construction steps; 0 means unlimited.
 	MaxSteps int
 	// Approximate enables the lazy loop's bounded-deviation cut.
@@ -123,7 +121,6 @@ func PlanDelta(ctx context.Context, w *workload.Workload, opt *whatif.Optimizer,
 	copts := core.Options{
 		Budget:      o.Budget,
 		MaxSteps:    o.MaxSteps,
-		Parallelism: o.Parallelism,
 		Approximate: o.Approximate,
 		Context:     ctx,
 	}

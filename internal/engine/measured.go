@@ -37,9 +37,9 @@ var (
 //
 // MeasuredSource is safe for concurrent use: the column data is immutable
 // after New, executors keep per-run state only, and index builds are
-// deduplicated under an internal lock. Note that with UseWallTime a parallel
-// advisor run (core.Options.Parallelism > 1) measures queries under CPU
-// contention from sibling workers; the bytes metric is unaffected.
+// deduplicated under an internal lock. Note that with UseWallTime a fleet run
+// with several workers (FleetOptions.Workers > 1) measures queries under CPU
+// contention from sibling tenants; the bytes metric is unaffected.
 type MeasuredSource struct {
 	db *DB
 	// Repeats is how often each (query, index) execution is repeated when

@@ -3,6 +3,7 @@ package faultinject_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func runners() []runner {
 	rs := []runner{
 		{"extend", func(ctx context.Context, w *workload.Workload, opt *whatif.Optimizer,
 			_ []workload.Index, budget int64) (*outcome, error) {
-			res, err := core.Select(w, opt, core.Options{Budget: budget, Parallelism: 4, Context: ctx})
+			res, err := core.Select(w, opt, core.Options{Budget: budget, Context: ctx})
 			if err != nil {
 				return nil, err
 			}
@@ -158,42 +159,50 @@ func TestChaosLatency(t *testing.T) {
 // TestChaosPanics: a cost source that panics (or panics with an error) on the
 // Nth call must surface as a *fault.WorkerPanicError from the strategy entry
 // point — never crash the process or hang sibling workers — or, if the run
-// needs fewer calls than N, complete normally.
+// needs fewer calls than N, complete normally. Call 25 strikes while the
+// strategies price the empty selection; call 200 strikes Extend inside its
+// candidate evaluation loop, whose own recover must name it.
 func TestChaosPanics(t *testing.T) {
 	w, cands, budget := chaosWorkload(t)
 	for _, class := range []faultinject.Class{faultinject.Panic, faultinject.Error} {
-		for _, r := range runners() {
-			src := &faultinject.Source{
-				Src:   costmodel.New(w, costmodel.SingleIndex),
-				Class: class, OnCall: 25,
-			}
-			o, err := r.run(context.Background(), w, whatif.New(src), cands, budget)
-			label := r.name + "/" + class.String()
-			if err == nil {
-				if src.Calls() >= 25 {
-					t.Errorf("%s: fault call was served but no error surfaced", label)
+		for _, onCall := range []int64{25, 200} {
+			for _, r := range runners() {
+				src := &faultinject.Source{
+					Src:   costmodel.New(w, costmodel.SingleIndex),
+					Class: class, OnCall: onCall,
 				}
-				checkFeasible(t, label, o, w, budget)
-				continue
-			}
-			var pe *fault.WorkerPanicError
-			if !errors.As(err, &pe) {
-				t.Errorf("%s: error is %T (%v), want *fault.WorkerPanicError", label, err, err)
-				continue
-			}
-			if len(pe.Stack) == 0 {
-				t.Errorf("%s: panic error carries no stack", label)
-			}
-			if class == faultinject.Error && pe.Unwrap() == nil {
-				t.Errorf("%s: panic-with-error payload not unwrappable", label)
+				o, err := r.run(context.Background(), w, whatif.New(src), cands, budget)
+				label := fmt.Sprintf("%s/%s/call%d", r.name, class, onCall)
+				if err == nil {
+					if src.Calls() >= onCall {
+						t.Errorf("%s: fault call was served but no error surfaced", label)
+					}
+					checkFeasible(t, label, o, w, budget)
+					continue
+				}
+				var pe *fault.WorkerPanicError
+				if !errors.As(err, &pe) {
+					t.Errorf("%s: error is %T (%v), want *fault.WorkerPanicError", label, err, err)
+					continue
+				}
+				if len(pe.Stack) == 0 {
+					t.Errorf("%s: panic error carries no stack", label)
+				}
+				if class == faultinject.Error && pe.Unwrap() == nil {
+					t.Errorf("%s: panic-with-error payload not unwrappable", label)
+				}
+				if r.name == "extend" && onCall == 200 && pe.Op != "core.evalCandidate" {
+					t.Errorf("%s: panic recovered by %s, want the evaluation loop (core.evalCandidate)", label, pe.Op)
+				}
 			}
 		}
 	}
 }
 
 // TestChaosReplayDeterminism: value faults are keyed by (seed, query, index)
-// hashes, not call order, so two runs with the same seed — even with parallel
-// candidate evaluation — must produce bit-identical selections and costs.
+// hashes, not call order, so two runs with the same seed — even with
+// CoPhy's parallel node solves — must produce bit-identical selections and
+// costs.
 func TestChaosReplayDeterminism(t *testing.T) {
 	w, cands, budget := chaosWorkload(t)
 	for _, r := range runners() {

@@ -8,8 +8,9 @@
 //
 // Value and latency faults select their victim (query, index) pairs by
 // hashing (Seed, query ID, index key), NOT by call count, so the same pairs
-// are poisoned no matter how many goroutines evaluate candidates or in which
-// order — replaying a seeded run is bit-identical even at Parallelism N.
+// are poisoned no matter how many goroutines call the source (fleet tenants
+// sharing one cache) or in which order — replaying a seeded run is
+// bit-identical.
 // Panic and error faults are the exception: they trip on the Nth call
 // (atomic counter), modeling a crash that strikes mid-run at an arbitrary
 // point.

@@ -49,11 +49,9 @@ func benchCoPhyModel(queries, cands, perQuery int) *Model {
 	return m
 }
 
-// benchMIPNodes runs one solver over the shared instance and reports
-// branch-and-bound node throughput, the headline metric BENCH_lp.json tracks
-// across PRs (sparse warm-started B&B vs the retained dense cold-start seed).
-func benchMIPNodes(b *testing.B, solve func(*Model) (*MIPResult, error)) {
-	m := benchCoPhyModel(30, 20, 8)
+// benchMIPNodes runs one solver over m and reports branch-and-bound node
+// throughput, the headline metric BENCH_lp.json tracks across PRs.
+func benchMIPNodes(b *testing.B, m *Model, solve func(*Model) (*MIPResult, error)) {
 	b.ResetTimer()
 	nodes := 0
 	start := time.Now()
@@ -71,14 +69,34 @@ func benchMIPNodes(b *testing.B, solve func(*Model) (*MIPResult, error)) {
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 }
 
+// BenchmarkMIPSparse is the sparse warm-started branch and bound with one
+// node-solve worker (P1) and with GOMAXPROCS workers (PMax), on an 85-node
+// instance (30 queries x 20 candidates) and a 223-node one (120 x 60). Run
+// at -cpu 1,2 (`make bench-lp`), the PMax-vs-P1 pair at 2 procs is the
+// evidence that the node pool pays.
 func BenchmarkMIPSparse(b *testing.B) {
-	benchMIPNodes(b, func(m *Model) (*MIPResult, error) {
-		return SolveMIP(m, MIPOptions{Parallelism: 1})
-	})
+	for _, inst := range []struct {
+		name                     string
+		queries, cands, perQuery int
+	}{{"q30_c20", 30, 20, 8}, {"q120_c60", 120, 60, 10}} {
+		m := benchCoPhyModel(inst.queries, inst.cands, inst.perQuery)
+		for _, arm := range []struct {
+			name        string
+			parallelism int
+		}{{"P1", 1}, {"PMax", 0}} {
+			b.Run(inst.name+"/"+arm.name, func(b *testing.B) {
+				benchMIPNodes(b, m, func(m *Model) (*MIPResult, error) {
+					return SolveMIP(m, MIPOptions{Parallelism: arm.parallelism})
+				})
+			})
+		}
+	}
 }
 
+// BenchmarkMIPDense is the retained dense cold-start seed solver on the
+// small instance.
 func BenchmarkMIPDense(b *testing.B) {
-	benchMIPNodes(b, func(m *Model) (*MIPResult, error) {
+	benchMIPNodes(b, benchCoPhyModel(30, 20, 8), func(m *Model) (*MIPResult, error) {
 		return denseSolveMIP(m, MIPOptions{})
 	})
 }

@@ -489,7 +489,11 @@ search:
 			})
 			nextID += 2
 		}
-		bsp.SetFloat("bound", res.Bound)
+		if !math.IsInf(res.Bound, -1) {
+			// No bound is proven before the root LP solves, and JSON has no
+			// -Inf: the first batch's span omits the attribute.
+			bsp.SetFloat("bound", res.Bound)
+		}
 		bsp.SetInt("open", int64(open.Len()))
 		bsp.End()
 	}

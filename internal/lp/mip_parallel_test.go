@@ -2,6 +2,7 @@ package lp
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -53,20 +54,23 @@ type mipRun struct {
 
 func runMIP(t *testing.T, m *Model, parallelism int) mipRun {
 	t.Helper()
-	tr := telemetry.NewTracer(4096, nil)
+	tr := telemetry.NewTracer(4096, io.Discard)
 	root := tr.Start("test")
 	res, err := SolveMIP(m, MIPOptions{Parallelism: parallelism, Span: root})
 	if err != nil {
 		t.Fatal(err)
 	}
 	root.End()
+	if err := tr.Err(); err != nil {
+		t.Fatalf("journal write: %v", err)
+	}
 	return mipRun{res: res, trace: tr.Snapshot()}
 }
 
-// TestMIPDeterminismAcrossParallelism is the bit-identical guarantee
-// (mirroring core's parallel evaluator): incumbent, bound, node counts,
-// every solver statistic, and the journal trace must be identical at
-// parallelism 1, 4, and GOMAXPROCS across seeds.
+// TestMIPDeterminismAcrossParallelism is the node pool's bit-identical
+// guarantee: incumbent, bound, node counts, every solver statistic, and the
+// journal trace must be identical at parallelism 1, 4, and GOMAXPROCS
+// across seeds.
 func TestMIPDeterminismAcrossParallelism(t *testing.T) {
 	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for seed := int64(1); seed <= 8; seed++ {

@@ -63,7 +63,9 @@ type Config struct {
 	Clock func() time.Time
 	// Seed seeds the backoff jitter.
 	Seed int64
-	// Parallelism is passed to the selection strategies.
+	// Deprecated: ignored. Retunes run Extend, which is serial; the field
+	// stays only because the end-to-end benchmark (bench/e2e/daemon.go)
+	// still sets it.
 	Parallelism int
 	// ApplyHook, if non-nil, is passed to Store.ApplyDelta (chaos/test
 	// crash injection between state ops).
@@ -312,7 +314,6 @@ func (d *Daemon) maybeRetune() {
 		Epsilon:         d.cfg.Epsilon,
 		HeavyK:          d.cfg.HeavyK,
 		ReconfigPerByte: d.cfg.ReconfigPerByte,
-		Parallelism:     d.cfg.Parallelism,
 	})
 	cancel()
 	if err != nil {
