@@ -9,9 +9,12 @@
 # applicability checks, selection clones; flat interned tables vs the
 # string-keyed whatiftest oracle) as results/BENCH_whatif.json and fails if
 # the flat cached probe allocates; `make bench-candidates` records candidate
-# enumeration on the SQL-log write workload (Combos + Select for the H5 and
-# CoPhy candidate sets) as results/BENCH_candidates.json and fails if an
-# allocation per combination comes back; `make bench-engine` records engine
+# enumeration on the SQL-log write workload (Enumerate + the record-ranked
+# Select for the H5 and CoPhy candidate sets) as results/BENCH_candidates.json
+# and fails if an allocation per chosen combination comes back; `make
+# bench-heuristics` records H5 and H4-skyline over the H5 candidate set as
+# results/BENCH_heuristics.json and fails if an allocation per candidate
+# comes back; `make bench-engine` records engine
 # index builds over key widths and table sizes as results/BENCH_engine.json
 # and fails if a build allocates more than its output. All are committed so perf
 # trajectories are tracked across changes. `make oracle-guard` fails if a
@@ -29,11 +32,22 @@ BENCH_WHATIF_GUARDS := \
 	-max-allocs 'BenchmarkWhatifCachedProbe_Flat=0' \
 	-max-allocs 'BenchmarkSelectionClone_IDSet=1'
 BENCH_CANDIDATES_PATTERN := ^BenchmarkCandidateSet$$
-# One candidate set expands to about 319 000 combinations; any allocation per
-# combination breaks this ceiling.
+# One candidate set merges about 340 000 subset records into 319 000
+# combinations and materializes at most 11 550 chosen ones, all Attrs from
+# one slab: 57 (H5) and 48 (CoPhy) allocs/op measured. The ceiling of 100
+# leaves about 45 for slice growth and fails on any allocation per chosen
+# combination, let alone per record.
 BENCH_CANDIDATES_GUARDS := \
-	-max-allocs 'BenchmarkCandidateSet/H5_15000=100000' \
-	-max-allocs 'BenchmarkCandidateSet/CoPhy_500=100000'
+	-max-allocs 'BenchmarkCandidateSet/H5_15000=100' \
+	-max-allocs 'BenchmarkCandidateSet/CoPhy_500=100'
+BENCH_HEURISTICS_PATTERN := ^BenchmarkH5$$
+# H5 and H4-skyline over 11 550 H1-M candidates on a fresh optimizer: about
+# 158 000 and 162 000 allocs/op measured, nearly all inside the Appendix-B
+# cost model and the what-if cache. A ceiling 10 000 above each fails on any
+# allocation per candidate (11 550) or per probe.
+BENCH_HEURISTICS_GUARDS := \
+	-max-allocs 'BenchmarkH5/H5=168000' \
+	-max-allocs 'BenchmarkH5/H4_skyline=172000'
 BENCH_ENGINE_PATTERN := ^BenchmarkEngineIndexBuild$$
 # A build allocates its output permutation and the index header; the pass
 # buffer and bucket counts are pooled. The ceiling of 3 leaves one spare
@@ -41,7 +55,7 @@ BENCH_ENGINE_PATTERN := ^BenchmarkEngineIndexBuild$$
 BENCH_ENGINE_GUARDS := $(foreach arm,w1_rows5000 w2_rows5000 w4_rows5000 \
 	w1_rows100000 w2_rows100000 w4_rows100000,-max-allocs 'BenchmarkEngineIndexBuild/$(arm)=3')
 
-.PHONY: build test race oracle-guard bench-core bench-lp bench-whatif bench-candidates bench-engine bench-fleet bench-compare
+.PHONY: build test race oracle-guard bench-core bench-lp bench-whatif bench-candidates bench-heuristics bench-engine bench-fleet bench-compare
 
 build:
 	$(GO) build ./...
@@ -53,10 +67,11 @@ race:
 	$(GO) test -race ./internal/core ./internal/whatif ./internal/engine ./internal/lp
 
 # The differential oracles (the string-keyed reference selector and what-if
-# cache, the dense LP, the map-and-sort candidate enumeration, the
-# comparison-sort index build) and the noisy cost-source double live in test
-# code only: no shipped command or example may link them.
-ORACLE_SYMBOLS := refSelector|refTables|denseSolve|NoisySource|combosReference|selectReference|buildIndexSorted
+# cache, the dense LP, the map-and-sort candidate enumeration and selection,
+# the by-value H4/H5 scoring path, the comparison-sort index build) and the
+# noisy cost-source double live in test code only: no shipped command or
+# example may link them.
+ORACLE_SYMBOLS := refSelector|refTables|denseSolve|NoisySource|combosReference|selectReference|benefitReference|buildIndexSorted
 ORACLE_PKG := repro/internal/whatif/whatiftest
 
 oracle-guard:
@@ -89,6 +104,12 @@ bench-candidates:
 		-count $(BENCH_COUNT) -timeout 30m ./internal/candidates \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson $(BENCH_CANDIDATES_GUARDS) \
 		> results/BENCH_candidates.json
+
+bench-heuristics:
+	$(GO) test -run '^$$' -bench '$(BENCH_HEURISTICS_PATTERN)' -benchmem \
+		-count $(BENCH_COUNT) -timeout 30m ./internal/heuristics \
+		| tee /dev/stderr | $(GO) run ./cmd/benchjson $(BENCH_HEURISTICS_GUARDS) \
+		> results/BENCH_heuristics.json
 
 bench-engine:
 	$(GO) test -run '^$$' -bench '$(BENCH_ENGINE_PATTERN)' -benchmem \

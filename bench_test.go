@@ -105,11 +105,11 @@ func BenchmarkCoPhySolve(b *testing.B) {
 	w := benchWorkload(b, 100)
 	m := costmodel.New(w, costmodel.SingleIndex)
 	opt := whatif.New(m)
-	combos, err := candidates.Combos(w, 4)
+	set, err := candidates.Enumerate(w, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cands, err := candidates.Select(w, combos, candidates.H1M, 200, 4)
+	cands, err := set.Select(candidates.H1M, 200)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 // what-if optimizer per cluster is an exact read-through (template, index)
 // cost cache: the first tenant's misses are its cluster-mates' hits, and
 // every tenant's selection is bit-identical to what it would compute alone.
-// The candidate subset enumeration (candidates.Combos) is likewise
+// The candidate subset enumeration (candidates.Enumerate) is likewise
 // structural and shared per cluster; the representative ordering, which
 // weighs per-tenant frequencies, stays per-tenant. Tenants with a custom
 // Source share only when they name the same Source value; MultiIndexCosts
@@ -461,10 +461,10 @@ func prepareFleet(tenants []FleetTenant, strategy Strategy, opts FleetOptions) (
 		// near-match the members' template sets differ, so enumeration stays
 		// per-tenant (the advisor's default path) — likewise bit-identical
 		// to standalone, just not shared.
-		var combos []candidates.Combo
+		var set *candidates.Set
 		if strategy != StrategyExtend && g.superset == nil {
 			var err error
-			combos, err = candidates.Combos(rep.Workload, 4)
+			set, err = candidates.Enumerate(rep.Workload, 4)
 			if err != nil {
 				return nil, 0, nil, fmt.Errorf("indexsel: fleet candidate enumeration (tenant %q): %w", rep.ID, err)
 			}
@@ -486,8 +486,8 @@ func prepareFleet(tenants []FleetTenant, strategy Strategy, opts FleetOptions) (
 			if ms, ok := t.Source.(*MeasuredSource); ok && ms == repMeasured {
 				advOpts = append(advOpts, WithMeasuredSource(ms))
 			}
-			if combos != nil {
-				advOpts = append(advOpts, WithCandidates(candidates.Representatives(t.Workload, combos)))
+			if set != nil {
+				advOpts = append(advOpts, WithCandidates(set.Representatives(t.Workload)))
 			}
 			ad := NewAdvisor(t.Workload, advOpts...)
 			// Swap in the cluster's shared cache (it wraps this tenant's own

@@ -153,11 +153,11 @@ const (
 // the N=100, Q=100 end-to-end workload); AllPermutationCandidates expands
 // every ordering instead.
 func AllCandidates(w *Workload, maxWidth int) ([]Index, error) {
-	combos, err := candidates.Combos(w, maxWidth)
+	set, err := candidates.Enumerate(w, maxWidth)
 	if err != nil {
 		return nil, err
 	}
-	return candidates.Representatives(w, combos), nil
+	return set.Representatives(w), nil
 }
 
 // AllPermutationCandidates expands every ordering of every co-occurring
@@ -174,11 +174,11 @@ func AllPermutationCandidates(w *Workload, maxWidth int) ([]Index, error) {
 // CandidateSet applies a candidate heuristic to derive about total
 // candidates (split evenly over widths 1..maxWidth).
 func CandidateSet(w *Workload, h CandidateHeuristic, total, maxWidth int) ([]Index, error) {
-	combos, err := candidates.Combos(w, maxWidth)
+	set, err := candidates.Enumerate(w, maxWidth)
 	if err != nil {
 		return nil, err
 	}
-	return candidates.Select(w, combos, h, total, maxWidth)
+	return set.Select(h, total)
 }
 
 // CostMode selects how many indexes one query may combine in the analytic

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/workload"
@@ -32,28 +33,25 @@ type Combo struct {
 	Selectivity float64
 }
 
-// Packed combination keys. Within one table, a width-m combination whose
-// attributes have ranks r_0 < ... < r_{m-1} among the table's accessed
-// attribute IDs (ascending) packs into one uint64 as
+// Packed combination keys. Within a table whose queries access n distinct
+// attributes, a rank field is b = ⌈log₂ n⌉ bits wide, and a width-m
+// combination whose attributes have ranks r_0 < ... < r_{m-1} among the
+// table's accessed attribute IDs (ascending) packs into one uint64 as
 //
-//	m<<60 | r_0<<45 | r_1<<30 | r_2<<15 | r_3
+//	m<<4b | r_0<<3b | r_1<<2b | r_2<<b | r_3
 //
 // with unused rank fields zero. Ranks preserve attribute-ID order, so the
-// integer order of keys is comboCompare order within a table: width first,
-// then attribute IDs lexicographically.
+// integer order of keys is the canonical combination order within a table:
+// width first, then attribute IDs lexicographically. A key uses its low
+// 4b+3 bits only, and the radix sort passes over just those.
 const (
-	rankBits   = 15
-	rankMask   = 1<<rankBits - 1
-	widthShift = rankBits * MaxWidth
+	maxRankBits = 15
 
 	// MaxTableAttrs is the most distinct attributes the queries of one
-	// table may access together: the width of a rank field in the packed
-	// combination key. Combos rejects a workload above it.
-	MaxTableAttrs = 1 << rankBits
+	// table may access together: the widest rank field a 64-bit packed
+	// combination key holds. Enumerate rejects a workload above it.
+	MaxTableAttrs = 1 << maxRankBits
 )
-
-// rankShift is the bit offset of the rank field for position i.
-func rankShift(i int) uint { return uint(rankBits * (MaxWidth - 1 - i)) }
 
 // comboRec is one (packed key, weight) record of a table's enumeration.
 type comboRec struct {
@@ -68,18 +66,59 @@ type attrSet struct {
 	freq  int64
 }
 
-// Combos enumerates every attribute combination of size 1..maxWidth that
-// appears (as a subset) in at least one query, with its co-occurrence weight.
-// The result is ordered deterministically (by table, width, then attribute
-// IDs). maxWidth must be in [1, MaxWidth], and no table's queries may access
-// more than MaxTableAttrs distinct attributes.
+// Set is a workload's distinct attribute combinations of width 1..maxWidth
+// as merged packed-key records, one run per table, in the canonical
+// combination order: table, width, then attribute IDs. A record's position
+// in that order is its tie-break in every ranking, and only the
+// combinations a caller asks for are materialized.
+type Set struct {
+	w        *workload.Workload
+	maxWidth int
+	recs     []comboRec
+	tables   []tableRecs
+}
+
+// tableRecs locates one table's records in Set.recs and decodes their keys.
+type tableRecs struct {
+	// byWidth[m-1]:byWidth[m] is the table's run of width-m records.
+	byWidth [MaxWidth + 1]int
+	// ids are the table's accessed attribute IDs, ascending (the rank
+	// order), and sel their selectivities.
+	ids      []int
+	sel      []float64
+	rankBits uint
+}
+
+// rankShift is the bit offset of the rank field for position i.
+func (t *tableRecs) rankShift(i int) uint { return t.rankBits * uint(MaxWidth-1-i) }
+
+// width returns the number of attributes packed into key.
+func (t *tableRecs) width(key uint64) int { return int(key >> (t.rankBits * MaxWidth)) }
+
+// decode writes key's attribute IDs (ascending) into attrs, whose length
+// must be key's width, and returns the combined selectivity: the product
+// of the attributes' selectivities, multiplied in ascending ID order.
+func (t *tableRecs) decode(key uint64, attrs []int) float64 {
+	s := 1.0
+	for j := range attrs {
+		rk := key >> t.rankShift(j) & (1<<t.rankBits - 1)
+		attrs[j] = t.ids[rk]
+		s *= t.sel[rk]
+	}
+	return s
+}
+
+// Enumerate collects every attribute combination of size 1..maxWidth that
+// appears (as a subset) in at least one query, with its co-occurrence
+// weight. maxWidth must be in [1, MaxWidth], and no table's queries may
+// access more than MaxTableAttrs distinct attributes.
 //
 // Queries are bucketed by table and identical attribute sets merged first,
 // so each distinct (table, attribute set) is enumerated once. Each table's
-// subsets are then appended as packed-key records to one buffer, sorted as
-// integers, and equal keys merged; keys already come out in the final order,
-// so no global sort is needed. All Attrs slices are carved from one slab.
-func Combos(w *workload.Workload, maxWidth int) ([]Combo, error) {
+// subsets are then appended as packed-key records to one buffer, radix
+// sorted and equal keys merged; keys already come out in the final order,
+// so no global sort is needed.
+func Enumerate(w *workload.Workload, maxWidth int) (*Set, error) {
 	if maxWidth < 1 || maxWidth > MaxWidth {
 		return nil, fmt.Errorf("candidates: maxWidth %d out of range [1,%d]", maxWidth, MaxWidth)
 	}
@@ -143,29 +182,36 @@ func Combos(w *workload.Workload, maxWidth int) ([]Combo, error) {
 		idOff[t+1] = len(ids)
 	}
 
-	// Enumerate, sort and merge each table's records in one buffer; after
-	// table t, recs[recOff[t]:recOff[t+1]] holds its distinct combinations
-	// in key order.
-	e := enumerator{
-		recs:     make([]comboRec, 0, raw),
-		maxWidth: maxWidth,
+	// Enumerate, sort and merge each table's records in one buffer.
+	s := &Set{w: w, maxWidth: maxWidth, tables: make([]tableRecs, nt)}
+	e := enumerator{recs: make([]comboRec, 0, raw), maxWidth: maxWidth}
+	sel := make([]float64, len(ids))
+	for i, id := range ids {
+		sel[i] = w.Attr(id).Selectivity()
 	}
 	rank := make([]uint64, w.NumAttrs())
-	recOff := make([]int, nt+1)
+	var tmp []comboRec
 	for t := 0; t < nt; t++ {
-		for r, id := range ids[idOff[t]:idOff[t+1]] {
+		tr := &s.tables[t]
+		tr.byWidth[0] = len(e.recs)
+		tr.ids, tr.sel = ids[idOff[t]:idOff[t+1]], sel[idOff[t]:idOff[t+1]]
+		if n := len(tr.ids); n > 1 {
+			tr.rankBits = uint(bits.Len(uint(n - 1)))
+		}
+		for r, id := range tr.ids {
 			rank[id] = uint64(r)
 		}
 		start := len(e.recs)
-		for _, s := range sets[setOff[t]:setOff[t+1]] {
+		e.table = tr
+		for _, as := range sets[setOff[t]:setOff[t+1]] {
 			e.ranks = e.ranks[:0]
-			for _, a := range s.attrs {
+			for _, a := range as.attrs {
 				e.ranks = append(e.ranks, rank[a])
 			}
-			e.emit(0, 0, 0, s.freq)
+			e.emit(0, 0, 0, as.freq)
 		}
 		seg := e.recs[start:]
-		slices.SortFunc(seg, func(a, b comboRec) int { return cmp.Compare(a.key, b.key) })
+		tmp = radixSort(seg, tmp, tr.rankBits*MaxWidth+3)
 		n := 0
 		for i, r := range seg {
 			if i > 0 && r.key == seg[n-1].key {
@@ -174,60 +220,108 @@ func Combos(w *workload.Workload, maxWidth int) ([]Combo, error) {
 			}
 			seg[n] = r
 			n++
+			tr.byWidth[tr.width(r.key)]++
 		}
 		e.recs = e.recs[:start+n]
-		recOff[t+1] = len(e.recs)
+		for m := 0; m < MaxWidth; m++ {
+			tr.byWidth[m+1] += tr.byWidth[m]
+		}
 	}
+	s.recs = e.recs
+	return s, nil
+}
 
-	// Materialize the combinations, every Attrs slice carved from one slab.
+// Combos enumerates the workload's combinations (see Enumerate) and
+// materializes all of them in the canonical order, every Attrs slice carved
+// from one slab.
+func Combos(w *workload.Workload, maxWidth int) ([]Combo, error) {
+	s, err := Enumerate(w, maxWidth)
+	if err != nil {
+		return nil, err
+	}
 	width := 0
-	for _, r := range e.recs {
-		width += int(r.key >> widthShift)
+	for i := range s.tables {
+		for m, tr := 1, &s.tables[i]; m <= MaxWidth; m++ {
+			width += m * (tr.byWidth[m] - tr.byWidth[m-1])
+		}
 	}
 	slab := make([]int, width)
-	sel := make([]float64, len(ids))
-	for i, id := range ids {
-		sel[i] = w.Attr(id).Selectivity()
-	}
-	combos := make([]Combo, len(e.recs))
-	for t := 0; t < nt; t++ {
-		tids, tsel := ids[idOff[t]:idOff[t+1]], sel[idOff[t]:idOff[t+1]]
-		for i := recOff[t]; i < recOff[t+1]; i++ {
-			r := e.recs[i]
-			m := int(r.key >> widthShift)
+	combos := make([]Combo, len(s.recs))
+	for t := range s.tables {
+		tr := &s.tables[t]
+		for i := tr.byWidth[0]; i < tr.byWidth[MaxWidth]; i++ {
+			r := s.recs[i]
+			m := tr.width(r.key)
 			attrs := slab[:m:m]
 			slab = slab[m:]
-			s := 1.0
-			for j := range attrs {
-				rk := r.key >> rankShift(j) & rankMask
-				attrs[j] = tids[rk]
-				s *= tsel[rk]
-			}
-			combos[i] = Combo{Attrs: attrs, Table: t, Weight: r.weight, Selectivity: s}
+			combos[i] = Combo{Attrs: attrs, Table: t, Weight: r.weight, Selectivity: tr.decode(r.key, attrs)}
 		}
 	}
 	return combos, nil
 }
 
+// Len returns the number of distinct combinations.
+func (s *Set) Len() int { return len(s.recs) }
+
 // enumerator appends the packed-key records of every subset of one
-// attribute set, given as ascending ranks.
+// attribute set, given as ascending ranks within table.
 type enumerator struct {
 	recs     []comboRec
 	ranks    []uint64
+	table    *tableRecs
 	maxWidth int
 }
 
 // emit appends the subsets extending prefix (depth ranks already placed,
 // the next drawn from ranks[start:]).
 func (e *enumerator) emit(start, depth int, prefix uint64, freq int64) {
-	width := uint64(depth+1) << widthShift
+	width := uint64(depth+1) << (e.table.rankBits * MaxWidth)
+	shift := e.table.rankShift(depth)
 	for i := start; i < len(e.ranks); i++ {
-		k := prefix | e.ranks[i]<<rankShift(depth)
+		k := prefix | e.ranks[i]<<shift
 		e.recs = append(e.recs, comboRec{key: k | width, weight: freq})
 		if depth+1 < e.maxWidth {
 			e.emit(i+1, depth+1, k, freq)
 		}
 	}
+}
+
+// radixSort sorts recs by key with a stable LSD radix sort over the low
+// keyBits bits, one byte per pass, skipping passes whose byte is the same
+// in every record. tmp is the pass buffer; the (possibly grown) buffer is
+// returned for reuse.
+func radixSort(recs, tmp []comboRec, keyBits uint) []comboRec {
+	if len(recs) < 2 {
+		return tmp
+	}
+	if cap(tmp) < len(recs) {
+		tmp = make([]comboRec, len(recs))
+	}
+	src, dst := recs, tmp[:len(recs)]
+	for shift := uint(0); shift < keyBits; shift += 8 {
+		var off [256]int
+		for _, r := range src {
+			off[r.key>>shift&0xff]++
+		}
+		if off[src[0].key>>shift&0xff] == len(src) {
+			continue
+		}
+		sum := 0
+		for d, c := range off {
+			off[d] = sum
+			sum += c
+		}
+		for _, r := range src {
+			d := r.key >> shift & 0xff
+			dst[off[d]] = r
+			off[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &recs[0] {
+		copy(recs, src)
+	}
+	return tmp
 }
 
 // binomial returns n choose k for small k.
@@ -240,18 +334,6 @@ func binomial(n, k int) int {
 		c = c * (n - i) / (i + 1)
 	}
 	return c
-}
-
-// comboCompare is the canonical combination order: table, width, then
-// attribute IDs lexicographically.
-func comboCompare(a, b *Combo) int {
-	if c := cmp.Compare(a.Table, b.Table); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(len(a.Attrs), len(b.Attrs)); c != 0 {
-		return c
-	}
-	return slices.Compare(a.Attrs, b.Attrs)
 }
 
 // CountPermutations returns |IC_max|: the number of distinct ordered index
@@ -333,12 +415,38 @@ func orderRepresentative(attrs []int, g []int64, w *workload.Workload) {
 	}
 }
 
-// Representatives returns one representative index per combination.
-func Representatives(w *workload.Workload, combos []Combo) []workload.Index {
+// Representatives returns one representative index per combination, in the
+// canonical order. The ordering weighs w's occurrence frequencies: w is the
+// enumerated workload or one with the same tables, attributes and query
+// attribute sets (a fleet tenant sharing its cluster's enumeration).
+func (s *Set) Representatives(w *workload.Workload) []workload.Index {
+	all := make([]ranked, 0, len(s.recs))
+	for t := range s.tables {
+		for p := s.tables[t].byWidth[0]; p < s.tables[t].byWidth[MaxWidth]; p++ {
+			all = append(all, ranked{pos: int32(p), table: int32(t)})
+		}
+	}
+	return s.representatives(w, all)
+}
+
+// representatives materializes the representative ordering of each chosen
+// record, every Attrs slice carved from one slab.
+func (s *Set) representatives(w *workload.Workload, chosen []ranked) []workload.Index {
+	width := 0
+	for _, c := range chosen {
+		width += s.tables[c.table].width(s.recs[c.pos].key)
+	}
+	slab := make([]int, width)
 	g := w.Occurrences()
-	out := make([]workload.Index, len(combos))
-	for i, c := range combos {
-		out[i] = Representative(c, g, w)
+	out := make([]workload.Index, len(chosen))
+	for i, c := range chosen {
+		tr, key := &s.tables[c.table], s.recs[c.pos].key
+		m := tr.width(key)
+		attrs := slab[:m:m]
+		slab = slab[m:]
+		tr.decode(key, attrs)
+		orderRepresentative(attrs, g, w)
+		out[i] = workload.Index{Table: int(c.table), Attrs: attrs}
 	}
 	return out
 }
@@ -374,54 +482,71 @@ func (h Heuristic) String() string {
 // combinations under the heuristic's ranking and emits their representative
 // orderings (Example 1: "For M index candidates, let h := M/4 for each
 // m = 1,...,4"). Fewer candidates are returned when a width class is
-// exhausted. Ties in the heuristic's key fall back to the canonical
-// combination order, so the result does not depend on the order of combos.
-func Select(w *workload.Workload, combos []Combo, h Heuristic, total, maxWidth int) ([]workload.Index, error) {
-	if total < maxWidth {
-		return nil, fmt.Errorf("candidates: total %d below one candidate per width class (maxWidth %d)", total, maxWidth)
+// exhausted. Ties in the heuristic's key fall back to the record position,
+// which is the canonical combination order.
+func (s *Set) Select(h Heuristic, total int) ([]workload.Index, error) {
+	if total < s.maxWidth {
+		return nil, fmt.Errorf("candidates: total %d below one candidate per width class (maxWidth %d)", total, s.maxWidth)
 	}
-	perWidth := total / maxWidth
+	perWidth := total / s.maxWidth
 
-	r := ranking{combos: combos}
-	recs := make([]ranked, 0, len(combos))
-	var chosen []Combo
-	for m := 1; m <= maxWidth; m++ {
-		recs = recs[:0]
-		for i := range combos {
-			if c := &combos[i]; len(c.Attrs) == m {
-				recs = append(recs, ranked{key: scoreKey(h, c), pos: i})
+	// Each width class streams through a bounded max-heap of its perWidth
+	// best records so far (the root is the worst of them), so a record not
+	// beating the root costs one integer comparison and nothing is
+	// materialized until the winners are known.
+	var chosen, heap []ranked
+	var attrs [MaxWidth]int
+	for m := 1; m <= s.maxWidth; m++ {
+		heap = heap[:0]
+		for t := range s.tables {
+			tr := &s.tables[t]
+			for p := tr.byWidth[m-1]; p < tr.byWidth[m]; p++ {
+				r := s.recs[p]
+				var key uint64
+				switch h {
+				case H1M:
+					key = ^(uint64(r.weight) ^ 1<<63)
+				case H2M:
+					key = floatKey(tr.decode(r.key, attrs[:m]))
+				case H3M:
+					key = floatKey(tr.decode(r.key, attrs[:m]) / float64(r.weight))
+				}
+				rec := ranked{key: key, pos: int32(p), table: int32(t)}
+				switch {
+				case len(heap) < perWidth:
+					heap = append(heap, rec)
+					siftUp(heap, len(heap)-1)
+				case rec.compare(heap[0]) < 0:
+					heap[0] = rec
+					siftDown(heap, 0)
+				}
 			}
 		}
-		for _, rec := range r.top(recs, perWidth) {
-			chosen = append(chosen, combos[rec.pos])
-		}
+		slices.SortFunc(heap, ranked.compare)
+		chosen = append(chosen, heap...)
 	}
-	return Representatives(w, chosen), nil
+	return s.representatives(s.w, chosen), nil
 }
 
-// ranked is a combination's compact ranking record: its heuristic key
-// mapped to an unsigned integer (smaller ranks first) and its position.
+// ranked is a combination's ranking record: its heuristic key mapped to an
+// unsigned integer that orders (and ties) exactly like the heuristic —
+// H1-M by descending weight, H2-M by ascending selectivity, H3-M by
+// ascending selectivity/weight, each computed once with the same IEEE
+// operations; unknown heuristics rank every combination equal — and its
+// record position and table.
 type ranked struct {
-	key uint64
-	pos int
+	key   uint64
+	pos   int32
+	table int32
 }
 
-// scoreKey maps the heuristic's ranking of c to an unsigned key that orders
-// (and ties) exactly like the heuristic: H1-M by descending weight, H2-M by
-// ascending selectivity, H3-M by ascending selectivity/weight, computed once
-// with the same IEEE operations. Unknown heuristics rank every combination
-// equal.
-func scoreKey(h Heuristic, c *Combo) uint64 {
-	switch h {
-	case H1M:
-		return ^(uint64(c.Weight) ^ 1<<63)
-	case H2M:
-		return floatKey(c.Selectivity)
-	case H3M:
-		return floatKey(c.Selectivity / float64(c.Weight))
-	default:
-		return 0
+// compare orders records by key, then by position: one total order of
+// integers.
+func (a ranked) compare(b ranked) int {
+	if a.key != b.key {
+		return cmp.Compare(a.key, b.key)
 	}
+	return cmp.Compare(a.pos, b.pos)
 }
 
 // floatKey maps f to an unsigned integer with the same order and equality
@@ -438,49 +563,26 @@ func floatKey(f float64) uint64 {
 	return b | 1<<63
 }
 
-// ranking orders the records of one combination slice.
-type ranking struct {
-	combos []Combo
-}
-
-// compare orders records by key, then by the canonical combination order.
-func (r *ranking) compare(a, b ranked) int {
-	if a.key != b.key {
-		return cmp.Compare(a.key, b.key)
-	}
-	return comboCompare(&r.combos[a.pos], &r.combos[b.pos])
-}
-
-// top returns the best k of recs in ranking order, reordering recs: when
-// there are more than k, a bounded max-heap keeps the k best seen so far
-// (its root the worst of them), so only records beating the root cost more
-// than one comparison.
-func (r *ranking) top(recs []ranked, k int) []ranked {
-	if k < len(recs) {
-		heap := recs[:k]
-		for i := k/2 - 1; i >= 0; i-- {
-			r.siftDown(heap, i)
+// siftUp restores the max-heap property of heap above i.
+func siftUp(heap []ranked, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if heap[parent].compare(heap[i]) >= 0 {
+			return
 		}
-		for _, rec := range recs[k:] {
-			if r.compare(rec, heap[0]) < 0 {
-				heap[0] = rec
-				r.siftDown(heap, 0)
-			}
-		}
-		recs = heap
+		heap[i], heap[parent] = heap[parent], heap[i]
+		i = parent
 	}
-	slices.SortFunc(recs, r.compare)
-	return recs
 }
 
 // siftDown restores the max-heap property of heap below i.
-func (r *ranking) siftDown(heap []ranked, i int) {
+func siftDown(heap []ranked, i int) {
 	for {
 		worst := i
-		if c := 2*i + 1; c < len(heap) && r.compare(heap[worst], heap[c]) < 0 {
+		if c := 2*i + 1; c < len(heap) && heap[worst].compare(heap[c]) < 0 {
 			worst = c
 		}
-		if c := 2*i + 2; c < len(heap) && r.compare(heap[worst], heap[c]) < 0 {
+		if c := 2*i + 2; c < len(heap) && heap[worst].compare(heap[c]) < 0 {
 			worst = c
 		}
 		if worst == i {

@@ -144,19 +144,31 @@ func TestRepresentativeOrdering(t *testing.T) {
 			}
 		}
 	}
-	reps := Representatives(w, combos)
+	set, err := Enumerate(w, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := set.Representatives(w)
 	if len(reps) != len(combos) {
 		t.Fatalf("Representatives returned %d of %d", len(reps), len(combos))
+	}
+	for i, c := range combos {
+		if want := Representative(c, g, w); !reflect.DeepEqual(reps[i], want) {
+			t.Errorf("Representatives[%d] = %v, want %v", i, reps[i], want)
+		}
 	}
 }
 
 func TestSelectHeuristics(t *testing.T) {
 	w := tiny(t)
-	combos, _ := Combos(w, 4)
+	set, err := Enumerate(w, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// H1-M with one slot per width: width-1 winner is {0} or {1} (weight 15),
 	// width-2 winner is {0,1} (weight 15), width-3 winner {0,1,2}.
-	sel, err := Select(w, combos, H1M, 4, 4)
+	sel, err := set.Select(H1M, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +185,7 @@ func TestSelectHeuristics(t *testing.T) {
 	}
 
 	// H2-M width-1 winner is the most selective single: attr 2 (d=1000).
-	sel2, err := Select(w, combos, H2M, 4, 4)
+	sel2, err := set.Select(H2M, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +195,7 @@ func TestSelectHeuristics(t *testing.T) {
 
 	// H3-M ranks by selectivity/weight; width-1: attr2 1e-3/5=2e-4,
 	// attr1 1e-2/15=6.7e-4, attr3 0.2/7, attr0 0.1/15 -> attr 2 first.
-	sel3, err := Select(w, combos, H3M, 4, 4)
+	sel3, err := set.Select(H3M, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +203,7 @@ func TestSelectHeuristics(t *testing.T) {
 		t.Errorf("H3M width-1 pick = %v, want attr 2", sel3[0])
 	}
 
-	if _, err := Select(w, combos, H1M, 2, 4); err == nil {
+	if _, err := set.Select(H1M, 2); err == nil {
 		t.Error("Select accepted total below width classes")
 	}
 }
@@ -200,11 +212,11 @@ func TestSelectBudgetSplit(t *testing.T) {
 	cfg := workload.DefaultGenConfig()
 	cfg.Tables, cfg.AttrsPerTable, cfg.QueriesPerTable, cfg.RowsBase = 3, 20, 50, 10_000
 	w := workload.MustGenerate(cfg)
-	combos, err := Combos(w, 4)
+	set, err := Enumerate(w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := Select(w, combos, H1M, 40, 4)
+	sel, err := set.Select(H1M, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package candidates
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,8 +151,8 @@ func sameCombos(t *testing.T, name string, got, want []Combo) {
 
 var allHeuristics = []Heuristic{H1M, H2M, H3M}
 
-// checkAgainstReference compares Combos and Select with the oracle on w at
-// maxWidth for the given heuristics and totals.
+// checkAgainstReference compares Combos and the record-ranked Select with
+// the oracle on w at maxWidth for the given heuristics and totals.
 func checkAgainstReference(t *testing.T, name string, w *workload.Workload, maxWidth int, hs []Heuristic, totals []int) {
 	t.Helper()
 	combos, err := Combos(w, maxWidth)
@@ -159,13 +161,18 @@ func checkAgainstReference(t *testing.T, name string, w *workload.Workload, maxW
 	}
 	ref := combosReference(w, maxWidth)
 	sameCombos(t, fmt.Sprintf("%s/m%d", name, maxWidth), combos, ref)
+	set, err := Enumerate(w, maxWidth)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
 	for _, h := range hs {
+		classes := rankReference(ref, h, maxWidth)
 		for _, total := range totals {
-			got, err := Select(w, combos, h, total, maxWidth)
+			got, err := set.Select(h, total)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			want := selectReference(w, ref, h, total, maxWidth)
+			want := selectReference(w, classes, total, maxWidth)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s/m%d/%v/%d: Select differs from the reference (%d vs %d indexes)",
 					name, maxWidth, h, total, len(got), len(want))
@@ -174,43 +181,71 @@ func checkAgainstReference(t *testing.T, name string, w *workload.Workload, maxW
 	}
 }
 
-// TestCombosSelectMatchReference: the sort-merge enumeration and the top-k
-// selection reproduce the map-and-sort oracle exactly, on every workload
-// family, width bound, heuristic and candidate total.
+// TestCombosSelectMatchReference: the radix-sorted enumeration and the
+// record-ranked selection reproduce the map-and-sort oracle exactly, on
+// every workload family, width bound and heuristic, for totals below and
+// above the size of the combination universe.
 func TestCombosSelectMatchReference(t *testing.T) {
 	for _, nw := range differentialWorkloads(t) {
 		for m := 1; m <= MaxWidth; m++ {
-			checkAgainstReference(t, nw.name, nw.w, m, allHeuristics, []int{m, 500, 15000})
+			checkAgainstReference(t, nw.name, nw.w, m, allHeuristics, []int{m, 500, 15000, 1 << 20})
 		}
 	}
 }
 
 // TestCombosSelectMatchReferenceParsedSQL: the same on the SQL-log write
-// workload at the advisor's width and candidate totals.
+// workload (seeds 1-3) at the advisor's width, at its candidate totals and
+// at one above the universe of about 319 000 combinations.
 func TestCombosSelectMatchReferenceParsedSQL(t *testing.T) {
-	w := sqlWritesWorkload(t, 1)
-	checkAgainstReference(t, "sql-writes", w, MaxWidth, allHeuristics, []int{MaxWidth, 500, 15000})
+	for seed := int64(1); seed <= 3; seed++ {
+		w := sqlWritesWorkload(t, seed)
+		checkAgainstReference(t, fmt.Sprintf("sql-writes-s%d", seed), w, MaxWidth, allHeuristics,
+			[]int{MaxWidth, 500, 15000, 1 << 20})
+	}
 }
 
 // TestSelectIgnoresInputOrder: ties fall back to the canonical combination
-// order, so shuffling the combinations does not change the selection.
+// order, so the oracle fed the combinations in any order still equals the
+// record-ranked selection.
 func TestSelectIgnoresInputOrder(t *testing.T) {
 	for _, nw := range differentialWorkloads(t) {
-		combos, err := Combos(nw.w, MaxWidth)
+		set, err := Enumerate(nw.w, MaxWidth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shuffled := append([]Combo(nil), combos...)
+		shuffled := combosReference(nw.w, MaxWidth)
 		rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
 		for _, h := range allHeuristics {
+			classes := rankReference(shuffled, h, MaxWidth)
 			for _, total := range []int{MaxWidth, 500} {
-				want, _ := Select(nw.w, combos, h, total, MaxWidth)
-				got, _ := Select(nw.w, shuffled, h, total, MaxWidth)
+				want, _ := set.Select(h, total)
+				got := selectReference(nw.w, classes, total, MaxWidth)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%v/%d: Select depends on the order of combos", nw.name, h, total)
+					t.Fatalf("%s/%v/%d: the selection depends on the order of the combinations", nw.name, h, total)
 				}
+			}
+		}
+	}
+}
+
+// TestRadixSortMatchesSort: the record sort orders keys of every used
+// width like a comparison sort and keeps equal keys in input order.
+func TestRadixSortMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var tmp []comboRec
+	for _, keyBits := range []uint{3, 7, 8, 9, 23, 63} {
+		for _, n := range []int{0, 1, 2, 100, 5000} {
+			recs := make([]comboRec, n)
+			for i := range recs {
+				recs[i] = comboRec{key: rng.Uint64() & (1<<keyBits - 1) &^ 0xf0, weight: int64(i)}
+			}
+			want := append([]comboRec(nil), recs...)
+			slices.SortStableFunc(want, func(a, b comboRec) int { return cmp.Compare(a.key, b.key) })
+			tmp = radixSort(recs, tmp, keyBits)
+			if !slices.Equal(recs, want) {
+				t.Fatalf("keyBits %d, n %d: radix sort differs from a stable comparison sort", keyBits, n)
 			}
 		}
 	}

@@ -6,9 +6,9 @@ import (
 	"repro/internal/workload"
 )
 
-// This file holds the differential oracle for Combos and Select: the
-// original map-keyed enumeration, one global comparison sort, and a full
-// comparison sort of every width class. It is deliberately simple and slow;
+// This file holds the differential oracle for Enumerate, Combos and
+// Set.Select: the original map-keyed enumeration into []Combo, one global
+// comparison sort, and a full comparison sort of every width class. It is deliberately simple and slow;
 // the production code must reproduce its output exactly (values, float bits
 // and order). It lives in test code so no shipped binary links it.
 
@@ -83,22 +83,17 @@ func refComboLess(a, b Combo) bool {
 	return false
 }
 
-// selectReference sorts each width class by the heuristic's key with the
-// comparator computing H3-M's ratio on every comparison, breaks ties with
-// refComboLess, and emits the first total/maxWidth of each class.
-func selectReference(w *workload.Workload, combos []Combo, h Heuristic, total, maxWidth int) []workload.Index {
-	perWidth := total / maxWidth
-	g := w.Occurrences()
-
+// rankReference sorts each width class of combos by the heuristic's key,
+// computing H3-M's ratio on every comparison, and breaks ties with
+// refComboLess.
+func rankReference(combos []Combo, h Heuristic, maxWidth int) [][]Combo {
 	byWidth := make([][]Combo, maxWidth+1)
 	for _, c := range combos {
 		if m := len(c.Attrs); m <= maxWidth {
 			byWidth[m] = append(byWidth[m], c)
 		}
 	}
-	var out []workload.Index
-	for m := 1; m <= maxWidth; m++ {
-		class := byWidth[m]
+	for _, class := range byWidth {
 		sort.Slice(class, func(i, j int) bool {
 			a, b := class[i], class[j]
 			var less, eq bool
@@ -119,6 +114,18 @@ func selectReference(w *workload.Workload, combos []Combo, h Heuristic, total, m
 			}
 			return refComboLess(a, b)
 		})
+	}
+	return byWidth
+}
+
+// selectReference emits the representatives of the first total/maxWidth
+// combinations of each ranked width class.
+func selectReference(w *workload.Workload, classes [][]Combo, total, maxWidth int) []workload.Index {
+	perWidth := total / maxWidth
+	g := w.Occurrences()
+	var out []workload.Index
+	for m := 1; m <= maxWidth; m++ {
+		class := classes[m]
 		n := perWidth
 		if n > len(class) {
 			n = len(class)

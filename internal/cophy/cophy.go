@@ -592,9 +592,11 @@ func (ins *instance) solveLP(budget int64, gap float64, stop *fault.Stopper, par
 	return chosen, cost, res.Nodes, finalGap, res.DNF, nil
 }
 
-// evalCost returns F for the chosen candidate indices.
+// evalCost returns F for the chosen candidate indices. Write costs are
+// added in ascending candidate index, so the float sum does not depend on
+// the order of chosen.
 func (ins *instance) evalCost(chosen []int) float64 {
-	selected := make(map[int]bool, len(chosen))
+	selected := make([]bool, len(ins.cands))
 	for _, ci := range chosen {
 		selected[ci] = true
 	}
@@ -608,8 +610,10 @@ func (ins *instance) evalCost(chosen []int) float64 {
 		}
 		total += ins.freq[j] * best
 	}
-	for ci := range selected {
-		total += ins.cands[ci].writeCost
+	for ci, ok := range selected {
+		if ok {
+			total += ins.cands[ci].writeCost
+		}
 	}
 	return total
 }

@@ -332,7 +332,9 @@ type selector struct {
 	selByLead [][]selEntry
 	leadOrder []int
 
-	writeQs []int
+	// writesOn lists each table's write templates: the only queries that
+	// charge maintenance to an index on that table.
+	writesOn [][]int32
 
 	// candCost caches f_j(candidate) aligned with queriesWith[lead] (nil =
 	// not yet computed); maintTab caches the frequency-weighted maintenance
@@ -423,11 +425,7 @@ func newSelector(w *workload.Workload, opt *whatif.Optimizer, opts Options) *sel
 	for a := range s.queriesWith {
 		s.queriesWith[a] = w.ReadQueriesWithAttr(a)
 	}
-	for _, q := range w.Queries {
-		if q.IsWrite() {
-			s.writeQs = append(s.writeQs, q.ID)
-		}
-	}
+	s.writesOn = w.WritesByTable()
 	s.base = make([]float64, w.NumQueries())
 	s.cost = make([]float64, w.NumQueries())
 	s.served = make([]map[workload.IndexID]float64, w.NumQueries())
@@ -484,7 +482,7 @@ func (s *selector) costsFor(k workload.Index, id workload.IndexID) []float64 {
 	qs := s.queriesWith[k.Leading()]
 	c := make([]float64, len(qs))
 	for i, qid := range qs {
-		c[i] = s.opt.CostWithInterned(s.w.Queries[qid], k, id)
+		c[i] = s.opt.CostWithInterned(&s.w.Queries[qid], k, id)
 	}
 	s.candCost[id] = c
 	return c
@@ -506,8 +504,8 @@ func (s *selector) extCostsFor(base workload.Index, baseID workload.IndexID, ext
 	qs := s.queriesWith[ext.Leading()]
 	c := make([]float64, len(qs))
 	for i, qid := range qs {
-		q := s.w.Queries[qid]
-		if len(workload.CoverablePrefix(q, ext)) == len(workload.CoverablePrefix(q, base)) {
+		q := &s.w.Queries[qid]
+		if len(workload.CoverablePrefix(*q, ext)) == len(workload.CoverablePrefix(*q, base)) {
 			c[i] = baseCosts[i]
 		} else {
 			c[i] = s.opt.CostWithInterned(q, ext, extID)
@@ -524,8 +522,8 @@ func (s *selector) maintFor(k workload.Index, id workload.IndexID) float64 {
 		return c
 	}
 	var cost float64
-	for _, qid := range s.writeQs {
-		q := s.w.Queries[qid]
+	for _, qid := range s.writesOn[k.Table] {
+		q := &s.w.Queries[qid]
 		cost += float64(q.Freq) * s.opt.MaintenanceCostInterned(q, k, id)
 	}
 	s.maintTab[id] = cost

@@ -45,21 +45,21 @@ func Fig4(cfg Config) error {
 	}
 	h6Time := time.Since(startH6)
 
-	combos, err := candidates.Combos(w, 4)
+	set, err := candidates.Enumerate(w, 4)
 	if err != nil {
 		return err
 	}
 	curves := map[string]map[float64]float64{"H6": h6}
 	times := map[string]time.Duration{"H6": h6Time}
 	order := []string{"H6"}
-	sizes := []int{100, 1000, 4 * len(combos)} // last covers all combinations
+	sizes := []int{100, 1000, 4 * set.Len()} // last covers all combinations
 	labels := []string{"CoPhy/100", "CoPhy/1000", "CoPhy/I_max"}
 	for i, size := range sizes {
 		var cands []workload.Index
 		if i == len(sizes)-1 {
-			cands = candidates.Representatives(w, combos)
+			cands = set.Representatives(w)
 		} else {
-			cands, err = candidates.Select(w, combos, candidates.H1M, size, 4)
+			cands, err = set.Select(candidates.H1M, size)
 			if err != nil {
 				return err
 			}

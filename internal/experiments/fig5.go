@@ -37,12 +37,12 @@ func Fig5(cfg Config) error {
 	ms := engine.NewMeasuredSource(db, cfg.Seed)
 	opt := whatif.New(ms)
 
-	combos, err := candidates.Combos(w, 4)
+	set, err := candidates.Enumerate(w, 4)
 	if err != nil {
 		return err
 	}
-	all := candidates.Representatives(w, combos)
-	tenPercent, err := candidates.Select(w, combos, candidates.H1M, len(all)/10, 4)
+	all := set.Representatives(w)
+	tenPercent, err := set.Select(candidates.H1M, len(all)/10)
 	if err != nil {
 		return err
 	}

@@ -29,11 +29,11 @@ func Fig6(cfg Config) error {
 	m := costmodel.New(w, costmodel.SingleIndex)
 	opt := whatif.New(m)
 
-	combos, err := candidates.Combos(w, 4)
+	set, err := candidates.Enumerate(w, 4)
 	if err != nil {
 		return err
 	}
-	all := candidates.Representatives(w, combos)
+	all := set.Representatives(w)
 	fmt.Fprintf(cfg.Out, "exhaustive candidate set |I_max| = %d combination representatives (paper: 2937)\n", len(all))
 
 	t := newTable("fig6_lp_size", "share", "candidates", "variables", "constraints")

@@ -69,7 +69,7 @@ func Fig2(cfg Config) error {
 	shares := []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4}
 	base := m.TotalCost(workload.NewSelection())
 
-	combos, err := candidates.Combos(w, 4)
+	set, err := candidates.Enumerate(w, 4)
 	if err != nil {
 		return err
 	}
@@ -81,7 +81,7 @@ func Fig2(cfg Config) error {
 	curves := map[string]map[float64]float64{"H6": h6}
 	order := []string{"H6"}
 	for _, h := range []candidates.Heuristic{candidates.H1M, candidates.H2M, candidates.H3M} {
-		cands, err := candidates.Select(w, combos, h, 500, 4)
+		cands, err := set.Select(h, 500)
 		if err != nil {
 			return err
 		}
@@ -96,7 +96,7 @@ func Fig2(cfg Config) error {
 	// Exhaustive set: representatives of every combination (the distinct
 	// prefixes-by-usefulness view of I_max keeps the solve tractable while
 	// preserving attainable quality under the prefix-invariant cost model).
-	allReps := candidates.Representatives(w, combos)
+	allReps := set.Representatives(w)
 	costs, err := cophyCostsAt(cfg, w, opt, m, allReps, shares)
 	if err != nil {
 		return err
@@ -135,7 +135,7 @@ func Fig3(cfg Config) error {
 	shares := []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4}
 	base := m.TotalCost(workload.NewSelection())
 
-	combos, err := candidates.Combos(w, 4)
+	set, err := candidates.Enumerate(w, 4)
 	if err != nil {
 		return err
 	}
@@ -146,7 +146,7 @@ func Fig3(cfg Config) error {
 	curves := map[string]map[float64]float64{"H6": h6}
 	order := []string{"H6"}
 	for _, size := range []int{100, 1000} {
-		cands, err := candidates.Select(w, combos, candidates.H1M, size, 4)
+		cands, err := set.Select(candidates.H1M, size)
 		if err != nil {
 			return err
 		}
@@ -158,7 +158,7 @@ func Fig3(cfg Config) error {
 		curves[label] = costs
 		order = append(order, label)
 	}
-	allReps := candidates.Representatives(w, combos)
+	allReps := set.Representatives(w)
 	costs, err := cophyCostsAt(cfg, w, opt, m, allReps, shares)
 	if err != nil {
 		return err

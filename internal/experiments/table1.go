@@ -40,11 +40,11 @@ func Table1(cfg Config) error {
 		m := costmodel.New(w, costmodel.SingleIndex)
 		budget := m.Budget(0.2)
 
-		combos, err := candidates.Combos(w, 4)
+		set, err := candidates.Enumerate(w, 4)
 		if err != nil {
 			return err
 		}
-		icMax := int64(len(combos)) // distinct co-occurring combinations (paper's IC_max notion)
+		icMax := int64(set.Len()) // distinct co-occurring combinations (paper's IC_max notion)
 
 		// H6: solve time excludes what-if calls, so warm the cache with an
 		// untimed run first (cache persists in the optimizer).
@@ -60,7 +60,7 @@ func Table1(cfg Config) error {
 		h6Time := time.Since(startH6)
 
 		for _, size := range candSizes {
-			cands, err := candidates.Select(w, combos, candidates.H1M, size, 4)
+			cands, err := set.Select(candidates.H1M, size)
 			if err != nil {
 				return err
 			}

@@ -37,12 +37,12 @@ func WhatIfCalls(cfg Config) error {
 		}
 		h6Calls := opt.Stats().Calls
 
-		combos, err := candidates.Combos(w, 4)
+		set, err := candidates.Enumerate(w, 4)
 		if err != nil {
 			return err
 		}
 		for _, size := range []int{100, 1000} {
-			cands, err := candidates.Select(w, combos, candidates.H1M, size, 4)
+			cands, err := set.Select(candidates.H1M, size)
 			if err != nil {
 				return err
 			}

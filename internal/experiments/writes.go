@@ -43,11 +43,11 @@ func Writes(cfg Config) error {
 		t.addf("%.2f|Extend|%.5f|%d|%.1f",
 			share, ext.Cost/base, len(ext.Selection), float64(ext.Memory)/1e6)
 
-		combos, err := candidates.Combos(w, 2)
+		set, err := candidates.Enumerate(w, 2)
 		if err != nil {
 			return err
 		}
-		cands := candidates.Representatives(w, combos)
+		cands := set.Representatives(w)
 		for _, rule := range []heuristics.Rule{heuristics.H5, heuristics.H1} {
 			res, err := heuristics.Select(w, opt, cands, rule, heuristics.Options{Budget: budget})
 			if err != nil {

@@ -94,11 +94,12 @@ func Attribute(w *workload.Workload, opt *whatif.Optimizer, sel workload.Selecti
 	perIndex := make([][]QueryAttribution, len(indexes))
 
 	a := &Attribution{}
-	for _, q := range w.Queries {
-		base := opt.BaseCost(q)
+	for qi := range w.Queries {
+		q := &w.Queries[qi]
+		base := opt.BaseCost(*q)
 		best, winner := base, -1
 		for i, k := range indexes {
-			if !workload.Applicable(q, k) {
+			if !workload.Applicable(*q, k) {
 				continue
 			}
 			if c := opt.CostWithInterned(q, k, ids[i]); c < best {

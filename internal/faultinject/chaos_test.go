@@ -39,11 +39,11 @@ func chaosWorkload(t *testing.T) (*workload.Workload, []workload.Index, int64) {
 	cfg.Tables, cfg.AttrsPerTable, cfg.QueriesPerTable = 3, 10, 20
 	cfg.RowsBase, cfg.Seed, cfg.WriteShare = 50_000, 7, 0.2
 	w := workload.MustGenerate(cfg)
-	combos, err := candidates.Combos(w, 2)
+	set, err := candidates.Enumerate(w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := candidates.Representatives(w, combos)
+	cands := set.Representatives(w)
 	budget := costmodel.New(w, costmodel.SingleIndex).Budget(0.4)
 	return w, cands, budget
 }

@@ -141,10 +141,20 @@ func Select(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index,
 	if opts.Explain {
 		prov = &explain.SelectionProvenance{Rule: rule.String()}
 	}
-	pool := cands
+	// Intern every candidate once; scoring, skyline and the greedy scan all
+	// probe by ID.
+	in := opt.Interner()
+	pool, poolIDs := cands, make([]workload.IndexID, len(cands))
+	for i, k := range cands {
+		poolIDs[i] = in.Intern(k)
+	}
+	var pr *prober // prices candidates for the skyline and H4/H5
+	if opts.Skyline || rule == H4 || rule == H5 {
+		pr = newProber(w, opt)
+	}
 	if opts.Skyline {
 		ssp := opts.Span.Child("heuristics.skyline")
-		pool = skylineFilter(w, opt, pool, stop)
+		pool, poolIDs = pr.skyline(pool, poolIDs, stop)
 		ssp.SetInt("candidates_before", int64(len(cands)))
 		ssp.SetInt("candidates_after", int64(len(pool)))
 		ssp.End()
@@ -154,33 +164,26 @@ func Select(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index,
 		}
 	}
 	rsp := opts.Span.Child("heuristics.rank")
-	scores := score(w, opt, pool, rule, stop)
+	var scores []float64
+	if rule == H4 || rule == H5 {
+		scores = pr.score(pool, poolIDs, rule, stop)
+	} else {
+		scores = score(w, pool, rule)
+	}
 	// An interruption mid-scoring leaves a scored prefix; rank only that
 	// prefix so every selected candidate carries a fully evaluated score.
 	pool = pool[:len(scores)]
-	order := make([]int, len(pool))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if scores[ia] != scores[ib] {
-			return scores[ia] > scores[ib] // higher score first
-		}
-		return pool[ia].Key() < pool[ib].Key()
-	})
+	order := byScore(pool, scores)
 
 	if prov != nil {
 		prov.PoolSize = len(pool)
 		prov.Scored = len(scores)
 	}
 
-	in := opt.Interner()
 	ids := workload.NewIDSelection(in)
 	var mem int64
 	for rank, i := range order {
-		k := pool[i]
-		id := in.Intern(k)
+		k, id := pool[i], poolIDs[i]
 		taken, reason := false, ""
 		switch {
 		case ids.Has(id):
@@ -249,44 +252,44 @@ func Select(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index,
 	return res, nil
 }
 
-// score computes a "higher is better" score per candidate for the rule.
-// H4/H5 pay a what-if call per applicable (query, candidate) pair, so the
-// stopper is polled between candidates; on interruption the returned slice is
-// the fully-scored prefix (shorter than cands). H1-H3 are arithmetic only and
-// always score everything.
-func score(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index, rule Rule, stop *fault.Stopper) []float64 {
-	scores := make([]float64, len(cands))
-	switch rule {
-	case H1, H2, H3:
-		weights := coOccurrence(w, cands)
-		for i, k := range cands {
-			s := 1.0
-			for _, a := range k.Attrs {
-				s *= w.Attr(a).Selectivity()
-			}
-			switch rule {
-			case H1:
-				scores[i] = float64(weights[i])
-			case H2:
-				scores[i] = -s
-			default: // H3
-				if weights[i] == 0 {
-					scores[i] = -s * 1e18 // unused combination: worst
-				} else {
-					scores[i] = -s / float64(weights[i])
-				}
-			}
+// byScore returns the pool positions by descending score, ties broken by
+// ascending index key. CompareIndexKeys orders exactly as comparing the
+// Key() strings would, without building them.
+func byScore(pool []workload.Index, scores []float64) []int {
+	order := make([]int, len(pool))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ia, ib := order[a], order[b]
+		if scores[ia] != scores[ib] {
+			return scores[ia] > scores[ib] // higher score first
 		}
-	case H4, H5:
-		for i, k := range cands {
-			if stop.Check() != fault.StopNone {
-				return scores[:i]
-			}
-			b := Benefit(w, opt, k)
-			if rule == H4 {
-				scores[i] = b
+		return workload.CompareIndexKeys(pool[ia], pool[ib]) < 0
+	})
+	return order
+}
+
+// score computes the arithmetic "higher is better" scores of H1-H3, which
+// need no what-if call.
+func score(w *workload.Workload, cands []workload.Index, rule Rule) []float64 {
+	scores := make([]float64, len(cands))
+	weights := coOccurrence(w, cands)
+	for i, k := range cands {
+		s := 1.0
+		for _, a := range k.Attrs {
+			s *= w.Attr(a).Selectivity()
+		}
+		switch rule {
+		case H1:
+			scores[i] = float64(weights[i])
+		case H2:
+			scores[i] = -s
+		default: // H3
+			if weights[i] == 0 {
+				scores[i] = -s * 1e18 // unused combination: worst
 			} else {
-				scores[i] = b / float64(opt.IndexSize(k))
+				scores[i] = -s / float64(weights[i])
 			}
 		}
 	}
@@ -294,12 +297,14 @@ func score(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index, 
 }
 
 // coOccurrence returns, per candidate, the frequency-weighted number of
-// queries containing all of its attributes.
+// queries containing all of its attributes. The workload's inverted index
+// lists the queries accessing the leading attribute, so no full query scan
+// is needed per candidate.
 func coOccurrence(w *workload.Workload, cands []workload.Index) []int64 {
 	weights := make([]int64, len(cands))
 	for i, k := range cands {
-		for _, qid := range queriesWithLead(w, k) {
-			q := w.Queries[qid]
+		for _, qid := range w.QueriesWithAttr(k.Leading()) {
+			q := &w.Queries[qid]
 			all := true
 			for _, a := range k.Attrs {
 				if !q.Accesses(a) {
@@ -315,60 +320,90 @@ func coOccurrence(w *workload.Workload, cands []workload.Index) []int64 {
 	return weights
 }
 
-// queriesWithLead returns the queries (reads and writes alike) accessing
-// candidate k's leading attribute, via the workload's precomputed inverted
-// index instead of a full query scan per candidate. Attributes belong to
-// exactly one table, so no table filter is needed.
-func queriesWithLead(w *workload.Workload, k workload.Index) []int32 {
-	return w.QueriesWithAttr(k.Leading())
+// prober prices interned candidates for H4/H5 and the skyline filter: read
+// costs over the templates that can use a candidate (those with a read path
+// accessing its leading attribute), write burden over the write templates
+// of its table. Queries are probed by pointer and base costs read once.
+type prober struct {
+	w      *workload.Workload
+	opt    *whatif.Optimizer
+	base   []float64
+	writes [][]int32
 }
 
-// Benefit returns the candidate's individually measured total improvement
+func newProber(w *workload.Workload, opt *whatif.Optimizer) *prober {
+	pr := &prober{w: w, opt: opt, base: make([]float64, len(w.Queries)), writes: w.WritesByTable()}
+	for i := range w.Queries {
+		pr.base[i] = opt.BaseCost(w.Queries[i])
+	}
+	return pr
+}
+
+// score computes the H4 (benefit) or H5 (benefit per byte) score of each
+// candidate, polling the stopper between candidates; on interruption the
+// returned slice is the fully-scored prefix (shorter than cands).
+func (pr *prober) score(cands []workload.Index, ids []workload.IndexID, rule Rule, stop *fault.Stopper) []float64 {
+	scores := make([]float64, len(cands))
+	for i, k := range cands {
+		if stop.Check() != fault.StopNone {
+			return scores[:i]
+		}
+		b := pr.benefit(k, ids[i])
+		if rule == H4 {
+			scores[i] = b
+		} else {
+			scores[i] = b / float64(pr.opt.IndexSizeInterned(k, ids[i]))
+		}
+	}
+	return scores
+}
+
+// benefit returns the candidate's individually measured total improvement
 // sum_j b_j * max(0, f_j(0) - f_j(k)) minus its frequency-weighted write
 // maintenance burden — the IIA-blind (net) benefit H4/H5 rank by. It can be
 // negative for write-heavy workloads; such candidates are never selected.
-func Benefit(w *workload.Workload, opt *whatif.Optimizer, k workload.Index) float64 {
+func (pr *prober) benefit(k workload.Index, id workload.IndexID) float64 {
 	var b float64
-	for _, qid := range queriesWithLead(w, k) {
-		q := w.Queries[qid]
-		base := opt.BaseCost(q)
-		if c := opt.CostWithIndex(q, k); c < base {
-			b += float64(q.Freq) * (base - c)
+	for _, qid := range pr.w.ReadQueriesWithAttr(k.Leading()) {
+		q := &pr.w.Queries[qid]
+		if c := pr.opt.CostWithInterned(q, k, id); c < pr.base[qid] {
+			b += float64(q.Freq) * (pr.base[qid] - c)
 		}
 	}
-	return b - WriteCost(w, opt, k)
-}
-
-// WriteCost returns the frequency-weighted maintenance burden the workload's
-// write templates impose on index k.
-func WriteCost(w *workload.Workload, opt *whatif.Optimizer, k workload.Index) float64 {
-	var c float64
-	for _, q := range w.Queries {
-		if q.IsWrite() {
-			c += float64(q.Freq) * opt.MaintenanceCost(q, k)
-		}
+	var wc float64
+	for _, qid := range pr.writes[k.Table] {
+		q := &pr.w.Queries[qid]
+		wc += float64(q.Freq) * pr.opt.MaintenanceCostInterned(q, k, id)
 	}
-	return c
+	return b - wc
 }
 
 // TotalCost evaluates F(I*) in the single-index setting using the
 // optimizer's cached per-index costs, including the maintenance cost write
-// templates pay for every selected index they touch.
+// templates pay for every selected index they touch. The selection is
+// summed in canonical key order, so the result does not depend on map
+// iteration order or on the optimizer's interning history.
 func TotalCost(w *workload.Workload, opt *whatif.Optimizer, sel workload.Selection) float64 {
+	ks := sel.Sorted()
+	ids := make([]workload.IndexID, len(ks))
+	for i, k := range ks {
+		ids[i] = opt.Interner().Intern(k)
+	}
 	var total float64
-	for _, q := range w.Queries {
-		best := opt.BaseCost(q)
-		for _, k := range sel {
-			if !workload.Applicable(q, k) {
+	for qi := range w.Queries {
+		q := &w.Queries[qi]
+		best := opt.BaseCost(*q)
+		for i, k := range ks {
+			if !workload.Applicable(*q, k) {
 				continue
 			}
-			if c := opt.CostWithIndex(q, k); c < best {
+			if c := opt.CostWithInterned(q, k, ids[i]); c < best {
 				best = c
 			}
 		}
 		if q.IsWrite() {
-			for _, k := range sel {
-				best += opt.MaintenanceCost(q, k)
+			for i, k := range ks {
+				best += opt.MaintenanceCostInterned(q, k, ids[i])
 			}
 		}
 		total += float64(q.Freq) * best
@@ -376,34 +411,28 @@ func TotalCost(w *workload.Workload, opt *whatif.Optimizer, sel workload.Selecti
 	return total
 }
 
-// SkylineFilter keeps candidates that are per-query efficient for at least
-// one query: candidate k survives if there is a query q (to which k is
+// skyline keeps the interned candidates that are per-query efficient for at
+// least one query: candidate k survives if there is a query q (to which k is
 // applicable with f_q(k) < f_q(0)) where no other candidate has both cost
 // and size at most k's with one strictly better (cf. Kimura et al. [11]).
-func SkylineFilter(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index) []workload.Index {
-	return skylineFilter(w, opt, cands, nil)
-}
-
-// skylineFilter is SkylineFilter with interruption: the per-candidate cost
-// probing polls the stopper and, once stopped, considers only the candidates
-// probed so far — a valid (smaller) skyline over the evaluated prefix.
-func skylineFilter(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index, stop *fault.Stopper) []workload.Index {
+// It returns the survivors and their IDs. The per-candidate cost probing
+// polls the stopper and, once stopped, considers only the candidates probed
+// so far — a valid (smaller) skyline over the evaluated prefix.
+func (pr *prober) skyline(cands []workload.Index, ids []workload.IndexID, stop *fault.Stopper) ([]workload.Index, []workload.IndexID) {
 	type entry struct {
 		idx  int
 		cost float64
 		size int64
 	}
 	survives := make([]bool, len(cands))
-	byQuery := make(map[int][]entry)
+	byQuery := make([][]entry, len(pr.w.Queries))
 	for i, k := range cands {
 		if stop.Check() != fault.StopNone {
 			break
 		}
-		for _, qid := range queriesWithLead(w, k) {
-			q := w.Queries[qid]
-			c := opt.CostWithIndex(q, k)
-			if c < opt.BaseCost(q) {
-				byQuery[int(qid)] = append(byQuery[int(qid)], entry{i, c, opt.IndexSize(k)})
+		for _, qid := range pr.w.ReadQueriesWithAttr(k.Leading()) {
+			if c := pr.opt.CostWithInterned(&pr.w.Queries[qid], k, ids[i]); c < pr.base[qid] {
+				byQuery[qid] = append(byQuery[qid], entry{i, c, pr.opt.IndexSizeInterned(k, ids[i])})
 			}
 		}
 	}
@@ -425,10 +454,12 @@ func skylineFilter(w *workload.Workload, opt *whatif.Optimizer, cands []workload
 		}
 	}
 	var out []workload.Index
+	var outIDs []workload.IndexID
 	for i, ok := range survives {
 		if ok {
 			out = append(out, cands[i])
+			outIDs = append(outIDs, ids[i])
 		}
 	}
-	return out
+	return out, outIDs
 }

@@ -25,11 +25,11 @@ func setup(w *workload.Workload) (*costmodel.Model, *whatif.Optimizer) {
 
 func allCandidates(t *testing.T, w *workload.Workload, maxWidth int) []workload.Index {
 	t.Helper()
-	combos, err := candidates.Combos(w, maxWidth)
+	set, err := candidates.Enumerate(w, maxWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return candidates.Representatives(w, combos)
+	return set.Representatives(w)
 }
 
 func TestAllRulesFeasibleAndConsistent(t *testing.T) {
@@ -119,7 +119,7 @@ func TestH4PicksBestBenefit(t *testing.T) {
 	var best workload.Index
 	bestBen := -1.0
 	for _, k := range cands {
-		if b := Benefit(w, opt, k); b > bestBen {
+		if b := benefitReference(w, opt, k); b > bestBen {
 			bestBen, best = b, k
 		}
 	}
@@ -181,7 +181,11 @@ func TestSkylineFilterKeepsPerQueryBest(t *testing.T) {
 	w := gen(t, 2, 10, 25, 50_000, 7)
 	_, opt := setup(w)
 	cands := allCandidates(t, w, 2)
-	kept := SkylineFilter(w, opt, cands)
+	ids := make([]workload.IndexID, len(cands))
+	for i, k := range cands {
+		ids[i] = opt.Interner().Intern(k)
+	}
+	kept, _ := newProber(w, opt).skyline(cands, ids, nil)
 	if len(kept) == 0 || len(kept) >= len(cands) {
 		t.Fatalf("skyline kept %d of %d candidates", len(kept), len(cands))
 	}

@@ -154,14 +154,14 @@ func TestReuseSavingsOnPermutationCandidates(t *testing.T) {
 func TestSelectionQualityUnchanged(t *testing.T) {
 	w := gen(t)
 	m := costmodel.New(w, costmodel.SingleIndex)
-	combos, err := candidates.Combos(w, 2)
+	set, err := candidates.Enumerate(w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 60 candidates (41 of them pairs) let the combinatorial search converge
 	// in milliseconds. On the full set both runs hit the time limit, and
 	// where the wall clock cuts each search differs under CPU load.
-	cands := candidates.Representatives(w, combos)[:60]
+	cands := set.Representatives(w)[:60]
 	budget := m.Budget(0.3)
 
 	// Converged searches stop identically because INUM changes only WHERE

@@ -149,9 +149,9 @@ func (o *Optimizer) View(canon []workload.Query) *Optimizer {
 
 // canonical maps q to its shared-cluster superset template when o is a View;
 // the identity otherwise.
-func (o *Optimizer) canonical(q workload.Query) workload.Query {
+func (o *Optimizer) canonical(q *workload.Query) *workload.Query {
 	if o.canon != nil {
-		return o.canon[q.ID]
+		return &o.canon[q.ID]
 	}
 	return q
 }
@@ -161,12 +161,13 @@ func (o *Optimizer) Source() Source { return o.src }
 
 // Interner returns the optimizer's index interner. Callers that hold an
 // index for many probes (the core selector, the greedy heuristics) intern it
-// once and use the *Interned methods, skipping the per-probe lookup.
+// once and use the *Interned methods, skipping the per-probe lookup; those
+// take the query by pointer, so a probe copies no Query.
 func (o *Optimizer) Interner() *workload.Interner { return o.in }
 
 // BaseCost returns f_j(0), cached per query.
 func (o *Optimizer) BaseCost(q workload.Query) float64 {
-	return o.baseCostCanonical(o.canonical(q))
+	return o.baseCostCanonical(o.canonical(&q))
 }
 
 // CostWithIndex returns f_j(k), cached per (query, index). Non-applicable
@@ -174,18 +175,18 @@ func (o *Optimizer) BaseCost(q workload.Query) float64 {
 // mirroring the paper's observation that only coverable queries need
 // re-evaluation.
 func (o *Optimizer) CostWithIndex(q workload.Query, k workload.Index) float64 {
-	q = o.canonical(q)
-	if !workload.Applicable(q, k) {
-		return o.baseCostCanonical(q)
+	cq := o.canonical(&q)
+	if !workload.Applicable(*cq, k) {
+		return o.baseCostCanonical(cq)
 	}
-	return o.costWithInterned(q, k, o.in.Intern(k))
+	return o.costWithInterned(cq, k, o.in.Intern(k))
 }
 
 // CostWithInterned is CostWithIndex for a pre-interned index: id must be
 // o.Interner()'s ID for k.
-func (o *Optimizer) CostWithInterned(q workload.Query, k workload.Index, id workload.IndexID) float64 {
+func (o *Optimizer) CostWithInterned(q *workload.Query, k workload.Index, id workload.IndexID) float64 {
 	q = o.canonical(q)
-	if !workload.Applicable(q, k) {
+	if !workload.Applicable(*q, k) {
 		return o.baseCostCanonical(q)
 	}
 	return o.costWithInterned(q, k, id)
@@ -194,18 +195,18 @@ func (o *Optimizer) CostWithInterned(q workload.Query, k workload.Index, id work
 // baseCostCanonical is BaseCost for a query that is already canonical;
 // splitting it out keeps the applicability short-circuit from canonicalizing
 // twice.
-func (o *Optimizer) baseCostCanonical(q workload.Query) float64 {
+func (o *Optimizer) baseCostCanonical(q *workload.Query) float64 {
 	if c, ok := o.flat.baseGet(q.ID); ok {
 		o.ctr.cacheHits.Add(1)
 		return c
 	}
 	o.ctr.calls.Add(1)
-	c := SanitizeCost(o.src.BaseCost(q))
+	c := SanitizeCost(o.src.BaseCost(*q))
 	o.flat.basePut(q.ID, c)
 	return c
 }
 
-func (o *Optimizer) costWithInterned(q workload.Query, k workload.Index, id workload.IndexID) float64 {
+func (o *Optimizer) costWithInterned(q *workload.Query, k workload.Index, id workload.IndexID) float64 {
 	key := pairKeyOf(q.ID, id)
 	shard := &o.flat.indexCache[shardOf(q.ID)]
 	if c, ok := shard.get(key); ok {
@@ -213,7 +214,7 @@ func (o *Optimizer) costWithInterned(q workload.Query, k workload.Index, id work
 		return c
 	}
 	o.ctr.calls.Add(1)
-	c := SanitizeCost(o.src.CostWithIndex(q, k))
+	c := SanitizeCost(o.src.CostWithIndex(*q, k))
 	o.flat.notePair(key)
 	shard.put(q.ID, key, c)
 	return c
@@ -222,24 +223,23 @@ func (o *Optimizer) costWithInterned(q workload.Query, k workload.Index, id work
 // QueryCost returns f_j(I*). Whole-selection evaluations are not cached
 // (selections rarely repeat); each evaluation counts as one call.
 func (o *Optimizer) QueryCost(q workload.Query, sel workload.Selection) float64 {
-	q = o.canonical(q)
 	o.ctr.calls.Add(1)
-	return SanitizeCost(o.src.QueryCost(q, sel))
+	return SanitizeCost(o.src.QueryCost(*o.canonical(&q), sel))
 }
 
 // MaintenanceCost returns the write-maintenance cost of (q, k), cached.
 // Maintenance estimates are catalog/structure formulas, not optimizer
 // plan evaluations, and are not counted as what-if calls.
 func (o *Optimizer) MaintenanceCost(q workload.Query, k workload.Index) float64 {
-	q = o.canonical(q)
-	if !q.Maintains(k) {
+	cq := o.canonical(&q)
+	if !cq.Maintains(k) {
 		return 0
 	}
-	return o.maintInterned(q, k, o.in.Intern(k))
+	return o.maintInterned(cq, k, o.in.Intern(k))
 }
 
 // MaintenanceCostInterned is MaintenanceCost for a pre-interned index.
-func (o *Optimizer) MaintenanceCostInterned(q workload.Query, k workload.Index, id workload.IndexID) float64 {
+func (o *Optimizer) MaintenanceCostInterned(q *workload.Query, k workload.Index, id workload.IndexID) float64 {
 	q = o.canonical(q)
 	if !q.Maintains(k) {
 		return 0
@@ -247,13 +247,13 @@ func (o *Optimizer) MaintenanceCostInterned(q workload.Query, k workload.Index, 
 	return o.maintInterned(q, k, id)
 }
 
-func (o *Optimizer) maintInterned(q workload.Query, k workload.Index, id workload.IndexID) float64 {
+func (o *Optimizer) maintInterned(q *workload.Query, k workload.Index, id workload.IndexID) float64 {
 	key := pairKeyOf(q.ID, id)
 	shard := &o.flat.maintCache[shardOf(q.ID)]
 	if c, ok := shard.get(key); ok {
 		return c
 	}
-	c := SanitizeCost(o.src.MaintenanceCost(q, k))
+	c := SanitizeCost(o.src.MaintenanceCost(*q, k))
 	o.flat.notePair(key)
 	shard.put(q.ID, key, c)
 	return c
@@ -279,13 +279,13 @@ func (o *Optimizer) IndexSizeInterned(k workload.Index, id workload.IndexID) int
 // (Remark 2) when the current selection changes the context earlier calls
 // were made under. It walks only q's recorded entries (O(entries for q)).
 func (o *Optimizer) Invalidate(q workload.Query) {
-	q = o.canonical(q)
-	o.flat.baseDrop(q.ID)
-	shard := shardOf(q.ID)
-	dropped := o.flat.indexCache[shard].invalidate(q.ID) +
-		o.flat.maintCache[shard].invalidate(q.ID)
+	id := o.canonical(&q).ID
+	o.flat.baseDrop(id)
+	shard := shardOf(id)
+	dropped := o.flat.indexCache[shard].invalidate(id) +
+		o.flat.maintCache[shard].invalidate(id)
 	if lg := telemetry.L(); lg.Enabled(context.Background(), slog.LevelDebug) {
-		lg.Debug("whatif cache invalidated", "query", q.ID, "entries_dropped", dropped)
+		lg.Debug("whatif cache invalidated", "query", id, "entries_dropped", dropped)
 	}
 }
 

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -97,4 +99,35 @@ func sign(x int) int {
 	default:
 		return 0
 	}
+}
+
+// FuzzReadWorkload: the JSON reader is the boundary where workload files
+// enter the advisor. For any input it must not panic; it either rejects the
+// input with an error and no workload, or Write then Read gives back an
+// equal workload. The seed corpus in testdata/fuzz/FuzzReadWorkload covers
+// every query kind, multi-table schemas and qualified names, plus inputs
+// each validation rule rejects.
+func FuzzReadWorkload(f *testing.F) {
+	f.Add(`{"tables":[{"name":"T","rows":100,"attributes":[{"name":"T.a","distinct":10,"value_size":4}]}],` +
+		`"queries":[{"attributes":["T.a"],"frequency":3}]}`)
+	f.Fuzz(func(t *testing.T, src string) {
+		w, err := Read(strings.NewReader(src))
+		if (w == nil) == (err == nil) {
+			t.Fatalf("Read returned workload %v and error %v: want exactly one", w != nil, err)
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, w); err != nil {
+			t.Fatalf("Write of a read workload: %v", err)
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("Read of a written workload: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(again, w) {
+			t.Fatalf("Write then Read changed the workload:\n%s", buf.String())
+		}
+	})
 }

@@ -308,6 +308,19 @@ func (w *Workload) WriteQueries() []int {
 	return ids
 }
 
+// WritesByTable returns, per table, the IDs (ascending) of its Insert/Update
+// templates: the only queries whose maintenance cost an index on that table
+// can be charged.
+func (w *Workload) WritesByTable() [][]int32 {
+	out := make([][]int32, len(w.Tables))
+	for _, q := range w.Queries {
+		if q.IsWrite() {
+			out[q.Table] = append(out[q.Table], int32(q.ID))
+		}
+	}
+	return out
+}
+
 // AvgQueryWidth returns q-bar, the average number of attributes accessed per
 // query template (unweighted, as in Section II-B).
 func (w *Workload) AvgQueryWidth() float64 {

@@ -59,7 +59,7 @@ func TestNoisyCostInternedFastPath(t *testing.T) {
 	for _, k := range cands {
 		id := in.Intern(k)
 		for _, q := range w.Queries {
-			a := opt.CostWithInterned(q, k, id)
+			a := opt.CostWithInterned(&q, k, id)
 			b := opt.CostWithIndex(q, k)
 			if a != b {
 				t.Fatalf("interned cost %v != generic cost %v for (q%d, %s)", a, b, q.ID, k.Key())
