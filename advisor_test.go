@@ -2,7 +2,9 @@ package indexsel
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -151,6 +153,43 @@ func TestAdvisorMeasuredSource(t *testing.T) {
 	}
 	if rec.Memory > adv.Budget() {
 		t.Errorf("memory %d exceeds budget %d", rec.Memory, adv.Budget())
+	}
+}
+
+// A measured source answers probes from the point queries it instantiated,
+// by template ID. Handed a workload whose templates differ at some ID, it
+// must refuse — a *WorkerPanicError naming ForWorkload — rather than price
+// another template's query; rebound with ForWorkload it runs cleanly.
+func TestAdvisorMeasuredSourceRejectsForeignTemplates(t *testing.T) {
+	cfg := DefaultGenConfig()
+	cfg.Tables, cfg.AttrsPerTable, cfg.QueriesPerTable = 2, 6, 10
+	cfg.RowsBase = 2_000
+	cfg.Seed = 21
+	base, err := GenerateWorkload(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := PerturbTemplates(base, 21, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := NewDB(base, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := NewMeasuredSource(db, 7)
+
+	_, err = NewAdvisor(w, WithMeasuredSource(ms), WithParallelism(1)).Select(StrategyExtend)
+	var pe *WorkerPanicError
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), "ForWorkload") {
+		t.Fatalf("measured source priced a foreign workload: err = %v, want a WorkerPanicError naming ForWorkload", err)
+	}
+	if _, err := NewAdvisor(w, WithMeasuredSource(ms.ForWorkload(w)), WithParallelism(1)).Select(StrategyExtend); err != nil {
+		t.Fatalf("rebound source: %v", err)
+	}
+	// The source's own workload still needs no rebinding.
+	if _, err := NewAdvisor(base, WithMeasuredSource(ms), WithParallelism(1)).Select(StrategyExtend); err != nil {
+		t.Fatalf("own workload: %v", err)
 	}
 }
 

@@ -127,10 +127,9 @@ func BenchmarkFleetPooledShared(b *testing.B) { runFleetBench(b, 4, true) }
 // BenchmarkFleetPooled. Near-match resolves 4 union-superset caches over
 // family-shared sources, so each family's builds and executions run once.
 // The acceptance bar is NearCloneNearMatch >= 2x NearCloneTwin tenants/s.
-// The streamed arm runs the analytic variant of the same fleet through
-// TuneFleetStream and must keep its peak resident workload bytes <= 25% of
-// the unstreamed fleet's total (both recorded as the workload-peak-b
-// metric).
+// The streamed arm runs the analytic variant of the same fleet as Load
+// tenants and must keep its peak resident workload bytes <= 25% of the
+// unstreamed fleet's total (both recorded as the workload-peak-b metric).
 
 const (
 	fleetNearFamilies     = 4
@@ -240,12 +239,12 @@ func runStreamBench(b *testing.B, stream bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if stream {
-			specs := make([]FleetTenantSpec, n)
+			lazy := make([]FleetTenant, n)
 			for j := range tenants {
 				w := tenants[j].Workload
-				specs[j] = FleetTenantSpec{Load: func() (*workload.Workload, error) { return w, nil }}
+				lazy[j] = FleetTenant{Load: func() (*workload.Workload, error) { return w, nil }}
 			}
-			res, err := TuneFleetStream(context.Background(), specs, FleetStreamOptions{FleetOptions: opts})
+			res, err := TuneFleet(context.Background(), lazy, opts)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -25,11 +25,12 @@
 // journal (-resume replays it after a crash). See cmd/indexadvisor/serve.go.
 //
 // -fleet tunes a whole multi-tenant fleet in one run (see cmd/workloadgen
-// -tenants for generating one): tenants whose workloads are structural twins
-// (same schema and templates, different frequencies) transparently share
-// what-if cost caches and candidate enumeration — results stay bit-identical
-// to standalone runs — while -fleet-table-budget bounds the retained cache
-// bytes across all tenants with LRU eviction. -fleet-workers sizes the
+// -tenants for generating one): tenants whose workloads are exact twins
+// (same schema and template signatures, different frequencies) or, with
+// -fleet-near-match, near-clones transparently share what-if cost caches,
+// and results stay bit-identical to standalone runs. -fleet-table-budget
+// bounds the retained cache bytes across all tenants with LRU eviction,
+// -fleet-stream reads tenant workloads lazily, -fleet-workers sizes the
 // scheduler pool, -fleet-tenant-timeout bounds each tenant (partial results,
 // not errors), and per-tenant weights/deadlines come from the manifest.
 //
@@ -114,9 +115,9 @@ func main() {
 		fleetTableBudget = flag.Int64("fleet-table-budget", 0, "fleet mode: global bound on retained what-if table bytes across tenants (0 = unlimited)")
 		fleetTenantTO    = flag.Duration("fleet-tenant-timeout", 0, "fleet mode: default per-tenant deadline (each tenant returns its best partial result on expiry)")
 		fleetNoShare     = flag.Bool("fleet-no-share", false, "fleet mode: disable cross-tenant cache sharing (per-tenant caches even for structural twins)")
-		fleetNearMatch   = flag.Bool("fleet-near-match", false, "fleet mode: widen cache sharing from exact structural twins to near-clones (same schema, overlapping template sets) via union-superset caches; results stay bit-identical to standalone")
+		fleetNearMatch   = flag.Bool("fleet-near-match", false, "fleet mode: widen cache sharing from exact twins (template-set overlap 1.0) to near-clones (same schema, template sets overlapping by -fleet-near-overlap) via union-superset caches; results stay bit-identical to standalone")
 		fleetNearOverlap = flag.Float64("fleet-near-overlap", 0, "fleet mode: minimum Jaccard template-set overlap for -fleet-near-match clustering (0 = default 0.5)")
-		fleetStream      = flag.Bool("fleet-stream", false, "fleet mode: stream the manifest — load each tenant workload lazily at dispatch and release it after its result, keeping resident workloads at O(workers) instead of O(fleet)")
+		fleetStream      = flag.Bool("fleet-stream", false, "fleet mode: stream the manifest — read each tenant workload file lazily (once to cluster, once at dispatch) and release it after its result, keeping resident workloads at O(workers) instead of O(fleet) at the cost of parsing every file twice")
 		fleetSpillDir    = flag.String("fleet-spill-dir", "", "fleet mode: spill evicted what-if cost tables to compact binary files under this directory and restore them bit-identically on re-pin, instead of rebuilding")
 		strategy         = flag.String("strategy", "extend", "extend | cophy | h1..h5")
 		budgetShare      = flag.Float64("budget-share", 0.2, "budget as share of all single-attribute index memory")
@@ -187,14 +188,7 @@ func main() {
 			NearMatchOverlap: *fleetNearOverlap,
 			SpillDir:         *fleetSpillDir,
 		}
-		var err error
-		if *fleetStream {
-			err = runFleetStream(ctx, *fleetPath, indexsel.FleetStreamOptions{FleetOptions: fopts},
-				share, bytes, *jsonOut)
-		} else {
-			err = runFleet(ctx, *fleetPath, fopts, share, bytes, *jsonOut)
-		}
-		if err != nil {
+		if err := runFleet(ctx, os.Stdout, *fleetPath, fopts, share, bytes, *fleetStream, *jsonOut); err != nil {
 			log.Fatal(err)
 		}
 		if *metricsAddr != "" && *linger > 0 {

@@ -2,12 +2,14 @@ package indexsel
 
 import (
 	"fmt"
-	"strings"
-
 	"math"
-	"repro/internal/workload"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/costmodel"
+	"repro/internal/inum"
+	"repro/internal/workload"
 )
 
 // TestCostSumsIgnoreMapOrder: H5 and CoPhy report bit-identical costs on
@@ -65,6 +67,49 @@ func TestCostSumsIgnoreMapOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestQueryCostSumsIgnoreMapOrder: the per-query cost of a write adds the
+// maintenance of every selected index. The analytic model (both modes) and
+// INUM must sum it in a fixed order, so pricing one insert against one
+// 55-index selection gives the same bits every time.
+func TestQueryCostSumsIgnoreMapOrder(t *testing.T) {
+	cfg := DefaultGenConfig()
+	cfg.Seed, cfg.Tables, cfg.AttrsPerTable, cfg.QueriesPerTable = 3, 1, 10, 10
+	w, err := GenerateWorkload(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, sel := insertAgainstEveryIndex(w)
+	single := costmodel.New(w, costmodel.SingleIndex)
+	for name, src := range map[string]WhatIfSource{
+		"single": single,
+		"multi":  costmodel.New(w, costmodel.MultiIndex),
+		"inum":   inum.New(single),
+	} {
+		want := src.QueryCost(q, sel)
+		for rep := 0; rep < 100; rep++ {
+			if got := src.QueryCost(q, sel); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s rep %d: cost %v differs from the first call's %v", name, rep, got, want)
+			}
+		}
+	}
+}
+
+// insertAgainstEveryIndex returns an insert into w's first table and the
+// selection of every one- and two-attribute index on that table: an insert
+// maintains all of them, with costs of varied magnitude.
+func insertAgainstEveryIndex(w *Workload) (Query, Selection) {
+	attrs := w.Tables[0].Attrs
+	q := Query{ID: 0, Table: 0, Kind: workload.Insert, Attrs: attrs, Freq: 1}
+	sel := workload.NewSelection()
+	for i, a := range attrs {
+		sel.Add(Index{Table: 0, Attrs: []int{a}})
+		for _, b := range attrs[i+1:] {
+			sel.Add(Index{Table: 0, Attrs: []int{a, b}})
+		}
+	}
+	return q, sel
 }
 
 // renderSQL writes w as a schema script plus a query log with one

@@ -1,20 +1,12 @@
-// Workload fingerprinting and clustering for fleet mode. Tenants of a large
-// fleet are frequently near-duplicates of one another: the same schema and
-// query templates, differing only in template frequencies (and cosmetic
-// names). For such tenants every per-execution what-if cost f_j(k) is
-// identical — the cost model and the measured engine price one execution of a
-// template against an index, and frequencies only enter as the linear weights
-// of TotalCost. Clustering tenants by structural fingerprint therefore lets a
-// fleet share candidate enumeration and what-if cost tables across a cluster
-// with zero loss of exactness; per-tenant frequencies reweight the shared
-// per-template costs.
-//
-// The fingerprint deliberately excludes Query.Freq, and all Name fields, and
-// includes everything else that feeds the cost model: table row counts,
-// attribute distinct counts and value sizes, attribute<->table ownership, and
-// each template's (table, kind, attribute-set) signature. Fingerprints are
-// 64-bit FNV-1a hashes; Cluster guards against collisions by verifying full
-// structural equality against each cluster's representative.
+// Structural identities for fleet clustering. Tenants of a large fleet are
+// frequently near-duplicates of one another: the same schema and mostly the
+// same query templates, differing in template frequencies, cosmetic names
+// and a few added or dropped templates. Every per-execution what-if cost
+// f_j(k) depends only on the schema and on the template's structure — the
+// cost model and the measured engine price one execution of a template
+// against an index, and frequencies only enter as the linear weights of
+// TotalCost. Two identities capture exactly that: SchemaFingerprint for the
+// schema, TemplateSignature for one template. NearMatcher clusters on both.
 package compress
 
 import (
@@ -26,14 +18,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Fingerprint is a 64-bit structural hash of a workload, invariant under
-// renaming and template-frequency changes.
+// Fingerprint is a 64-bit structural hash of a workload's schema, invariant
+// under renaming and template changes.
 type Fingerprint uint64
-
-// String renders the fingerprint as fixed-width hex (for manifests and logs).
-func (f Fingerprint) String() string {
-	return "wf:" + strconv.FormatUint(uint64(f), 16)
-}
 
 // TemplateSignature returns the canonical structural signature of one query
 // template: table, kind, and the sorted accessed-attribute IDs — everything
@@ -57,12 +44,12 @@ func TemplateSignature(q workload.Query) string {
 	return b.String()
 }
 
-// WorkloadFingerprint hashes the structural content of w: tables (row
-// counts, attribute ownership), attributes (distinct counts, value sizes) and
-// query templates in ID order. Query frequencies and all names are excluded,
-// so tenants that differ only in how often they run each template — the
-// fleet's sharing opportunity — collide on purpose.
-func WorkloadFingerprint(w *workload.Workload) Fingerprint {
+// SchemaFingerprint hashes the schema of w as 64-bit FNV-1a: tables (row
+// counts, attribute ownership) and attributes (distinct counts, value
+// sizes). Query templates, frequencies and all names are excluded — it is
+// the sharing-soundness boundary for near-match clustering, which guards
+// against collisions by comparing the schemas themselves.
+func SchemaFingerprint(w *workload.Workload) Fingerprint {
 	h := fnv.New64a()
 	var buf [8]byte
 	u64 := func(v uint64) {
@@ -83,96 +70,5 @@ func WorkloadFingerprint(w *workload.Workload) Fingerprint {
 		u64(uint64(a.Distinct))
 		u64(uint64(a.ValueSize))
 	}
-	u64(uint64(w.NumQueries()))
-	for _, q := range w.Queries {
-		h.Write([]byte(TemplateSignature(q)))
-		h.Write([]byte{0})
-	}
 	return Fingerprint(h.Sum64())
-}
-
-// SameStructure reports whether a and b are structurally identical: same
-// tables (row counts, attribute lists), same attributes (ownership, distinct
-// counts, value sizes) and same query templates (table, kind, attribute
-// sets) in the same ID order. Frequencies and names may differ. It is the
-// exact predicate WorkloadFingerprint approximates; Cluster uses it to rule
-// out hash collisions.
-func SameStructure(a, b *workload.Workload) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil {
-		return false
-	}
-	if len(a.Tables) != len(b.Tables) ||
-		a.NumAttrs() != b.NumAttrs() ||
-		a.NumQueries() != b.NumQueries() {
-		return false
-	}
-	for i, ta := range a.Tables {
-		tb := b.Tables[i]
-		if ta.Rows != tb.Rows || len(ta.Attrs) != len(tb.Attrs) {
-			return false
-		}
-		for j, at := range ta.Attrs {
-			if at != tb.Attrs[j] {
-				return false
-			}
-		}
-	}
-	ba := b.Attrs()
-	for i, aa := range a.Attrs() {
-		ab := ba[i]
-		if aa.Table != ab.Table || aa.Distinct != ab.Distinct || aa.ValueSize != ab.ValueSize {
-			return false
-		}
-	}
-	for i, qa := range a.Queries {
-		qb := b.Queries[i]
-		if qa.Table != qb.Table || qa.Kind != qb.Kind || len(qa.Attrs) != len(qb.Attrs) {
-			return false
-		}
-		for j, at := range qa.Attrs {
-			if at != qb.Attrs[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Cluster partitions the given workloads into clusters of structurally
-// identical tenants. The result maps each input position to its cluster, and
-// clusters list member positions in input order with the first member as
-// representative. Clustering is deterministic in the input order; hash
-// collisions (equal fingerprints, different structure) fall into separate
-// clusters via the SameStructure check against each candidate cluster's
-// representative.
-func Cluster(ws []*workload.Workload) []ClusterInfo {
-	byFP := make(map[Fingerprint][]int) // fingerprint -> cluster positions in out
-	var out []ClusterInfo
-	for i, w := range ws {
-		fp := WorkloadFingerprint(w)
-		placed := false
-		for _, ci := range byFP[fp] {
-			if SameStructure(ws[out[ci].Members[0]], w) {
-				out[ci].Members = append(out[ci].Members, i)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			byFP[fp] = append(byFP[fp], len(out))
-			out = append(out, ClusterInfo{Fingerprint: fp, Members: []int{i}})
-		}
-	}
-	return out
-}
-
-// ClusterInfo describes one cluster of structurally identical workloads:
-// the shared fingerprint and the member positions (input order; the first
-// member is the representative).
-type ClusterInfo struct {
-	Fingerprint Fingerprint
-	Members     []int
 }

@@ -15,19 +15,25 @@ func famBase(t *testing.T, seed int64) *workload.Workload {
 	return workload.MustGenerate(cfg)
 }
 
+// exactTwins reports whether a and b land in one cluster at overlap 1.0 —
+// the fleet's exact-twin sharing test.
+func exactTwins(a, b *workload.Workload) bool {
+	return len(ClusterNear([]*workload.Workload{a, b}, 1.0)) == 1
+}
+
 func TestFingerprintIgnoresFrequenciesAndNames(t *testing.T) {
 	w := famBase(t, 1)
-	fp := WorkloadFingerprint(w)
+	fp := SchemaFingerprint(w)
 
 	p, err := workload.PerturbFrequencies(w, 9, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := WorkloadFingerprint(p); got != fp {
+	if got := SchemaFingerprint(p); got != fp {
 		t.Fatalf("frequency perturbation changed fingerprint: %v -> %v", fp, got)
 	}
-	if !SameStructure(w, p) {
-		t.Fatal("SameStructure rejects a frequency perturbation")
+	if !exactTwins(w, p) {
+		t.Fatal("overlap 1.0 separates a frequency perturbation")
 	}
 
 	// Renaming tables/attributes must not matter either: rebuild with blank names.
@@ -47,16 +53,21 @@ func TestFingerprintIgnoresFrequenciesAndNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := WorkloadFingerprint(renamed); got != fp {
+	if got := SchemaFingerprint(renamed); got != fp {
 		t.Fatalf("renaming changed fingerprint: %v -> %v", fp, got)
+	}
+	if !exactTwins(w, renamed) {
+		t.Fatal("overlap 1.0 separates a renamed workload")
 	}
 }
 
+// Schema mutations must change the schema fingerprint; every structural
+// mutation, schema or template, must split exact twins at overlap 1.0.
 func TestFingerprintSensitiveToStructure(t *testing.T) {
 	w := famBase(t, 1)
-	fp := WorkloadFingerprint(w)
+	fp := SchemaFingerprint(w)
 
-	mutate := func(name string, f func(tables []workload.Table, attrs []workload.Attribute, queries []workload.Query)) {
+	mutate := func(name string, schema bool, f func(tables []workload.Table, attrs []workload.Attribute, queries []workload.Query)) {
 		tables := make([]workload.Table, len(w.Tables))
 		copy(tables, w.Tables)
 		for i := range tables {
@@ -74,27 +85,27 @@ func TestFingerprintSensitiveToStructure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := WorkloadFingerprint(mw); got == fp {
+		if got := SchemaFingerprint(mw); schema && got == fp {
 			t.Errorf("%s: fingerprint unchanged", name)
 		}
-		if SameStructure(w, mw) {
-			t.Errorf("%s: SameStructure still true", name)
+		if exactTwins(w, mw) {
+			t.Errorf("%s: still exact twins at overlap 1.0", name)
 		}
 	}
 
-	mutate("row count", func(tables []workload.Table, _ []workload.Attribute, _ []workload.Query) {
+	mutate("row count", true, func(tables []workload.Table, _ []workload.Attribute, _ []workload.Query) {
 		tables[0].Rows++
 	})
-	mutate("distinct count", func(_ []workload.Table, attrs []workload.Attribute, _ []workload.Query) {
+	mutate("distinct count", true, func(_ []workload.Table, attrs []workload.Attribute, _ []workload.Query) {
 		attrs[3].Distinct++
 	})
-	mutate("value size", func(_ []workload.Table, attrs []workload.Attribute, _ []workload.Query) {
+	mutate("value size", true, func(_ []workload.Table, attrs []workload.Attribute, _ []workload.Query) {
 		attrs[3].ValueSize++
 	})
-	mutate("template kind", func(_ []workload.Table, _ []workload.Attribute, queries []workload.Query) {
+	mutate("template kind", false, func(_ []workload.Table, _ []workload.Attribute, queries []workload.Query) {
 		queries[0].Kind = workload.Update
 	})
-	mutate("template attrs", func(tables []workload.Table, _ []workload.Attribute, queries []workload.Query) {
+	mutate("template attrs", false, func(tables []workload.Table, _ []workload.Attribute, queries []workload.Query) {
 		// Swap the first query's attribute set for the full first-table row.
 		queries[0].Table = tables[0].ID
 		queries[0].Attrs = append([]int(nil), tables[0].Attrs...)
@@ -125,8 +136,9 @@ func TestTemplateSignatureExcludesFreq(t *testing.T) {
 }
 
 func TestClusterGroupsFamilies(t *testing.T) {
-	// Three families with distinct structures, interleaved: clustering must
-	// recover the families regardless of input order.
+	// Three families with distinct structures, interleaved: exact-twin
+	// clustering (overlap 1.0) must recover the families regardless of input
+	// order.
 	var tenants []*workload.Workload
 	var want []int // tenant position -> family
 	for fam := 0; fam < 3; fam++ {
@@ -154,22 +166,22 @@ func TestClusterGroupsFamilies(t *testing.T) {
 		famOf[i] = want[p]
 	}
 
-	clusters := Cluster(shuffled)
+	clusters := ClusterNear(shuffled, 1.0)
 	if len(clusters) != 3 {
 		t.Fatalf("got %d clusters, want 3", len(clusters))
 	}
 	seen := 0
 	for _, c := range clusters {
 		if len(c.Members) != 4 {
-			t.Fatalf("cluster %v has %d members, want 4", c.Fingerprint, len(c.Members))
+			t.Fatalf("cluster %v has %d members, want 4", c.Schema, len(c.Members))
 		}
-		fam := famOf[c.Members[0]]
+		fam := famOf[c.Members[0].Pos]
 		for i, m := range c.Members {
-			if famOf[m] != fam {
+			if famOf[m.Pos] != fam {
 				t.Fatalf("cluster mixes families: member %d from family %d, representative from %d",
-					m, famOf[m], fam)
+					m.Pos, famOf[m.Pos], fam)
 			}
-			if i > 0 && c.Members[i-1] >= m {
+			if i > 0 && c.Members[i-1].Pos >= m.Pos {
 				t.Fatalf("cluster members not in input order: %v", c.Members)
 			}
 		}
@@ -180,12 +192,12 @@ func TestClusterGroupsFamilies(t *testing.T) {
 	}
 
 	// Determinism: same input, same clustering.
-	again := Cluster(shuffled)
+	again := ClusterNear(shuffled, 1.0)
 	if len(again) != len(clusters) {
 		t.Fatal("clustering not deterministic")
 	}
 	for i := range again {
-		if again[i].Fingerprint != clusters[i].Fingerprint || len(again[i].Members) != len(clusters[i].Members) {
+		if again[i].Schema != clusters[i].Schema || len(again[i].Members) != len(clusters[i].Members) {
 			t.Fatal("clustering not deterministic")
 		}
 	}
@@ -194,15 +206,15 @@ func TestClusterGroupsFamilies(t *testing.T) {
 func TestClusterSingletons(t *testing.T) {
 	a := famBase(t, 1)
 	b := famBase(t, 2)
-	clusters := Cluster([]*workload.Workload{a, b})
+	clusters := ClusterNear([]*workload.Workload{a, b}, 1.0)
 	if len(clusters) != 2 {
 		t.Fatalf("structurally distinct workloads clustered together: %d clusters", len(clusters))
 	}
-	one := Cluster([]*workload.Workload{a})
-	if len(one) != 1 || len(one[0].Members) != 1 || one[0].Members[0] != 0 {
+	one := ClusterNear([]*workload.Workload{a}, 1.0)
+	if len(one) != 1 || len(one[0].Members) != 1 || one[0].Members[0].Pos != 0 {
 		t.Fatalf("cluster-of-one wrong: %+v", one)
 	}
-	if len(Cluster(nil)) != 0 {
+	if len(ClusterNear(nil, 1.0)) != 0 {
 		t.Fatal("empty input should produce no clusters")
 	}
 }

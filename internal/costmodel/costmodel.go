@@ -196,11 +196,12 @@ func (m *Model) CostWithIndex(q workload.Query, k workload.Index) float64 {
 
 // QueryCost returns f_j(I*) for the model's mode: the read-path cost (best
 // index or scan) plus, for write queries, the maintenance cost of every
-// selected index the write touches.
+// selected index the write touches, summed in canonical key order so the
+// float sum does not follow the map's random iteration order.
 func (m *Model) QueryCost(q workload.Query, sel workload.Selection) float64 {
 	var maint float64
 	if q.IsWrite() {
-		for _, k := range sel {
+		for _, k := range sel.Sorted() {
 			maint += m.MaintenanceCost(q, k)
 		}
 		if q.Kind == workload.Insert {

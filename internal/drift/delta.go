@@ -168,8 +168,10 @@ func PlanDelta(ctx context.Context, w *workload.Workload, opt *whatif.Optimizer,
 
 // queryCost prices one execution of q under sel, mirroring the per-query
 // term of heuristics.TotalCost: the best applicable index (or the base
-// cost), plus maintenance against every selected index for writes.
-func queryCost(opt *whatif.Optimizer, q workload.Query, sel workload.Selection) float64 {
+// cost), plus maintenance against every selected index for writes. sel must
+// be in canonical key order (Selection.Sorted): the maintenance sum follows
+// it, and a map's random order would make the sum irreproducible.
+func queryCost(opt *whatif.Optimizer, q workload.Query, sel []workload.Index) float64 {
 	best := opt.BaseCost(q)
 	for _, k := range sel {
 		if !workload.Applicable(q, k) {
@@ -211,9 +213,10 @@ func guardrail(w *workload.Workload, opt *whatif.Optimizer, deployed, target wor
 		heavy = heavy[:o.HeavyK]
 	}
 	rep := &GuardrailReport{Epsilon: o.Epsilon, HeavyK: o.HeavyK}
+	depSorted, targetSorted := deployed.Sorted(), target.Sorted()
 	for _, h := range heavy {
-		dep := queryCost(opt, h.q, deployed)
-		plc := queryCost(opt, h.q, target)
+		dep := queryCost(opt, h.q, depSorted)
+		plc := queryCost(opt, h.q, targetSorted)
 		hq := HeavyQuery{
 			Query:    h.q.ID,
 			Freq:     h.q.Freq,

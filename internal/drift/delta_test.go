@@ -99,8 +99,8 @@ func TestPlanDeltaGuardrailProperty(t *testing.T) {
 					// what-if calls rather than trusting the report.
 					for _, hq := range plan.Guardrail.Queries {
 						q := snap.Queries[hq.Query]
-						dep := queryCost(opt, q, deployed)
-						got := queryCost(opt, q, plan.Target)
+						dep := queryCost(opt, q, deployed.Sorted())
+						got := queryCost(opt, q, plan.Target.Sorted())
 						if got > dep*(1+plan.Guardrail.Epsilon)+1e-9*math.Max(1, dep) {
 							t.Fatalf("phase %d: accepted delta regresses heavy query %d: %g -> %g",
 								p, hq.Query, dep, got)
@@ -263,5 +263,48 @@ func TestPlanDeltaValidation(t *testing.T) {
 	}
 	if _, err := PlanDelta(context.Background(), w, opt, nil, PlanOptions{}); err == nil {
 		t.Fatal("zero budget accepted")
+	}
+}
+
+// The guardrail prices every heavy query under both selections; a write's
+// maintenance sum over the selection must not follow the map's random
+// iteration order, or one plan could pass the check on one run and fail it
+// on the next.
+func TestGuardrailCostsIgnoreMapOrder(t *testing.T) {
+	cfg := workload.DefaultGenConfig()
+	cfg.Seed, cfg.Tables, cfg.AttrsPerTable, cfg.QueriesPerTable, cfg.WriteShare = 3, 1, 10, 10, 0.5
+	w := workload.MustGenerate(cfg)
+	writes := 0
+	for _, q := range w.Queries {
+		if q.IsWrite() {
+			writes++
+		}
+	}
+	if writes == 0 {
+		t.Fatal("generated workload has no writes")
+	}
+	deployed := workload.NewSelection()
+	attrs := w.Tables[0].Attrs
+	for i, a := range attrs {
+		deployed.Add(workload.Index{Table: 0, Attrs: []int{a}})
+		for _, b := range attrs[i+1:] {
+			deployed.Add(workload.Index{Table: 0, Attrs: []int{a, b}})
+		}
+	}
+	target := deployed.Clone()
+	target.Remove(workload.Index{Table: 0, Attrs: []int{attrs[0]}})
+	opt := whatif.New(costmodel.New(w, costmodel.SingleIndex))
+	o := PlanOptions{HeavyK: len(w.Queries), Epsilon: 0.05}
+	want := guardrail(w, opt, deployed, target, o)
+	for rep := 0; rep < 100; rep++ {
+		got := guardrail(w, opt, deployed, target, o)
+		for i, hq := range got.Queries {
+			wq := want.Queries[i]
+			if math.Float64bits(hq.Deployed) != math.Float64bits(wq.Deployed) ||
+				math.Float64bits(hq.Planned) != math.Float64bits(wq.Planned) {
+				t.Fatalf("rep %d query %d: costs (%v, %v) differ from the first run's (%v, %v)",
+					rep, hq.Query, hq.Deployed, hq.Planned, wq.Deployed, wq.Planned)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
 	"math"
 	"sync"
@@ -193,9 +194,29 @@ func (ms *MeasuredSource) measure(e *Executor, pq PointQuery) float64 {
 	return float64(best)
 }
 
+// point returns the point query instantiated for template q. A probe for a
+// template the source was not instantiated for — another ID, table or
+// attribute list at q.ID — would silently measure some other query, so it
+// panics instead, like BuildIndex on a bad index spec; the strategy-level
+// recovery turns that into a *WorkerPanicError.
+func (ms *MeasuredSource) point(q workload.Query) PointQuery {
+	if q.ID >= 0 && q.ID < len(ms.queries) {
+		pq := ms.queries[q.ID]
+		same := pq.Table == q.Table && len(pq.Preds) == len(q.Attrs)
+		for i := 0; same && i < len(q.Attrs); i++ {
+			same = pq.Preds[i].Attr == q.Attrs[i]
+		}
+		if same {
+			return pq
+		}
+	}
+	panic(fmt.Sprintf("engine: measured source was not instantiated for template %d (table %d, attrs %v); "+
+		"rebind it to the workload with ForWorkload", q.ID, q.Table, q.Attrs))
+}
+
 // BaseCost implements whatif.Source: execution with no indexes.
 func (ms *MeasuredSource) BaseCost(q workload.Query) float64 {
-	return ms.measure(NewExecutor(ms.db), ms.queries[q.ID])
+	return ms.measure(NewExecutor(ms.db), ms.point(q))
 }
 
 // CostWithIndex implements whatif.Source: execution with only index k
@@ -204,7 +225,8 @@ func (ms *MeasuredSource) CostWithIndex(q workload.Query, k workload.Index) floa
 	if !workload.Applicable(q, k) {
 		return ms.BaseCost(q)
 	}
-	return ms.measure(NewExecutor(ms.db, ms.index(k)), ms.queries[q.ID])
+	pq := ms.point(q)
+	return ms.measure(NewExecutor(ms.db, ms.index(k)), pq)
 }
 
 // QueryCost implements whatif.Source in the single-index setting of

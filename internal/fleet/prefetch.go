@@ -9,12 +9,12 @@ import (
 
 var (
 	mWorkloadsResident = telemetry.Default().Gauge("indexsel_fleet_workloads_resident",
-		"Tenant workloads currently loaded in memory by the streaming fleet prefetcher.")
+		"Tenant workloads currently loaded in memory by the fleet prefetcher.")
 	mWorkloadBytes = telemetry.Default().Gauge("indexsel_fleet_workload_resident_bytes",
-		"Estimated bytes of tenant workloads currently resident in the streaming fleet prefetcher.")
+		"Estimated bytes of tenant workloads currently resident in the fleet prefetcher.")
 )
 
-// Prefetcher drives streaming fleet mode's load-on-dispatch, release-after-
+// Prefetcher drives fleet mode's load-on-dispatch, release-after-
 // result contract: items (tenant workloads) are loaded lazily in a fixed
 // order by one background goroutine, at most `window` of them resident at a
 // time, so resident workload bytes are O(window), not O(fleet).

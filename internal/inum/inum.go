@@ -110,11 +110,12 @@ func (s *Source) BaseCost(q workload.Query) float64 {
 }
 
 // QueryCost implements whatif.Source in the single-index setting over the
-// cached skeletons, adding write maintenance like the underlying model.
+// cached skeletons, adding write maintenance like the underlying model (in
+// canonical key order, so the sum is reproducible).
 func (s *Source) QueryCost(q workload.Query, sel workload.Selection) float64 {
 	var maint float64
 	if q.IsWrite() {
-		for _, k := range sel {
+		for _, k := range sel.Sorted() {
 			maint += s.src.MaintenanceCost(q, k)
 		}
 		if q.Kind == workload.Insert {

@@ -10,8 +10,8 @@ import (
 // frequencies are redrawn multiplicatively: each b_j becomes
 // round(b_j * exp(skew * Z)) with Z ~ N(0,1), clamped to >= 1. Tables,
 // attributes and query attribute sets are untouched, so the result is
-// structurally identical to w (same fingerprint, exact what-if sharing in
-// fleet mode) while its frequency-weighted objective differs. skew = 0
+// structurally identical to w (an exact twin, sharing what-if costs at
+// overlap 1.0 in fleet mode) while its frequency-weighted objective differs. skew = 0
 // returns an exact copy; larger skews model tenants whose traffic mixes have
 // drifted further apart. The draw is deterministic for a given seed.
 func PerturbFrequencies(w *Workload, seed int64, skew float64) (*Workload, error) {

@@ -347,7 +347,7 @@ func (w *Workload) TotalFreq() int64 {
 // Workload retains: tables, attributes, queries (attribute lists and access
 // bitsets included) and the inverted attribute->query indexes. Like
 // whatif.TableBytes it is an accounting measure, not measured RSS — the
-// streaming fleet's resident-workload gauge and its bench guard use the same
+// fleet prefetcher's resident-workload gauge and its bench guard use the same
 // estimator on both sides of the comparison.
 func (w *Workload) FootprintBytes() int64 {
 	const (
