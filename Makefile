@@ -16,7 +16,9 @@
 # results/BENCH_heuristics.json and fails if an allocation per candidate
 # comes back; `make bench-engine` records engine
 # index builds over key widths and table sizes as results/BENCH_engine.json
-# and fails if a build allocates more than its output. All are committed so perf
+# and fails if a build allocates more than its output; `make bench-drift`
+# records one guardrailed delta plan (drift.PlanDelta) on a scaled ERP,
+# free and priced per created byte, as results/BENCH_drift.json. All are committed so perf
 # trajectories are tracked across changes. `make oracle-guard` fails if a
 # differential oracle leaks into a shipped binary.
 
@@ -48,6 +50,7 @@ BENCH_HEURISTICS_PATTERN := ^BenchmarkH5$$
 BENCH_HEURISTICS_GUARDS := \
 	-max-allocs 'BenchmarkH5/H5=168000' \
 	-max-allocs 'BenchmarkH5/H4_skyline=172000'
+BENCH_DRIFT_PATTERN := ^BenchmarkPlanDelta(Reconfig)?$$
 BENCH_ENGINE_PATTERN := ^BenchmarkEngineIndexBuild$$
 # A build allocates its output permutation and the index header; the pass
 # buffer and bucket counts are pooled. The ceiling of 3 leaves one spare
@@ -55,7 +58,7 @@ BENCH_ENGINE_PATTERN := ^BenchmarkEngineIndexBuild$$
 BENCH_ENGINE_GUARDS := $(foreach arm,w1_rows5000 w2_rows5000 w4_rows5000 \
 	w1_rows100000 w2_rows100000 w4_rows100000,-max-allocs 'BenchmarkEngineIndexBuild/$(arm)=3')
 
-.PHONY: build test race oracle-guard bench-core bench-lp bench-whatif bench-candidates bench-heuristics bench-engine bench-fleet bench-compare
+.PHONY: build test race oracle-guard bench-core bench-lp bench-whatif bench-candidates bench-heuristics bench-engine bench-drift bench-fleet bench-compare
 
 build:
 	$(GO) build ./...
@@ -67,11 +70,11 @@ race:
 	$(GO) test -race ./internal/core ./internal/whatif ./internal/engine ./internal/lp
 
 # The differential oracles (the string-keyed reference selector and what-if
-# cache, the dense LP, the map-and-sort candidate enumeration and selection,
+# cache, the uncached Extend sweep, the dense LP, the map-and-sort candidate enumeration and selection,
 # the by-value H4/H5 scoring path, the comparison-sort index build) and the
 # noisy cost-source double live in test code only: no shipped command or
 # example may link them.
-ORACLE_SYMBOLS := refSelector|refTables|denseSolve|NoisySource|combosReference|selectReference|benefitReference|buildIndexSorted
+ORACLE_SYMBOLS := refSelector|refTables|collectSweep|denseSolve|NoisySource|combosReference|selectReference|benefitReference|buildIndexSorted
 ORACLE_PKG := repro/internal/whatif/whatiftest
 
 oracle-guard:
@@ -116,6 +119,11 @@ bench-engine:
 		-count $(BENCH_COUNT) -timeout 30m . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson $(BENCH_ENGINE_GUARDS) \
 		> results/BENCH_engine.json
+
+bench-drift:
+	$(GO) test -run '^$$' -bench '$(BENCH_DRIFT_PATTERN)' -benchmem \
+		-count $(BENCH_COUNT) -timeout 30m ./internal/drift \
+		| tee /dev/stderr | $(GO) run ./cmd/benchjson > results/BENCH_drift.json
 
 # Fleet-mode throughput. Three arm groups, all recorded into
 # results/BENCH_fleet.json (tracked by bench-compare against the committed

@@ -174,7 +174,7 @@ func WithParallelism(n int) Option {
 // ratio is within a (1+eps) factor of the exact maximum. Runs stay
 // deterministic but are no longer bit-identical to the
 // exact default (eps = 0). Ignored by strategies other than Extend and when
-// Reconfig or MultiIndex is set. It overrides the Approximate field of
+// MultiIndex is set. It overrides the Approximate field of
 // WithExtendOptions regardless of option order.
 func WithApproximate(eps float64) Option {
 	return func(ad *Advisor) { ad.approximate = eps }
@@ -259,7 +259,7 @@ type Recommendation struct {
 	Evaluated, CacheServed int
 	// Pruned totals the candidates the lazy (CELF) loop skipped because their
 	// gain upper bound could not beat the step winner (StrategyExtend only;
-	// zero on the Reconfig sweep and multi-index paths).
+	// zero on the multi-index path).
 	Pruned int
 	// Approximate echoes the lazy loop's relative relaxation eps
 	// (WithApproximate); 0 means the provably exact default.

@@ -51,8 +51,8 @@ func (c *expiringCtx) Err() error {
 // unbounded run's step trace — the in-flight step is discarded, never applied
 // from partially evaluated candidates. This pins the lazy (CELF) default,
 // whose in-flight batches must be discarded without corrupting its
-// persistent bound state; internal/core pins the sweep that Reconfig runs
-// take.
+// persistent bound state; internal/core pins a priced lazy run and the
+// sweep oracle.
 func TestAnytimePrefixBitIdentity(t *testing.T) {
 	w := smallWorkload(t)
 	m := costmodel.New(w, costmodel.SingleIndex)

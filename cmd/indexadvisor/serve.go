@@ -49,7 +49,7 @@ func runServe(args []string) {
 		deadline    = fs.Duration("retune-deadline", 30*time.Second, "per-retune selection deadline (anytime: partial plans are valid)")
 		budgetShare = fs.Float64("budget-share", 0.5, "budget as share of the window's single-attribute index memory")
 		budgetBytes = fs.Int64("budget-bytes", 0, "absolute budget in bytes (overrides -budget-share)")
-		reconfigPB  = fs.Float64("reconfig-per-byte", 0, "bias re-selection against churn: reconfiguration cost per created byte")
+		reconfigPB  = fs.Float64("reconfig-per-byte", 0, "bias re-selection against churn: reconfiguration cost per byte of index created (finite, >= 0; 0 = free)")
 		backoffBase = fs.Duration("backoff-base", time.Second, "initial retry backoff after a failed/rejected retune")
 		backoffMax  = fs.Duration("backoff-max", 5*time.Minute, "retry backoff cap")
 		seed        = fs.Int64("seed", 1, "seed for backoff jitter")

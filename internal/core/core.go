@@ -22,11 +22,12 @@
 // cost/maintenance caches are flat tables indexed by ID — the inner loop does
 // no string construction or map hashing.
 //
-// Two step loops decide each construction step, both bit-identical: the lazy
-// (CELF) loop of lazy.go, and the uncached sweep (collect), which runs when
-// Options.Reconfig couples every gain to the whole selection. The original
-// string-keyed selector survives in test code (reference_test.go) as the
-// differential oracle for both.
+// One step loop decides each construction step: the lazy (CELF) loop of
+// lazy.go. The reconfiguration term R is priced per created byte
+// (Options.Reconfig), a constant per candidate step, so priced runs take the
+// same loop. Two exact oracles survive in test code: the uncached sweep
+// (collectSweep, differential_test.go) and the original string-keyed selector
+// (reference_test.go).
 package core
 
 import (
@@ -80,12 +81,9 @@ type Options struct {
 	// matching the paper's end-to-end methodology of executing every query
 	// under every candidate.
 	ExactEvaluation bool
-	// Reconfig, if non-nil, returns R(I*, I-bar*) for a candidate selection;
-	// it is added to the workload cost when comparing steps. The current
-	// selection I-bar* is the caller's to capture. Because its value
-	// depends on the whole selection, setting it forces the uncached sweep
-	// instead of the lazy loop.
-	Reconfig func(sel workload.Selection) float64
+	// Reconfig prices R(I*, I-bar*), added to the workload cost when
+	// comparing steps. The zero value means reconfiguration is free.
+	Reconfig Reconfig
 	// Deprecated: ignored. Candidate evaluation is serial; the field stays
 	// only because the end-to-end benchmark (bench/e2e/erp.go) still sets it.
 	Parallelism int
@@ -96,7 +94,7 @@ type Options struct {
 	// deterministic, but are no longer bit-identical to exact mode; steps
 	// that actually engaged the relaxed cut are counted in
 	// indexsel_lazy_approx_steps_total. 0 (the default) is provably exact.
-	// Ignored when Reconfig or MultiIndex is set.
+	// Ignored when MultiIndex is set.
 	Approximate float64
 	// Explain records decision provenance: one explain.StepProvenance per
 	// applied step (gain decomposition by query, maintenance delta,
@@ -123,6 +121,16 @@ type Options struct {
 	// semantics as Context; zero means none. The earlier of Deadline and the
 	// Context's own deadline wins.
 	Deadline time.Time
+}
+
+// Reconfig is the reconfiguration cost R(I*, I-bar*) against the deployed
+// selection I-bar*: every byte of a selected index that is not deployed
+// costs CreatePerByte. A step's change in R then depends only on the index it
+// creates and the one it replaces, a constant per candidate step.
+// CreatePerByte must be finite and non-negative; 0 means free.
+type Reconfig struct {
+	Deployed      workload.Selection
+	CreatePerByte float64
 }
 
 // StepKind labels a construction step.
@@ -293,6 +301,9 @@ func Select(w *workload.Workload, opt *whatif.Optimizer, opts Options) (res *Res
 	if opts.Budget <= 0 {
 		return nil, fmt.Errorf("core: budget must be positive (got %d)", opts.Budget)
 	}
+	if p := opts.Reconfig.CreatePerByte; !(p >= 0) || math.IsInf(p, 1) {
+		return nil, fmt.Errorf("core: Reconfig.CreatePerByte must be finite and non-negative (got %v)", p)
+	}
 	if opts.MultiIndex {
 		return newSelector(w, opt, opts).runMultiIndex()
 	}
@@ -321,7 +332,12 @@ type selector struct {
 	fsum  float64                    // read component of F(I) = sum b_j cost_j
 	wsum  float64                    // write component: maintenance of selected indexes
 	mem   int64                      // P(I)
-	recon float64                    // R(I) under opts.Reconfig (0 if nil)
+	recon float64                    // R(I) = CreatePerByte * created
+
+	// deployed interns Options.Reconfig.Deployed; nil when reconfiguration
+	// is free. created counts the selected bytes outside it.
+	deployed *workload.IDSelection
+	created  int64
 
 	// selByLead holds the selected indexes grouped by leading attribute,
 	// each list in canonical key order (addIndex/removeIndex keep it);
@@ -349,10 +365,11 @@ type selector struct {
 	singles   []workload.Index
 	singleIDs []workload.IndexID
 
-	// lazy is the CELF priority-queue state (lazy.go); non-nil exactly when
-	// the lazy step loop decides steps (neither Reconfig nor MultiIndex set).
-	// When nil, run() decides every step with the uncached sweep (collect).
-	lazy *lazyState
+	// lazy is the CELF priority-queue state (lazy.go); nil under MultiIndex.
+	// decide is run()'s step decision, collectLazy; tests swap in the
+	// uncached sweep (collectSweep) as its exact oracle.
+	lazy   *lazyState
+	decide func() (best, second candidate, haveSecond, ok bool, err error)
 	// snapCost is mutateStep's reusable cost-snapshot buffer.
 	snapCost []float64
 
@@ -401,13 +418,14 @@ type gainKey struct {
 // gainEntry is an evaluation outcome: the candidate and whether it is a
 // viable step (positive gain and memory growth). Selection-membership and
 // budget checks are NOT part of the entry — they depend on per-step state
-// and are re-applied cheaply on every use. optGain and dm are reported even
-// for non-viable outcomes: the lazy path derives stale upper bounds from
-// them (see lazy.go), while the sweep ignores them.
+// and are re-applied cheaply on every use. optGain, recon and dm are
+// reported even for non-viable outcomes: the lazy path derives stale upper
+// bounds from them (see lazy.go), while the sweep ignores them.
 type gainEntry struct {
 	c       candidate
 	ok      bool
-	optGain float64 // optimistic surrogate gain (== gain for new-index kinds)
+	optGain float64 // optimistic surrogate read gain net of maintenance
+	recon   float64 // the step's change in R, already subtracted from c.gain
 	dm      int64   // memory delta, valid while the base index stays selected
 }
 
@@ -453,12 +471,17 @@ func newSelector(w *workload.Workload, opt *whatif.Optimizer, opts Options) *sel
 		s.singles[a.ID] = idx
 		s.singleIDs[a.ID] = s.in.Intern(idx)
 	}
+	if opts.Reconfig.CreatePerByte > 0 {
+		s.deployed = workload.NewIDSelection(s.in)
+		for _, k := range opts.Reconfig.Deployed.Sorted() { // key order: deterministic IDs
+			s.deployed.Add(s.in.Intern(k))
+		}
+	}
 	s.ensure()
-	if opts.Reconfig != nil {
-		s.recon = opts.Reconfig(s.sel.Selection())
-	} else if !opts.MultiIndex {
+	if !opts.MultiIndex {
 		// Built last: the bound slacks derive from the base costs above.
 		s.lazy = newLazyState(s)
+		s.decide = s.collectLazy
 	}
 	return s
 }
@@ -533,6 +556,22 @@ func (s *selector) maintFor(k workload.Index, id workload.IndexID) float64 {
 // total returns the tracked F(I) + maintenance + R(I).
 func (s *selector) total() float64 { return s.fsum + s.wsum + s.recon }
 
+// createdBytes is what selecting index k (interned as id) adds to the
+// created byte count behind R: its size unless it is deployed, and 0 when
+// reconfiguration is free.
+func (s *selector) createdBytes(k workload.Index, id workload.IndexID) int64 {
+	if s.deployed == nil || s.deployed.Has(id) {
+		return 0
+	}
+	return s.indexSize(k, id)
+}
+
+// addCreated moves the created byte count by delta and re-prices R(I).
+func (s *selector) addCreated(delta int64) {
+	s.created += delta
+	s.recon = s.opts.Reconfig.CreatePerByte * float64(s.created)
+}
+
 func (s *selector) indexSize(k workload.Index, id workload.IndexID) int64 {
 	return s.opt.IndexSizeInterned(k, id)
 }
@@ -551,10 +590,10 @@ type candidate struct {
 
 // evalNew computes the gain of adding idx as a brand-new index. It is a pure
 // function of the per-step state (cost, served, selection sizes), which no
-// evaluation mutates; selection-membership filtering happens in
-// enumerate(). For a new index the gain already is the optimistic surrogate
-// of lazy.go (there is no replaced index whose loss could offset it), so
-// optGain == gain.
+// evaluation mutates; selection-membership filtering happens when the
+// candidate universe is built. For a new index the gain before the
+// reconfiguration charge already is the optimistic surrogate of lazy.go
+// (there is no replaced index whose loss could offset it).
 func (s *selector) evalNew(idx workload.Index, id workload.IndexID, kind StepKind) gainEntry {
 	costs := s.costsFor(idx, id)
 	qs := s.queriesWith[idx.Leading()]
@@ -565,19 +604,18 @@ func (s *selector) evalNew(idx workload.Index, id workload.IndexID, kind StepKin
 		}
 	}
 	gain -= s.maintFor(idx, id)
+	opt := gain
 	dm := s.indexSize(idx, id)
-	if s.opts.Reconfig != nil {
-		next := s.sel.Clone()
-		next.Add(id)
-		gain += s.recon - s.opts.Reconfig(next.Selection())
-	}
+	recon := s.opts.Reconfig.CreatePerByte * float64(s.createdBytes(idx, id))
+	gain -= recon
 	if gain <= 0 || dm <= 0 {
-		return gainEntry{optGain: gain, dm: dm}
+		return gainEntry{optGain: opt, recon: recon, dm: dm}
 	}
 	return gainEntry{
 		c:       candidate{kind: kind, index: idx, id: id, gain: gain, deltaMem: dm, ratio: gain / float64(dm)},
 		ok:      true,
-		optGain: gain,
+		optGain: opt,
+		recon:   recon,
 		dm:      dm,
 	}
 }
@@ -620,14 +658,12 @@ func (s *selector) evalExtend(k workload.Index, kID workload.IndexID, ext worklo
 	gain -= maintDelta
 	opt -= maintDelta
 	dm := s.indexSize(ext, extID) - s.size[kID]
-	if s.opts.Reconfig != nil {
-		next := s.sel.Clone()
-		next.Remove(kID)
-		next.Add(extID)
-		gain += s.recon - s.opts.Reconfig(next.Selection())
-	}
+	// Created bytes are integers: the difference is exact, so the charge
+	// equals R(after) - R(before) priced on whole selections.
+	recon := s.opts.Reconfig.CreatePerByte * float64(s.createdBytes(ext, extID)-s.createdBytes(k, kID))
+	gain -= recon
 	if gain <= 0 || dm <= 0 {
-		return gainEntry{optGain: opt, dm: dm}
+		return gainEntry{optGain: opt, recon: recon, dm: dm}
 	}
 	kc := k
 	return gainEntry{
@@ -635,6 +671,7 @@ func (s *selector) evalExtend(k workload.Index, kID workload.IndexID, ext worklo
 			gain: gain, deltaMem: dm, ratio: gain / float64(dm)},
 		ok:      true,
 		optGain: opt,
+		recon:   recon,
 		dm:      dm,
 	}
 }
@@ -689,68 +726,6 @@ func (s *selector) sortedSel() []selEntry {
 	return out
 }
 
-// enumerate lists every candidate step of the current construction step in a
-// fixed, deterministic order: step (3a) singles, step (3b) one-attribute
-// extensions, then the Remark 1.4 pair universe. Cheap state-dependent
-// filters (TopNSingle, empty query sets, already-selected indexes) are
-// applied here. All interning happens here; callers must ensure() before
-// evaluating the tasks.
-func (s *selector) enumerate() []evalTask {
-	var tasks []evalTask
-	sel := s.sortedSel()
-
-	// Step (3a): new single-attribute indexes.
-	for _, a := range s.w.Attrs() {
-		if s.singleAllowed != nil && !s.singleAllowed[a.ID] {
-			continue
-		}
-		if len(s.queriesWith[a.ID]) == 0 {
-			continue
-		}
-		if s.sel.Has(s.singleIDs[a.ID]) {
-			continue
-		}
-		tasks = append(tasks, evalTask{kind: StepNewIndex, index: s.singles[a.ID], id: s.singleIDs[a.ID]})
-	}
-
-	// Step (3b): append one attribute to each selected index.
-	for _, e := range sel {
-		for _, a := range s.w.Tables[e.k.Table].Attrs {
-			if e.k.Contains(a) {
-				continue
-			}
-			ext := e.k.Append(a)
-			extID := s.in.Intern(ext)
-			if s.sel.Has(extID) {
-				continue
-			}
-			tasks = append(tasks, evalTask{kind: StepExtend, index: ext, id: extID, base: e.k, baseID: e.id, hasBase: true})
-		}
-	}
-
-	if s.opts.PairSteps {
-		for _, p := range s.pairUniverse() {
-			idx := workload.Index{Table: s.w.TableOf(p[0]), Attrs: []int{p[0], p[1]}}
-			id := s.in.Intern(idx)
-			if !s.sel.Has(id) {
-				tasks = append(tasks, evalTask{kind: StepNewPair, index: idx, id: id})
-			}
-			for _, e := range sel {
-				if e.k.Table != idx.Table || e.k.Contains(p[0]) || e.k.Contains(p[1]) {
-					continue
-				}
-				ext := e.k.Append(p[0]).Append(p[1])
-				extID := s.in.Intern(ext)
-				if s.sel.Has(extID) {
-					continue
-				}
-				tasks = append(tasks, evalTask{kind: StepExtendPair, index: ext, id: extID, base: e.k, baseID: e.id, hasBase: true})
-			}
-		}
-	}
-	return tasks
-}
-
 // stopCheckStride is how many tasks evalAll evaluates between full
 // Stopper.Check polls (clock + context). Powers of two keep the modulo a
 // mask.
@@ -777,63 +752,6 @@ func (s *selector) evalAll(tasks []evalTask, results []gainEntry) (err error) {
 		results[i] = s.evalCandidate(t)
 	}
 	return nil
-}
-
-// collect is the uncached sweep: it enumerates and evaluates every candidate
-// step afresh and keeps those that fit the budget. The reduction runs over
-// the fixed enumeration order with the deterministic better() tie-break, so
-// the chosen step (and runner-up) is bit-identical to the lazy loop's
-// decision.
-//
-// If the stopper fires while the step is being evaluated, the whole in-flight
-// step is discarded (ok=false, stopReason set): applying a step decided over
-// partially evaluated candidates would break the bit-identical-prefix
-// guarantee. An evaluation panic surfaces as a non-nil err.
-func (s *selector) collect() (best, second candidate, haveSecond, ok bool, err error) {
-	tasks := s.enumerate()
-	s.ensure() // cover freshly interned candidates before evaluating them
-	results := make([]gainEntry, len(tasks))
-	s.lastCandidates, s.lastEvaluated = len(tasks), len(tasks)
-	s.lastCached, s.lastPruned = 0, 0
-	s.totalEvaluated += len(tasks)
-
-	if err := s.evalAll(tasks, results); err != nil {
-		return candidate{}, candidate{}, false, false, err
-	}
-	if r := s.stop.Check(); r != fault.StopNone {
-		// Some results may be missing (evalAll stopped early); discard the
-		// step rather than reducing over an incomplete evaluation.
-		s.stopReason = r
-		return candidate{}, candidate{}, false, false, nil
-	}
-
-	budgetExcluded := false
-	for _, r := range results {
-		c := r.c
-		if !r.ok {
-			continue
-		}
-		if s.mem+c.deltaMem > s.opts.Budget {
-			budgetExcluded = true
-			continue
-		}
-		if !ok || better(c, best) {
-			if ok {
-				second, haveSecond = best, true
-			}
-			best, ok = c, true
-		} else if !haveSecond || better(c, second) {
-			second, haveSecond = c, true
-		}
-	}
-	if !ok {
-		if budgetExcluded {
-			s.stopReason = fault.StopBudget
-		} else {
-			s.stopReason = fault.StopConverged
-		}
-	}
-	return best, second, haveSecond, ok, nil
 }
 
 // mutateStep wraps the serial state mutation(s) of one applied or dropped
@@ -1003,15 +921,15 @@ func (s *selector) apply(c candidate, second candidate, haveSecond bool) {
 	wsumBefore, reconBefore := s.wsum, s.recon
 
 	s.mutateStep(c.index.Leading(), func() {
+		created := s.createdBytes(c.index, c.id)
 		if c.replaced != nil {
+			created -= s.createdBytes(*c.replaced, c.replacedID)
 			s.removeIndex(*c.replaced, c.replacedID)
 		}
 		s.addIndex(c.index, c.id)
+		s.addCreated(created)
 	})
 
-	if s.opts.Reconfig != nil {
-		s.recon = s.opts.Reconfig(s.sel.Selection())
-	}
 	step := Step{
 		Kind:        c.kind,
 		Index:       c.index,
@@ -1121,10 +1039,8 @@ func (s *selector) dropUnused() {
 			wsumBefore, reconBefore := s.wsum, s.recon
 			s.mutateStep(e.k.Leading(), func() {
 				s.removeIndex(e.k, e.id)
+				s.addCreated(-s.createdBytes(e.k, e.id))
 			})
-			if s.opts.Reconfig != nil {
-				s.recon = s.opts.Reconfig(s.sel.Selection())
-			}
 			s.steps = append(s.steps, Step{
 				Kind:       StepDrop,
 				Index:      e.k,
@@ -1184,17 +1100,11 @@ func (s *selector) initTopNSingle() {
 	}
 }
 
-// run executes the construction loop in the single-index cost decomposition.
-// The step decision is the lazy CELF loop (collectLazy) or, when s.lazy is
-// nil (Reconfig), the uncached sweep (collect); both produce bit-identical
-// traces.
+// run executes the construction loop in the single-index cost decomposition,
+// deciding every step with s.decide (the lazy CELF loop, collectLazy).
 func (s *selector) run() (*Result, error) {
 	s.initTopNSingle()
 	initial := s.total()
-	decide := s.collect
-	if s.lazy != nil {
-		decide = s.collectLazy
-	}
 	for {
 		if s.opts.MaxSteps > 0 && len(s.steps) >= s.opts.MaxSteps {
 			s.stopReason = fault.StopMaxSteps
@@ -1206,14 +1116,14 @@ func (s *selector) run() (*Result, error) {
 		}
 		sp := s.opts.Span.Child("extend.step")
 		stepStart := time.Now()
-		best, second, haveSecond, ok, err := decide()
+		best, second, haveSecond, ok, err := s.decide()
 		if err != nil {
 			sp.Discard()
 			return nil, err
 		}
 		if !ok {
 			sp.Discard()
-			break // collect set stopReason
+			break // decide set stopReason
 		}
 		s.apply(best, second, haveSecond)
 		finishStep(sp, stepStart, &s.steps[len(s.steps)-1], s.lastProv())
@@ -1232,12 +1142,10 @@ func (s *selector) run() (*Result, error) {
 		Evaluated:   s.totalEvaluated,
 		CacheServed: s.totalCached,
 		Pruned:      s.totalPruned,
+		Approximate: s.opts.Approximate,
 		Provenance:  s.prov,
 		StopReason:  s.stopReason,
 		Partial:     s.stopReason.Interrupted(),
-	}
-	if s.lazy != nil {
-		res.Approximate = s.opts.Approximate
 	}
 	logRun(res)
 	return res, nil
@@ -1300,8 +1208,14 @@ func (s *selector) runMultiIndex() (*Result, error) {
 		for _, q := range s.w.Queries {
 			f += float64(q.Freq) * queryCost(sel, q)
 		}
-		if s.opts.Reconfig != nil {
-			f += s.opts.Reconfig(sel)
+		if rc := s.opts.Reconfig; rc.CreatePerByte > 0 {
+			var created int64
+			for _, k := range sel {
+				if !rc.Deployed.Has(k) {
+					created += s.opt.IndexSize(k)
+				}
+			}
+			f += rc.CreatePerByte * float64(created)
 		}
 		return f
 	}

@@ -315,14 +315,9 @@ func TestReconfigDiscouragesChurn(t *testing.T) {
 	}
 	// A reconfiguration charge proportional to created bytes makes index
 	// creation strictly less attractive: at most as many indexes selected.
-	rc := costmodel.Reconfig{CreatePerByte: 1e6}
-	current := workload.NewSelection()
-	opt2 := whatif.New(m)
-	charged, err := Select(w, opt2, Options{
-		Budget: m.Budget(0.5),
-		Reconfig: func(sel workload.Selection) float64 {
-			return rc.Cost(m, sel, current)
-		},
+	charged, err := Select(w, whatif.New(m), Options{
+		Budget:   m.Budget(0.5),
+		Reconfig: Reconfig{CreatePerByte: 1e6},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,28 +325,23 @@ func TestReconfigDiscouragesChurn(t *testing.T) {
 	if len(charged.Selection) > len(free.Selection) {
 		t.Errorf("reconfig charge grew selection: %d > %d", len(charged.Selection), len(free.Selection))
 	}
-	// R couples every gain to the whole selection, so the uncached sweep
-	// decides each step: even a zero charge prunes nothing and serves
-	// nothing from cache.
-	zero, err := Select(w, whatif.New(m), Options{
+	// The charge is a constant per candidate step, so a priced run keeps the
+	// lazy loop: it must prune or serve from cache, not sweep.
+	priced, err := Select(w, whatif.New(m), Options{
 		Budget:   m.Budget(0.5),
-		Reconfig: func(workload.Selection) float64 { return 0 },
+		Reconfig: Reconfig{CreatePerByte: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(zero.Steps) == 0 || zero.Pruned != 0 || zero.CacheServed != 0 {
-		t.Errorf("zero-charge Reconfig run: %d steps, %d pruned, %d cache-served; want the sweep",
-			len(zero.Steps), zero.Pruned, zero.CacheServed)
+	if len(priced.Steps) == 0 || priced.Pruned+priced.CacheServed == 0 {
+		t.Errorf("priced run: %d steps, %d pruned, %d cache-served; want the lazy loop",
+			len(priced.Steps), priced.Pruned, priced.CacheServed)
 	}
 	// With an absurd charge nothing should be worth building.
-	rcHuge := costmodel.Reconfig{CreatePerByte: 1e18}
-	opt3 := whatif.New(m)
-	none, err := Select(w, opt3, Options{
-		Budget: m.Budget(0.5),
-		Reconfig: func(sel workload.Selection) float64 {
-			return rcHuge.Cost(m, sel, current)
-		},
+	none, err := Select(w, whatif.New(m), Options{
+		Budget:   m.Budget(0.5),
+		Reconfig: Reconfig{CreatePerByte: 1e18},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,6 +349,68 @@ func TestReconfigDiscouragesChurn(t *testing.T) {
 	if len(none.Selection) != 0 {
 		t.Errorf("absurd reconfig charge still selected %d indexes", len(none.Selection))
 	}
+}
+
+// TestReconfigCost pins what the priced term charges: R is CreatePerByte per
+// byte of every selected index outside the deployed set, so a priced run's
+// final cost is the model's F(I) plus that charge, its initial cost is F(∅),
+// and a zero price is free whatever is deployed.
+func TestReconfigCost(t *testing.T) {
+	w := gen(t, 2, 12, 30, 100_000, 37)
+	m, _ := setup(w)
+	budget := m.Budget(0.5)
+	free, err := Select(w, whatif.New(m), Options{Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deployed := everyOther(free.Selection)
+	if len(deployed) == 0 {
+		t.Fatal("unpriced run selected nothing to deploy")
+	}
+	const price = 2
+	res, err := Select(w, whatif.New(m), Options{
+		Budget:   budget,
+		Reconfig: Reconfig{Deployed: deployed, CreatePerByte: price},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var created int64
+	for _, k := range res.Selection {
+		if !deployed.Has(k) {
+			created += m.IndexSize(k)
+		}
+	}
+	if got, want := res.Cost-m.TotalCost(res.Selection), price*float64(created); math.Abs(got-want) > 1e-6*math.Max(1, want) {
+		t.Errorf("priced cost exceeds F(I) by %v, want R = %v", got, want)
+	}
+	if res.InitialCost != free.InitialCost {
+		t.Errorf("priced initial cost %v, want F(empty) %v", res.InitialCost, free.InitialCost)
+	}
+	zero, err := Select(w, whatif.New(m), Options{Budget: budget, Reconfig: Reconfig{Deployed: deployed}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceEqual(t, "zero price", free, zero)
+
+	for _, p := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := Select(w, whatif.New(m), Options{Budget: budget, Reconfig: Reconfig{CreatePerByte: p}}); err == nil {
+			t.Errorf("CreatePerByte %v accepted", p)
+		}
+	}
+}
+
+// everyOther deploys every other index of sel in key order: runs priced
+// against it see both positive and negative per-candidate charges (creating
+// an undeployed index, replacing one by a deployed extension).
+func everyOther(sel workload.Selection) workload.Selection {
+	out := workload.NewSelection()
+	for i, k := range sel.Sorted() {
+		if i%2 == 0 {
+			out.Add(k)
+		}
+	}
+	return out
 }
 
 func TestPairSteps(t *testing.T) {

@@ -17,15 +17,6 @@ import (
 // same what-if Calls/CacheHits accounting. This is the contract that makes the fast path trustworthy — any divergence in
 // tie-breaking, cache semantics, or derived-cost reuse shows up here.
 
-// selectSweep runs Select with the lazy loop switched off, so every step is
-// decided by the uncached sweep (collect) — the loop Reconfig runs take. It
-// is the exact in-package oracle for the lazy loop.
-func selectSweep(w *workload.Workload, opt *whatif.Optimizer, opts Options) (*Result, error) {
-	s := newSelector(w, opt, opts)
-	s.lazy = nil
-	return s.run()
-}
-
 // traceEqual asserts two results carry bit-identical step traces: same
 // kinds, keys, replaced indexes, ratios, costs, memory, and runner-ups.
 func traceEqual(t *testing.T, label string, a, b *Result) {
@@ -215,6 +206,65 @@ func TestIncrementalMatchesFullRecomputation(t *testing.T) {
 			// from-scratch model evaluation of its final selection.
 			if got, want := b.Cost, m.TotalCost(b.Selection); math.Abs(got-want) > 1e-6*want {
 				t.Errorf("incremental cost %v != model %v", got, want)
+			}
+		}
+	}
+}
+
+// TestDifferentialPriced pins priced runs to both oracles: the lazy loop,
+// the uncached sweep and the string-keyed reference, which re-prices R on
+// every whole candidate selection, must produce bit-identical traces, stop
+// reasons and runner-ups. Each price times any byte count is exact in
+// float64, so the per-step charge equals the whole-selection difference bit
+// for bit. The deployed set is every other index of an unpriced run, so
+// candidates carry both positive and negative charges.
+func TestDifferentialPriced(t *testing.T) {
+	features := []Options{
+		{},
+		{TrackSecondBest: true, DropUnused: true},
+		{PairSteps: true, PairLimit: 40, TrackSecondBest: true},
+	}
+	for name, w := range diffWorkloads(t) {
+		m := costmodel.New(w, costmodel.SingleIndex)
+		budget := m.Budget(0.5)
+		free, err := Select(w, whatif.New(m), Options{Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deployed := everyOther(free.Selection)
+		for _, price := range []float64{1, 5e3, 1e6} {
+			stepped := false
+			for fi, feat := range features {
+				label := fmt.Sprintf("%s/price%g/feature%d", name, price, fi)
+				opts := feat
+				opts.Budget = budget
+				opts.Reconfig = Reconfig{Deployed: deployed, CreatePerByte: price}
+
+				lazy, err := Select(w, whatif.New(m), opts)
+				if err != nil {
+					t.Fatalf("%s: lazy: %v", label, err)
+				}
+				sweep, err := selectSweep(w, whatif.New(m), opts)
+				if err != nil {
+					t.Fatalf("%s: sweep: %v", label, err)
+				}
+				ref, err := selectReference(w, whatiftest.New(m), opts)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", label, err)
+				}
+				traceEqual(t, label+" lazy vs sweep", sweep, lazy)
+				traceEqual(t, label+" lazy vs reference", ref, lazy)
+				if lazy.StopReason != sweep.StopReason || lazy.StopReason != ref.StopReason {
+					t.Errorf("%s: stop reasons lazy %v, sweep %v, reference %v",
+						label, lazy.StopReason, sweep.StopReason, ref.StopReason)
+				}
+				if lazy.Evaluated > sweep.Evaluated {
+					t.Errorf("%s: lazy evaluated %d candidates, sweep only %d", label, lazy.Evaluated, sweep.Evaluated)
+				}
+				stepped = stepped || len(lazy.Steps) > 0
+			}
+			if !stepped {
+				t.Errorf("%s: no priced run at %g/byte took a step", name, price)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/explain"
 	"repro/internal/whatif"
+	"repro/internal/workload"
 )
 
 // Provenance must be a pure observer: turning Options.Explain on may not
@@ -126,6 +127,64 @@ func checkProvenance(t *testing.T, label string, res *Result, sweep bool) {
 				t.Errorf("%s: step %d ledger not sorted by bound at %d", label, i, j)
 			}
 		}
+	}
+}
+
+// A priced run's provenance carries the reconfiguration term: every step's
+// Gain must decompose as ReadGain - MaintenanceDelta - ReconfigDelta with a
+// non-zero ReconfigDelta wherever the step changed the created bytes, and the
+// priced trace must stay bit-identical with Explain on or off, drop steps
+// (DropUnused) included.
+func TestExplainPricedDecomposition(t *testing.T) {
+	w := writeGen(t, 0.1, 21)
+	m := costmodel.New(w, costmodel.SingleIndex)
+	budget := m.Budget(0.5)
+	free, err := Select(w, whatif.New(m), Options{Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Budget:     budget,
+		DropUnused: true,
+		Reconfig:   Reconfig{Deployed: everyOther(free.Selection), CreatePerByte: 1},
+	}
+	plain, err := Select(w, whatif.New(m), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Explain = true
+	expl, err := Select(w, whatif.New(m), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceEqual(t, "priced", plain, expl)
+	checkProvenance(t, "priced", expl, false)
+	// At one unit per byte, ReconfigDelta is the step's created-byte change.
+	created := func(k workload.Index) float64 {
+		if opts.Reconfig.Deployed.Has(k) {
+			return 0
+		}
+		return float64(m.IndexSize(k))
+	}
+	priced := 0
+	for i, p := range expl.Provenance {
+		st := expl.Steps[i]
+		want := created(st.Index)
+		if st.Kind == StepDrop {
+			want = -want
+		}
+		if st.Replaced != nil {
+			want -= created(*st.Replaced)
+		}
+		if p.ReconfigDelta != want {
+			t.Errorf("step %d (%s %s): ReconfigDelta %v, want %v", i, p.Kind, p.Index, p.ReconfigDelta, want)
+		}
+		if want != 0 {
+			priced++
+		}
+	}
+	if priced == 0 {
+		t.Fatal("no step of the priced run moved the reconfiguration term")
 	}
 }
 

@@ -1,5 +1,5 @@
 // Lazy-greedy (CELF) step loop. Instead of re-evaluating every candidate
-// each construction step (collect, the uncached sweep), the selector keeps
+// each construction step (the uncached sweep), the selector keeps
 // one persistent entry per candidate carrying the outcome of its last
 // evaluation plus enough bookkeeping to derive a SOUND upper bound on its
 // current benefit/memory ratio, and each step pops candidates from a
@@ -32,9 +32,14 @@
 // base was unselected or that entered the selection die in the per-step
 // universe rebuild, so
 //
-//	bound(e) = (optGain_e + rise[b] - riseAt_e + slack[b]) / deltaMem_e
+//	bound(e) = (optGain_e + rise[b] - riseAt_e + slack[b] - recon_e) / deltaMem_e
 //
-// is an upper bound on e's current ratio. slack[b] is an absolute numerator
+// is an upper bound on e's current ratio. recon_e is the step's change in
+// the priced reconfiguration term (Options.Reconfig): created bytes are
+// counted against a fixed deployed set, so it is a constant per candidate.
+// It is subtracted last, in the bound as in the gain, so rounding (which is
+// monotone) cannot let it break the bound however large the price.
+// slack[b] is an absolute numerator
 // cushion of 1e-9 times the bucket's total freq-weighted base cost — about
 // four orders of magnitude above the worst-case accumulated float64 rounding
 // of the sums involved, and harmless for pruning because gains that small are
@@ -115,6 +120,7 @@ type lazyEntry struct {
 	viable    bool // gain > 0 && deltaMem > 0 at last evaluation
 	cand      candidate
 	optGain   float64 // optimistic surrogate gain at evaluation time
+	recon     float64 // the step's change in R (constant per candidate)
 	dmf       float64 // deltaMem (constant while the candidate stays valid)
 	riseAt    float64 // rise[lead] at evaluation time
 	epochAt   uint64  // kind-appropriate bucket epoch at evaluation time
@@ -257,7 +263,7 @@ func (lz *lazyState) epoch(kind StepKind, b int) uint64 {
 // entryBound is the sound stale upper bound on e's current ratio.
 func (lz *lazyState) entryBound(e *lazyEntry) float64 {
 	b := e.lead
-	return (e.optGain + (lz.rise[b] - e.riseAt) + lz.slack[b]) / e.dmf
+	return (e.optGain + (lz.rise[b] - e.riseAt) + lz.slack[b] - e.recon) / e.dmf
 }
 
 // noteMutation is mutateStep's lazy arm: translate one applied/dropped
@@ -380,6 +386,7 @@ func (s *selector) recordLazy(e *lazyEntry, r gainEntry) {
 	e.viable = r.ok
 	e.cand = r.c
 	e.optGain = r.optGain
+	e.recon = r.recon
 	if r.dm <= 0 {
 		e.dead = true
 	} else {
@@ -409,9 +416,12 @@ func (lz *lazyState) refreshAgg(b int) {
 	bk.agg, bk.aggRiseAt, bk.minDM, bk.hasAgg = agg, lz.rise[b], minDM, true
 }
 
-// collectLazy is the CELF replacement for collect(): same contract, same
-// bit-identical decision in exact mode, but only the candidates whose bounds
-// reach the evolving threshold are (re)evaluated.
+// collectLazy decides one construction step: it returns the best and
+// second-best viable candidates within budget, bit-identical in exact mode to
+// the uncached sweep's decision, but (re)evaluates only the candidates whose
+// bounds reach the evolving threshold. If the stopper fires mid-step the
+// whole step is discarded (ok=false, stopReason set); an evaluation panic
+// surfaces as a non-nil err.
 func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, err error) {
 	lz := s.lazy
 

@@ -39,7 +39,11 @@ type refSelector struct {
 	fsum  float64          // read component of F(I) = sum b_j cost_j
 	wsum  float64          // write component: maintenance of selected indexes
 	mem   int64            // P(I)
-	recon float64          // R(I) under opts.Reconfig (0 if nil)
+	recon float64          // R(I) under reconfig (0 if nil)
+
+	// reconfig is the whole-selection R(I) the interned selector prices per
+	// step: nil when opts.Reconfig is free.
+	reconfig func(sel workload.Selection) float64
 
 	writeQs   []int
 	maintCost map[string]float64
@@ -82,7 +86,17 @@ func newRefSelector(w *workload.Workload, opt *whatiftest.Reference, opts Option
 		candCost: make(map[string][]float64),
 	}
 	s.stop = fault.NewStopper(opts.Context, opts.Deadline)
-	if opts.Reconfig == nil {
+	if rc := opts.Reconfig; rc.CreatePerByte > 0 {
+		s.reconfig = func(sel workload.Selection) float64 {
+			var created int64
+			for key, k := range sel {
+				if _, ok := rc.Deployed[key]; !ok {
+					created += opt.IndexSize(k)
+				}
+			}
+			return rc.CreatePerByte * float64(created)
+		}
+	} else {
 		s.gains = make(map[int]map[refGainKey]refGainEntry)
 	}
 	s.queriesWith = make([][]int, w.NumAttrs())
@@ -107,8 +121,8 @@ func newRefSelector(w *workload.Workload, opt *whatiftest.Reference, opts Option
 		s.served[q.ID] = make(map[string]float64)
 		s.fsum += float64(q.Freq) * s.base[q.ID]
 	}
-	if opts.Reconfig != nil {
-		s.recon = opts.Reconfig(s.sel)
+	if s.reconfig != nil {
+		s.recon = s.reconfig(s.sel)
 	}
 	return s
 }
@@ -191,10 +205,10 @@ func (s *refSelector) evalNew(idx workload.Index, kind StepKind) (refCandidate, 
 	}
 	gain -= s.maintFor(idx)
 	dm := s.indexSize(idx)
-	if s.opts.Reconfig != nil {
+	if s.reconfig != nil {
 		next := s.sel.Clone()
 		next.Add(idx)
-		gain += s.recon - s.opts.Reconfig(next)
+		gain += s.recon - s.reconfig(next)
 	}
 	if gain <= 0 || dm <= 0 {
 		return refCandidate{}, false
@@ -225,11 +239,11 @@ func (s *refSelector) evalExtend(k workload.Index, ext workload.Index, kind Step
 	}
 	gain -= s.maintFor(ext) - s.maintFor(k)
 	dm := s.indexSize(ext) - s.size[kKey]
-	if s.opts.Reconfig != nil {
+	if s.reconfig != nil {
 		next := s.sel.Clone()
 		next.Remove(k)
 		next.Add(ext)
-		gain += s.recon - s.opts.Reconfig(next)
+		gain += s.recon - s.reconfig(next)
 	}
 	if gain <= 0 || dm <= 0 {
 		return refCandidate{}, false
@@ -470,8 +484,8 @@ func (s *refSelector) apply(c refCandidate, second refCandidate, haveSecond bool
 	}
 	s.addIndex(c.index)
 
-	if s.opts.Reconfig != nil {
-		s.recon = s.opts.Reconfig(s.sel)
+	if s.reconfig != nil {
+		s.recon = s.reconfig(s.sel)
 	}
 	step := Step{
 		Kind:        c.kind,
@@ -561,8 +575,8 @@ func (s *refSelector) dropUnused() {
 			}
 			before, memBefore := s.total(), s.mem
 			s.removeIndex(k)
-			if s.opts.Reconfig != nil {
-				s.recon = s.opts.Reconfig(s.sel)
+			if s.reconfig != nil {
+				s.recon = s.reconfig(s.sel)
 			}
 			s.steps = append(s.steps, Step{
 				Kind:       StepDrop,

@@ -368,28 +368,3 @@ func (m *Model) SingleAttrBudget() int64 {
 func (m *Model) Budget(share float64) int64 {
 	return int64(share * float64(m.SingleAttrBudget()))
 }
-
-// Reconfig models reconfiguration costs R(I*, I-bar*): creating an index
-// costs CreatePerByte per byte of its size, dropping one costs DropPerIndex.
-// The zero value means reconfiguration is free (the paper's evaluation
-// setting).
-type Reconfig struct {
-	CreatePerByte float64
-	DropPerIndex  float64
-}
-
-// Cost returns R(newSel, oldSel).
-func (r Reconfig) Cost(m *Model, newSel, oldSel workload.Selection) float64 {
-	var cost float64
-	for key, k := range newSel {
-		if _, ok := oldSel[key]; !ok {
-			cost += r.CreatePerByte * float64(m.IndexSize(k))
-		}
-	}
-	for key := range oldSel {
-		if _, ok := newSel[key]; !ok {
-			cost += r.DropPerIndex
-		}
-	}
-	return cost
-}

@@ -178,23 +178,6 @@ func TestTotalCostAndSize(t *testing.T) {
 	}
 }
 
-func TestReconfigCost(t *testing.T) {
-	w := tiny(t)
-	m := New(w, SingleIndex)
-	k1, k2, k3 := workload.MustIndex(w, 0), workload.MustIndex(w, 1), workload.MustIndex(w, 2)
-	old := workload.NewSelection(k1, k2)
-	niu := workload.NewSelection(k2, k3)
-	r := Reconfig{CreatePerByte: 2, DropPerIndex: 100}
-	want := 2*float64(m.IndexSize(k3)) + 100 // create k3, drop k1
-	if got := r.Cost(m, niu, old); math.Abs(got-want) > 1e-9 {
-		t.Errorf("Reconfig.Cost = %v, want %v", got, want)
-	}
-	var free Reconfig
-	if got := free.Cost(m, niu, old); got != 0 {
-		t.Errorf("zero Reconfig.Cost = %v, want 0", got)
-	}
-}
-
 // TestSupersetNeverWorse: property — for any query and any pair of
 // selections S1 ⊆ S2, SingleIndex cost with S2 is <= cost with S1.
 func TestSupersetNeverWorse(t *testing.T) {

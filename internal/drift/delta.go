@@ -25,12 +25,10 @@ type PlanOptions struct {
 	// HeavyK is how many queries (top by frequency·base-cost) the guardrail
 	// protects; <= 0 means 10. Ties break by query ID.
 	HeavyK int
-	// ReconfigPerByte, when > 0, charges the selection strategies a
-	// reconfiguration cost of ReconfigPerByte per byte of index created
-	// relative to the deployed set, biasing the search toward low-churn
-	// deltas. It forces the uncached sweep instead of the lazy loop (see
-	// core.Options.Reconfig), so leave it 0 when planning latency matters
-	// more than churn.
+	// ReconfigPerByte, when > 0, charges the selection a reconfiguration
+	// cost of ReconfigPerByte per byte of index created relative to the
+	// deployed set (core.Options.Reconfig), biasing the search toward
+	// low-churn deltas. It must be finite and non-negative; 0 means free.
 	ReconfigPerByte float64
 	// MaxSteps bounds construction steps; 0 means unlimited.
 	MaxSteps int
@@ -111,6 +109,9 @@ func PlanDelta(ctx context.Context, w *workload.Workload, opt *whatif.Optimizer,
 	if o.Budget <= 0 {
 		return nil, fmt.Errorf("drift: budget must be positive, got %d", o.Budget)
 	}
+	if p := o.ReconfigPerByte; !(p >= 0) || math.IsInf(p, 1) {
+		return nil, fmt.Errorf("drift: ReconfigPerByte must be finite and non-negative, got %v", p)
+	}
 	if o.Epsilon <= 0 {
 		o.Epsilon = 0.05
 	}
@@ -122,19 +123,8 @@ func PlanDelta(ctx context.Context, w *workload.Workload, opt *whatif.Optimizer,
 		Budget:      o.Budget,
 		MaxSteps:    o.MaxSteps,
 		Approximate: o.Approximate,
+		Reconfig:    core.Reconfig{Deployed: deployed, CreatePerByte: o.ReconfigPerByte},
 		Context:     ctx,
-	}
-	if o.ReconfigPerByte > 0 {
-		perByte := o.ReconfigPerByte
-		copts.Reconfig = func(sel workload.Selection) float64 {
-			var created int64
-			for key, k := range sel {
-				if _, ok := deployed[key]; !ok {
-					created += opt.IndexSize(k)
-				}
-			}
-			return perByte * float64(created)
-		}
 	}
 	res, err := core.Select(w, opt, copts)
 	if err != nil {

@@ -3,6 +3,7 @@ package drift
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -263,6 +264,23 @@ func TestPlanDeltaValidation(t *testing.T) {
 	}
 	if _, err := PlanDelta(context.Background(), w, opt, nil, PlanOptions{}); err == nil {
 		t.Fatal("zero budget accepted")
+	}
+}
+
+// A reconfiguration price must be a finite, non-negative number: an
+// infinite one used to yield a plan with a NaN base cost and an infinite
+// cost, and NaN or negative ones were silently treated as free.
+func TestPlanDeltaRejectsInvalidReconfigPrice(t *testing.T) {
+	w := erpWorkload(t)
+	opt := optimizerFor(w)
+	budget := costmodel.New(w, costmodel.SingleIndex).Budget(0.5)
+	for _, price := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -5} {
+		plan, err := PlanDelta(context.Background(), w, opt, workload.Selection{}, PlanOptions{
+			Budget: budget, MaxSteps: 20, ReconfigPerByte: price,
+		})
+		if err == nil || !strings.Contains(err.Error(), "ReconfigPerByte") {
+			t.Errorf("ReconfigPerByte %v: plan %v, error %v; want an error naming the field", price, plan != nil, err)
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ type StepProvenance struct {
 	// burden (positive: the step added maintenance cost).
 	MaintenanceDelta float64 `json:"maintenance_delta"`
 	// ReconfigDelta is the change in the reconfiguration term R(I); zero
-	// unless Options.Reconfig is configured.
+	// unless a reconfiguration price (core.Options.Reconfig) is set.
 	ReconfigDelta float64 `json:"reconfig_delta,omitempty"`
 	// MemDeltaBytes is the step's memory growth (negative for drops).
 	MemDeltaBytes int64 `json:"mem_delta_bytes"`

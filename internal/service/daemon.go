@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -52,7 +53,10 @@ type Config struct {
 	// window's single-attribute footprint; <= 0 means 0.5) is used.
 	BudgetBytes int64
 	BudgetShare float64
-	// ReconfigPerByte biases re-selection toward low-churn deltas.
+	// ReconfigPerByte biases re-selection toward low-churn deltas: the
+	// reconfiguration cost per byte of index created relative to the
+	// deployed set (drift.PlanOptions). It must be finite and non-negative;
+	// 0 means free.
 	ReconfigPerByte float64
 	// BackoffBase/BackoffMax shape the exponential retry backoff after a
 	// failed or rejected retune; zero means 1s / 5m.
@@ -118,6 +122,9 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("service: Config.Dir is required")
+	}
+	if p := cfg.ReconfigPerByte; !(p >= 0) || math.IsInf(p, 1) {
+		return nil, fmt.Errorf("service: Config.ReconfigPerByte must be finite and non-negative, got %v", p)
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -172,6 +173,21 @@ func TestDaemonEndToEnd(t *testing.T) {
 	rep := mustRecover(t, s2)
 	if !setsEqual(rep.Deployed, deployedBefore) {
 		t.Fatalf("restart deployed %v != live %v", rep.Deployed, deployedBefore)
+	}
+}
+
+// New refuses a reconfiguration price that is not a finite, non-negative
+// number, naming the field, before it touches the journal directory.
+func TestNewRejectsInvalidReconfigPrice(t *testing.T) {
+	schema := daemonSchema(t)
+	for _, price := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -5} {
+		d, err := New(Config{Schema: schema, Dir: t.TempDir(), ReconfigPerByte: price})
+		if err == nil {
+			d.store.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "ReconfigPerByte") {
+			t.Errorf("ReconfigPerByte %v: error %v; want one naming the field", price, err)
+		}
 	}
 }
 

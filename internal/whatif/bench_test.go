@@ -130,8 +130,7 @@ func BenchmarkApplicable_Scan(b *testing.B) {
 }
 
 // SelectionClone: the per-candidate cost of snapshotting the current
-// selection (the Reconfig path clones per candidate; Remark-2 mode clones
-// per candidate per step).
+// selection (Remark-2 mode clones per candidate per step).
 func BenchmarkSelectionClone_IDSet(b *testing.B) {
 	w := benchWorkload(b)
 	in := workload.NewInterner()
