@@ -324,8 +324,11 @@ type selector struct {
 	cost        []float64 // query -> current cost under sel
 	// served maps each query to the selected indexes serving it and their
 	// costs. Selections stay small (tens of indexes), so a small map per
-	// query beats a dense table over all interned IDs.
-	served []map[workload.IndexID]float64
+	// query beats a dense table over all interned IDs. cheapest keeps each
+	// query's two cheapest servers, so the gain loops read the cheapest
+	// server other than a given index without walking served.
+	served   []map[workload.IndexID]float64
+	cheapest []cheapPair
 
 	sel   *workload.IDSelection
 	size  map[workload.IndexID]int64 // selected index -> p_k
@@ -447,10 +450,12 @@ func newSelector(w *workload.Workload, opt *whatif.Optimizer, opts Options) *sel
 	s.base = make([]float64, w.NumQueries())
 	s.cost = make([]float64, w.NumQueries())
 	s.served = make([]map[workload.IndexID]float64, w.NumQueries())
+	s.cheapest = make([]cheapPair, w.NumQueries())
 	for _, q := range w.Queries {
 		s.base[q.ID] = opt.BaseCost(q)
 		s.cost[q.ID] = s.base[q.ID]
 		s.served[q.ID] = make(map[workload.IndexID]float64)
+		s.cheapest[q.ID] = noCheapPair
 		s.fsum += float64(q.Freq) * s.base[q.ID]
 	}
 	s.selByLead = make([][]selEntry, w.NumAttrs())
@@ -636,13 +641,8 @@ func (s *selector) evalExtend(k workload.Index, kID workload.IndexID, ext worklo
 	for i, qid := range qs {
 		old := s.cost[qid]
 		niu := s.base[qid]
-		for sid, c := range s.served[qid] {
-			if sid == kID {
-				continue
-			}
-			if c < niu {
-				niu = c
-			}
+		if c := s.cheapest[qid].without(kID); c < niu {
+			niu = c
 		}
 		c := costs[i]
 		if c < niu {
@@ -705,6 +705,37 @@ func (s *selector) evalCandidate(t evalTask) gainEntry {
 		return s.evalExtend(t.base, t.baseID, t.index, t.id, t.kind)
 	}
 	return s.evalNew(t.index, t.id, t.kind)
+}
+
+// cheapPair is one query's two cheapest serving indexes, ordered by (cost,
+// ID) so the pair is a function of the served set alone; an empty slot has
+// cost +Inf.
+type cheapPair struct {
+	id1, id2 workload.IndexID
+	c1, c2   float64
+}
+
+var noCheapPair = cheapPair{c1: math.Inf(1), c2: math.Inf(1)}
+
+// add files serving index id at cost c.
+func (p *cheapPair) add(id workload.IndexID, c float64) {
+	switch {
+	case c < p.c1 || (c == p.c1 && id < p.id1):
+		p.id2, p.c2 = p.id1, p.c1
+		p.id1, p.c1 = id, c
+	case c < p.c2 || (c == p.c2 && id < p.id2):
+		p.id2, p.c2 = id, c
+	}
+}
+
+// without returns the cheapest cost among the serving indexes other than
+// id, +Inf when there is none. A min over floats is exact, so it equals a
+// walk over served bit for bit.
+func (p *cheapPair) without(id workload.IndexID) float64 {
+	if id == p.id1 {
+		return p.c2
+	}
+	return p.c1
 }
 
 // selEntry pairs a selected index with its ID for iteration in canonical
@@ -970,6 +1001,7 @@ func (s *selector) addIndex(idx workload.Index, id workload.IndexID) {
 	costs := s.costsFor(idx, id)
 	for i, qid := range s.queriesWith[lead] {
 		s.served[qid][id] = costs[i]
+		s.cheapest[qid].add(id, costs[i])
 		if costs[i] < s.cost[qid] {
 			s.fsum -= float64(s.w.Queries[qid].Freq) * (s.cost[qid] - costs[i])
 			s.cost[qid] = costs[i]
@@ -994,11 +1026,16 @@ func (s *selector) removeIndex(idx workload.Index, id workload.IndexID) {
 			continue
 		}
 		delete(s.served[qid], id)
-		niu := s.base[qid]
-		for _, c := range s.served[qid] {
-			if c < niu {
-				niu = c
+		cp := &s.cheapest[qid]
+		if id == cp.id1 || id == cp.id2 {
+			*cp = noCheapPair
+			for sid, c := range s.served[qid] {
+				cp.add(sid, c)
 			}
+		}
+		niu := s.base[qid]
+		if cp.c1 < niu {
+			niu = cp.c1
 		}
 		if niu != s.cost[qid] {
 			s.fsum += float64(s.w.Queries[qid].Freq) * (niu - s.cost[qid])
@@ -1023,10 +1060,8 @@ func (s *selector) dropUnused() {
 					continue
 				}
 				alt := s.base[qid]
-				for oid, oc := range s.served[qid] {
-					if oid != e.id && oc < alt {
-						alt = oc
-					}
+				if oc := s.cheapest[qid].without(e.id); oc < alt {
+					alt = oc
 				}
 				if alt > s.cost[qid] {
 					readDelta += float64(s.w.Queries[qid].Freq) * (alt - s.cost[qid])

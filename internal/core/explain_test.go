@@ -104,6 +104,12 @@ func checkProvenance(t *testing.T, label string, res *Result, sweep bool) {
 			t.Errorf("%s: step %d ledger skips %d candidates, step pruned %d",
 				label, i, p.LedgerSkipped, st.Pruned)
 		}
+		for _, b := range p.PruneLedger {
+			// Run journals encode the ledger as JSON, which has no infinities.
+			if math.IsInf(b.Bound, 0) || math.IsNaN(b.Bound) {
+				t.Errorf("%s: step %d bucket %d has bound %v", label, i, b.Lead, b.Bound)
+			}
+		}
 		if !p.LedgerTruncated {
 			var skipped int
 			for _, b := range p.PruneLedger {

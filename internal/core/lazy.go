@@ -49,11 +49,20 @@
 // winner, so the decided step, runner-up, and stop reason are bit-identical
 // to the sweep's.
 //
-// Beside the entry heap sits one sentinel per lead-attribute bucket:
-// buckets keep an aggregate bound (max entry bound at a recorded rise level,
-// plus the bucket's minimum memory delta to convert future rise into ratio),
-// so a bucket whose aggregate cannot beat the winner is never opened — its
-// entries are never touched, no evalTask is rebuilt. The sentinels live in
+// Beside the entry heap sits one sentinel per lead-attribute bucket, so a
+// bucket whose key cannot beat the winner is never opened — its entries are
+// never touched, no evalTask is rebuilt. Each opening records two keys. The
+// tight key is the largest priority the bucket's entries would be pushed at:
+// the recorded ratio of an epoch-exact viable entry, the stale bound of any
+// other, and at least 0 (a viable ratio is positive). It keys the sentinel
+// while both bucket epochs still equal the ones it was recorded at, because
+// until then every exact ratio is current and rise (which moves only with a
+// newEpoch bump) leaves every stale bound unchanged. Once an epoch moves,
+// noteMutation re-keys the bucket with the stale-form aggregate: the max
+// entry bound at a recorded rise level, plus the bucket's minimum memory
+// delta to convert future rise into ratio. A bucket whose entries are all
+// still exact thus stays closed until the threshold falls to its best
+// ratio. The sentinels live in
 // a heap that persists across steps and is re-keyed only for buckets whose
 // inputs changed, and every other per-step structure (dirty buckets,
 // re-keys, the candidate total) is a list or counter of what changed, so a
@@ -140,6 +149,14 @@ type lazyBucket struct {
 	aggRiseAt float64
 	minDM     float64
 	hasAgg    bool
+
+	// Tight key (see the package comment), valid while extEpoch and
+	// newEpoch still equal tightExt and tightNew. tight marks a sentinel
+	// currently keyed by it, so noteMutation re-keys exactly the buckets
+	// that fall back to agg.
+	tightKey           float64
+	tightExt, tightNew uint64
+	tight              bool
 }
 
 // lazyState is the selector's CELF machinery, indexed by lead attribute.
@@ -237,16 +254,22 @@ func (bs *bucketSet) drain(f func(b int)) {
 
 // keySentinel recomputes bucket b's sentinel priority from its current
 // inputs and files it in the sentinel heap: +Inf while the bucket holds an
-// unevaluated entry or has no aggregate yet, else the aggregate advanced by
-// the rise since it was recorded. An empty bucket has no sentinel.
+// unevaluated entry or has no aggregate yet; else the tight key while the
+// bucket's epochs still equal its stamp; else the aggregate advanced by the
+// rise since it was recorded. An empty bucket has no sentinel.
 func (lz *lazyState) keySentinel(b int) {
 	bk := &lz.buckets[b]
+	bk.tight = false
 	if len(bk.entries) == 0 {
 		lz.sentinels.remove(int32(b))
 		return
 	}
 	prio := math.Inf(1)
-	if bk.unevaled == 0 && bk.hasAgg {
+	switch {
+	case bk.unevaled > 0 || !bk.hasAgg:
+	case lz.extEpoch[b] == bk.tightExt && lz.newEpoch[b] == bk.tightNew:
+		prio, bk.tight = bk.tightKey, true
+	default:
 		prio = bk.agg + (lz.rise[b]-bk.aggRiseAt)/bk.minDM
 	}
 	lz.sentinels.set(int32(b), prio)
@@ -269,7 +292,7 @@ func (lz *lazyState) entryBound(e *lazyEntry) float64 {
 // noteMutation is mutateStep's lazy arm: translate one applied/dropped
 // step's net per-query cost movement into epoch bumps and rise accumulation,
 // mark the mutated lead bucket's universe dirty, and schedule a re-key of
-// every sentinel whose rise grew.
+// every sentinel whose rise grew or whose tight key the bump voids.
 func (lz *lazyState) noteMutation(s *selector, lead int, snap []float64) {
 	lz.dirty.add(lead)
 	for i, qid := range s.queriesWith[lead] {
@@ -281,6 +304,10 @@ func (lz *lazyState) noteMutation(s *selector, lead int, snap []float64) {
 		}
 		for _, a := range q.Attrs {
 			lz.extEpoch[a]++
+			if bk := &lz.buckets[a]; bk.tight {
+				bk.tight = false
+				lz.rekey.add(a)
+			}
 			if now != old {
 				lz.newEpoch[a]++
 				lz.rise[a] += riseDelta
@@ -397,23 +424,36 @@ func (s *selector) recordLazy(e *lazyEntry, r gainEntry) {
 }
 
 // refreshAgg recomputes bucket b's aggregate bound from its entries' current
-// stale-form bounds. Called at the end of a step for every opened bucket,
-// while all its entries hold fresh-or-exact evaluations.
+// stale-form bounds, and its tight key from the priorities an opening would
+// push them at now. The tight key starts at 0, not -Inf: a viable ratio is
+// positive, so a bucket with nothing viable stays closed under any
+// threshold, and its key stays finite in the prune ledger. Called at the
+// end of a step for every opened bucket, after which every entry is
+// evaluated.
 func (lz *lazyState) refreshAgg(b int) {
 	bk := &lz.buckets[b]
-	agg, minDM := math.Inf(-1), math.Inf(1)
+	agg, minDM, tight := math.Inf(-1), math.Inf(1), 0.0
 	for _, e := range bk.entries {
 		if !e.evaluated || e.dead {
 			continue
 		}
-		if bnd := lz.entryBound(e); bnd > agg {
+		bnd := lz.entryBound(e)
+		if bnd > agg {
 			agg = bnd
 		}
 		if e.dmf < minDM {
 			minDM = e.dmf
 		}
+		if lz.epoch(e.key.kind, b) == e.epochAt {
+			if e.viable && e.cand.ratio > tight {
+				tight = e.cand.ratio
+			}
+		} else if bnd > tight {
+			tight = bnd
+		}
 	}
 	bk.agg, bk.aggRiseAt, bk.minDM, bk.hasAgg = agg, lz.rise[b], minDM, true
+	bk.tightKey, bk.tightExt, bk.tightNew = tight, lz.extEpoch[b], lz.newEpoch[b]
 }
 
 // collectLazy decides one construction step: it returns the best and

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/whatif"
+	"repro/internal/whatif/whatiftest"
 	"repro/internal/workload"
 )
 
@@ -135,6 +136,35 @@ func TestLazyEvaluatesAtMostSweepERP(t *testing.T) {
 	}
 }
 
+// lazyCacheServedCeilingERPFull caps the candidates the lazy loop serves from
+// cache over a whole run on the full-size ERP at budget share 0.5. Sentinels
+// keyed by their buckets' exact ratios leave buckets of still-exact entries
+// closed: 81 635 cache-served over 2 406 steps. Keyed by the loose stale
+// bound, the same buckets open every step and serve 1 298 891; the ceiling,
+// about twice the measured count, fails on that regression.
+const lazyCacheServedCeilingERPFull = 170_000
+
+// TestLazyCacheServedERPFull is the CI guard on the tight sentinel keys:
+// the full-size ERP run (DefaultERPConfig, share 0.5) must stay under
+// lazyCacheServedCeilingERPFull cache-served candidates. The count is a
+// fixed function of the workload and options, so the guard has no noise.
+func TestLazyCacheServedERPFull(t *testing.T) {
+	w := workload.MustGenerateERP(workload.DefaultERPConfig())
+	m := costmodel.New(w, costmodel.SingleIndex)
+	res, err := Select(w, whatif.New(m), Options{Budget: m.Budget(0.5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Steps) == 0 {
+		t.Fatal("full ERP run took no step")
+	}
+	if res.CacheServed > lazyCacheServedCeilingERPFull {
+		t.Errorf("full ERP run served %d candidates from cache (%d steps, %d evaluated), ceiling %d: "+
+			"buckets of exact entries are opened again",
+			res.CacheServed, len(res.Steps), res.Evaluated, lazyCacheServedCeilingERPFull)
+	}
+}
+
 // invariantRuns drives the lazy loop over workloads whose traces remove
 // indexes (extensions replace their base; DropUnused evicts under writes)
 // and apply pair steps, calling check at every step decision — that is,
@@ -213,7 +243,9 @@ func TestSelByLeadMatchesSortedSelection(t *testing.T) {
 // only for buckets whose inputs changed, so at every decision each bucket
 // the step did not open must still be filed exactly as a fresh keying would
 // file it now — present iff it has entries, at the same priority — and the
-// running candidate total must equal a recount.
+// running candidate total must equal a recount. While a bucket's epochs
+// equal its tight-key stamp, the fresh key is recomputed from the entries:
+// the largest priority an opening would push them at, and at least 0.
 func TestSentinelHeapMatchesFreshKeys(t *testing.T) {
 	invariantRuns(t, func(label string, s *selector) {
 		lz := s.lazy
@@ -239,7 +271,16 @@ func TestSentinelHeapMatchesFreshKeys(t *testing.T) {
 				continue
 			}
 			want := math.Inf(1)
-			if bk.unevaled == 0 && bk.hasAgg {
+			switch {
+			case bk.unevaled > 0 || !bk.hasAgg:
+			case lz.extEpoch[b] == bk.tightExt && lz.newEpoch[b] == bk.tightNew:
+				want = 0
+				for _, e := range bk.entries {
+					if p, push := openPrio(lz, e); push && p > want {
+						want = p
+					}
+				}
+			default:
 				want = bk.agg + (lz.rise[b]-bk.aggRiseAt)/bk.minDM
 			}
 			if got := lz.sentinels.prio[b]; got != want {
@@ -252,29 +293,48 @@ func TestSentinelHeapMatchesFreshKeys(t *testing.T) {
 	})
 }
 
-// TestLazyBoundsDominateFreshGains is the bound-soundness property, fuzzed
-// over workload shapes, write shares, and feature combinations: after every
-// step decision, every candidate's stale upper bound must be >= its freshly
-// evaluated ratio against the same frozen state, and every epoch-exact cache
-// entry must equal a from-scratch recomputation bit for bit. Violations name
-// the offending candidate key. Priced shapes deploy every other index of an
-// unpriced run, so bounds carry positive and negative reconfiguration
-// charges.
-func TestLazyBoundsDominateFreshGains(t *testing.T) {
+// openPrio is the priority at which opening e's bucket pushes e onto the
+// entry heap, and false for an entry it does not push (dead, or epoch-exact
+// and not viable).
+func openPrio(lz *lazyState, e *lazyEntry) (float64, bool) {
+	switch {
+	case !e.evaluated:
+		return math.Inf(1), true
+	case e.dead:
+		return 0, false
+	case lz.epoch(e.key.kind, int(e.lead)) == e.epochAt:
+		return e.cand.ratio, e.viable
+	default:
+		return lz.entryBound(e), true
+	}
+}
+
+// boundShapeRuns drives the lazy loop over workload shapes, write shares,
+// feature combinations and reconfiguration prices, installing hook(label) as
+// the audit hook of each run so it fires after every step decision. Priced
+// shapes deploy every other index of an unpriced run, so bounds carry
+// positive and negative reconfiguration charges. Noisy shapes perturb every
+// cost and evaluate extensions exactly, so an extension can cost a query
+// more than its base — the case where another index starting to serve that
+// query raises the extension's gain without raising any cost.
+func boundShapeRuns(t *testing.T, hook func(label string) func(*selector)) {
+	t.Helper()
 	type shape struct {
 		tables, attrs, queries int
 		writeShare             float64
 		feat                   Options
-		price                  float64
+		price, noise           float64
 	}
 	shapes := []shape{
-		{3, 14, 40, 0, Options{}, 0},
-		{3, 14, 40, 0.3, Options{TrackSecondBest: true, DropUnused: true}, 0},
-		{4, 12, 50, 0.2, Options{PairSteps: true, PairLimit: 30}, 0},
-		{2, 18, 35, 0.1, Options{TopNSingle: 5}, 0},
-		{3, 14, 40, 0, Options{}, 1e6},
-		{3, 14, 40, 0.3, Options{TrackSecondBest: true, DropUnused: true}, 5e3},
-		{4, 12, 50, 0.2, Options{PairSteps: true, PairLimit: 30}, 1},
+		{3, 14, 40, 0, Options{}, 0, 0},
+		{3, 14, 40, 0.3, Options{TrackSecondBest: true, DropUnused: true}, 0, 0},
+		{4, 12, 50, 0.2, Options{PairSteps: true, PairLimit: 30}, 0, 0},
+		{2, 18, 35, 0.1, Options{TopNSingle: 5}, 0, 0},
+		{3, 14, 40, 0, Options{}, 1e6, 0},
+		{3, 14, 40, 0.3, Options{TrackSecondBest: true, DropUnused: true}, 5e3, 0},
+		{4, 12, 50, 0.2, Options{PairSteps: true, PairLimit: 30}, 1, 0},
+		{3, 14, 40, 0, Options{ExactEvaluation: true}, 0, 0.2},
+		{3, 14, 40, 0.2, Options{ExactEvaluation: true, DropUnused: true}, 0, 0.2},
 	}
 	for _, seed := range []int64{1, 7, 23, 61, 104} {
 		for si, sh := range shapes {
@@ -284,51 +344,101 @@ func TestLazyBoundsDominateFreshGains(t *testing.T) {
 			cfg.RowsBase, cfg.Seed, cfg.WriteShare = 80_000, seed, sh.writeShare
 			w := workload.MustGenerate(cfg)
 			m, _ := setup(w)
+			var src whatif.Source = m
+			if sh.noise > 0 {
+				src = whatiftest.NoisySource{Src: m, Eps: sh.noise, Seed: seed}
+			}
 			opts := sh.feat
 			opts.Budget = m.Budget(0.5)
 			if sh.price > 0 {
-				free, err := Select(w, whatif.New(m), Options{Budget: opts.Budget})
+				free, err := Select(w, whatif.New(src), Options{Budget: opts.Budget})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				opts.Reconfig = Reconfig{Deployed: everyOther(free.Selection), CreatePerByte: sh.price}
 			}
 
-			audited, violations := 0, 0
-			lazyAuditHook = auditLazyStep(func(a lazyAuditInfo) {
-				audited++
-				if violations >= 5 {
-					return // enough diagnostics
-				}
-				key := fmt.Sprintf("%v %s", a.task.kind, a.task.index.Key())
-				if a.fresh.ok && a.bound < a.fresh.c.ratio {
-					violations++
-					t.Errorf("%s: candidate %s: stale bound %v < fresh ratio %v",
-						label, key, a.bound, a.fresh.c.ratio)
-				}
-				if a.exact {
-					if a.cached.ok != a.fresh.ok {
-						violations++
-						t.Errorf("%s: candidate %s: exact entry viability %v, fresh %v",
-							label, key, a.cached.ok, a.fresh.ok)
-					} else if a.cached.ok &&
-						(a.cached.c.gain != a.fresh.c.gain || a.cached.c.ratio != a.fresh.c.ratio) {
-						violations++
-						t.Errorf("%s: candidate %s: exact entry (gain %v, ratio %v) != fresh (%v, %v)",
-							label, key, a.cached.c.gain, a.cached.c.ratio, a.fresh.c.gain, a.fresh.c.ratio)
-					}
-				}
-			})
-			_, err := Select(w, whatif.New(m), opts)
+			decisions := 0
+			check := hook(label)
+			lazyAuditHook = func(s *selector) {
+				decisions++
+				check(s)
+			}
+			_, err := Select(w, whatif.New(src), opts)
 			lazyAuditHook = nil
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if audited == 0 {
+			if decisions == 0 {
 				t.Fatalf("%s: audit hook never fired", label)
 			}
 		}
 	}
+}
+
+// TestLazyBoundsDominateFreshGains is the bound-soundness property, fuzzed
+// over the boundShapeRuns shapes: after every step decision, every
+// candidate's stale upper bound must be >= its freshly evaluated ratio
+// against the same frozen state, and every epoch-exact cache entry must
+// equal a from-scratch recomputation bit for bit. Violations name the
+// offending candidate key.
+func TestLazyBoundsDominateFreshGains(t *testing.T) {
+	boundShapeRuns(t, func(label string) func(*selector) {
+		violations := 0
+		return auditLazyStep(func(a lazyAuditInfo) {
+			if violations >= 5 {
+				return // enough diagnostics
+			}
+			key := fmt.Sprintf("%v %s", a.task.kind, a.task.index.Key())
+			if a.fresh.ok && a.bound < a.fresh.c.ratio {
+				violations++
+				t.Errorf("%s: candidate %s: stale bound %v < fresh ratio %v",
+					label, key, a.bound, a.fresh.c.ratio)
+			}
+			if a.exact {
+				if a.cached.ok != a.fresh.ok {
+					violations++
+					t.Errorf("%s: candidate %s: exact entry viability %v, fresh %v",
+						label, key, a.cached.ok, a.fresh.ok)
+				} else if a.cached.ok &&
+					(a.cached.c.gain != a.fresh.c.gain || a.cached.c.ratio != a.fresh.c.ratio) {
+					violations++
+					t.Errorf("%s: candidate %s: exact entry (gain %v, ratio %v) != fresh (%v, %v)",
+						label, key, a.cached.c.gain, a.cached.c.ratio, a.fresh.c.gain, a.fresh.c.ratio)
+				}
+			}
+		})
+	})
+}
+
+// TestSentinelKeysDominateFreshRatios is the sentinel-level soundness
+// property over the boundShapeRuns shapes: after every step decision, every
+// bucket still filed in the sentinel heap (not opened by the step) must be
+// keyed at least as high as the freshly evaluated ratio of each of its
+// viable entries — otherwise the cut could skip a bucket holding the step's
+// true winner. It catches a tight key kept past the epoch bump that voids
+// it.
+func TestSentinelKeysDominateFreshRatios(t *testing.T) {
+	boundShapeRuns(t, func(label string) func(*selector) {
+		violations := 0
+		return func(s *selector) {
+			lz := s.lazy
+			for _, b := range lz.sentinels.items {
+				prio := lz.sentinels.prio[b]
+				if math.IsInf(prio, 1) {
+					continue
+				}
+				for _, e := range lz.buckets[b].entries {
+					fresh := s.evalCandidate(e.task)
+					if fresh.ok && prio < fresh.c.ratio && violations < 5 {
+						violations++
+						t.Errorf("%s: bucket %d keyed %v (tight %t) < fresh ratio %v of %v %s",
+							label, b, prio, lz.buckets[b].tight, fresh.c.ratio, e.key.kind, e.task.index.Key())
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestLazyApproximateTier pins the Options.Approximate contract: runs stay

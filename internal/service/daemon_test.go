@@ -40,7 +40,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func daemonSchema(t *testing.T) *workload.Workload {
+func daemonSchema(t testing.TB) *workload.Workload {
 	t.Helper()
 	w, err := workload.Generate(workload.GenConfig{
 		Tables: 2, AttrsPerTable: 5, QueriesPerTable: 4,
