@@ -158,8 +158,8 @@ func WithTelemetry(t *Telemetry) Option {
 	return func(ad *Advisor) { ad.tel = t }
 }
 
-// WithParallelism sets the number of worker goroutines the CoPhy
-// explicit-LP branch and bound uses to solve node relaxations (0, the
+// WithParallelism sets the number of worker goroutines the CoPhy MIP's
+// branch and bound uses to solve node relaxations (0, the
 // default, uses GOMAXPROCS; 1 forces serial solves). Results are identical
 // at every setting — each node LP is solved whole by one goroutine and the
 // results are reduced deterministically. Algorithm 1 (StrategyExtend) and

@@ -17,7 +17,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/lp"
 	"repro/internal/whatif"
 	"repro/internal/workload"
 )
@@ -145,29 +144,6 @@ func BenchmarkCandidateEnumeration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := candidates.Combos(w, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimplex measures the two-phase simplex on a 60-var / 40-row LP.
-func BenchmarkSimplex(b *testing.B) {
-	m := lp.NewModel()
-	n := 60
-	vars := make([]int, n)
-	for i := 0; i < n; i++ {
-		vars[i] = m.AddVar(-float64(1+i%7), "x", 1, false)
-	}
-	for r := 0; r < 40; r++ {
-		coeffs := map[int]float64{}
-		for i := r % 3; i < n; i += 3 {
-			coeffs[vars[i]] = float64(1 + (i+r)%5)
-		}
-		m.AddConstraint(coeffs, lp.LE, float64(10+r))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lp.SolveLP(m); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,17 +4,23 @@
 // per-query assignments z_jk minimizing total workload cost under a memory
 // budget, with at most one index per query.
 //
-// Two solve paths are provided:
+// Solve runs one sequence, and every gap in it is relative to the total
+// workload cost, objective (5), as the paper's CPLEX mipgap is:
 //
-//   - an explicit LP/MIP over package lp (the faithful formulation; also the
-//     source of the paper's Figure-6 variable/constraint accounting), used
-//     when the model is small enough to materialize;
-//   - a combinatorial branch-and-bound over x alone that exploits the
-//     structure "for fixed x, each query takes its cheapest selected
-//     applicable index", used for larger candidate sets.
+//  1. the lazy greedy (CELF) incumbent, checked against two cheap bounds
+//     (fractional knapsack and memory-relaxed). This certifies most
+//     advisor-sized candidate sets in about a millisecond;
+//  2. otherwise the Lagrangian dual ascent bound (sift.go), still over the
+//     greedy incumbent;
+//  3. otherwise one explicit MIP over package lp, started from the greedy
+//     incumbent. Up to maxDirectLPSize LP variables it is the whole model of
+//     eqs. (5)-(8); above, the ascent's restriction of it, whose selection
+//     is certified over the full model by the ascent or root-dual Lagrangian
+//     bound. The MIP is also the source of the paper's Figure-6
+//     variable/constraint accounting.
 //
-// Both honor a mip-gap and a deadline and report DNF ("did not finish") when
-// the deadline strikes first — reproducing the scaling behaviour of Table I.
+// Solve honors a deadline and reports DNF ("did not finish") when the gap
+// was not proven, reproducing the scaling behaviour of Table I.
 package cophy
 
 import (
@@ -41,53 +47,38 @@ var (
 	mNodes = telemetry.Default().Counter("indexsel_cophy_nodes_total",
 		"Branch-and-bound nodes explored across solves.")
 	mDNF = telemetry.Default().Counter("indexsel_cophy_dnf_total",
-		"CoPhy solves aborted by the time limit (DNF).")
+		"CoPhy solves that did not prove their gap (DNF).")
 )
 
 // Options configures a CoPhy solve.
 type Options struct {
 	// Budget is the memory budget A in bytes (must be positive).
 	Budget int64
-	// Gap is the relative optimality gap (the paper uses mipgap=0.05).
+	// Gap is the relative optimality gap in total workload cost (the paper
+	// uses mipgap=0.05 on objective (5)).
 	Gap float64
 	// TimeLimit aborts the solve; zero means none. On abort the best
 	// incumbent found is returned with Stats.DNF set.
 	TimeLimit time.Duration
 	// Context, if non-nil, cancels the solve with the same graceful
 	// degradation as TimeLimit: the model build truncates its candidate loop,
-	// the explicit-LP path forwards cancellation into the branch-and-bound
-	// reducer, the combinatorial search polls it between nodes, and the best
-	// incumbent found (greedy at worst) is returned with Stats.DNF set. The
-	// context's own deadline (if earlier than TimeLimit's) wins.
+	// the ascent stops between its grid points, the MIP's branch-and-bound
+	// reducer stops between node batches, and the best incumbent found
+	// (greedy at worst) is returned with Stats.DNF set. The context's own
+	// deadline (if earlier than TimeLimit's) wins.
 	Context context.Context
-	// MaxLPSize bounds the number of LP variables for the explicit-LP path;
-	// larger models switch to the combinatorial branch and bound.
-	// Zero means 5000.
-	MaxLPSize int
-	// ForceLP forces the explicit LP path regardless of size; ForceCombinatorial
-	// forces the combinatorial path. Setting both is an error.
-	ForceLP            bool
-	ForceCombinatorial bool
-	// MaxDirectLPSize bounds the number of LP variables the explicit-LP path
-	// materializes in full. Larger models are solved by sifting: a
-	// Lagrangian dual ascent picks a candidate restriction, the restricted
-	// MIP starts from the greedy incumbent, and the ascent (or root-dual)
-	// bound certifies the result over the full candidate set. Zero means
-	// 40000.
-	MaxDirectLPSize int
 	// DominanceReduction removes globally dominated candidates before
-	// solving when the candidate set is at most MaxDominanceSize. It never
-	// changes the optimum, only the search size.
+	// solving when there are at most 4 000 of them (the filter is
+	// quadratic). It never changes the optimum, only the search size.
 	DominanceReduction bool
-	// MaxDominanceSize bounds the candidate count for the (quadratic)
-	// dominance filter; zero means 4000.
-	MaxDominanceSize int
-	// Parallelism is the number of worker goroutines the explicit-LP
-	// branch and bound uses for node LP solves; 0 means GOMAXPROCS.
+	// Parallelism is the number of worker goroutines the MIP's branch and
+	// bound uses for node LP solves; 0 means GOMAXPROCS.
 	// Results are bit-identical at any setting.
 	Parallelism int
 	// Span, if non-nil, is the parent telemetry span; the solve records one
-	// child span per phase (cophy.build, cophy.reduce, cophy.solve) under it.
+	// child span per phase (cophy.build, cophy.reduce, cophy.solve) under
+	// it, and cophy.solve one per solve step that runs (cophy.ascent,
+	// cophy.mip).
 	Span *telemetry.Span
 	// Explain records the solve's optimality certificate (incumbent, proven
 	// bound, gap, node count, root LP objective and budget shadow price) on
@@ -106,16 +97,20 @@ type Stats struct {
 	// WhatIfCalls is the number of cost evaluations performed to populate
 	// the model's f_j(k) coefficients (≈ Q * q-bar * |I| / N, eq. (9)).
 	WhatIfCalls int64
-	// Nodes is the number of branch-and-bound nodes explored.
+	// Nodes is the number of MIP branch-and-bound nodes explored; zero when
+	// a bound certified the greedy incumbent without the MIP.
 	Nodes int
 	// Elapsed is the wall-clock solve time (excluding what-if calls).
 	Elapsed time.Duration
-	// Gap is the final relative optimality gap.
+	// Gap is the proven relative optimality gap, (Cost − bound)/Cost for the
+	// best lower bound the solve established on any selection's cost.
 	Gap float64
-	// DNF reports that the time limit struck before the gap was proven.
+	// DNF reports that the gap was not proven within Options.Gap: the time
+	// limit or the context stopped the solve (or its model build) first,
+	// or, for a model of more than 40 000 LP variables that the MIP solved
+	// over a restriction, the full-model certificate missed Options.Gap.
+	// Gap then still holds the proven gap.
 	DNF bool
-	// UsedLP reports which path ran (true: explicit LP, false: combinatorial).
-	UsedLP bool
 }
 
 // Result is a CoPhy selection.
@@ -133,8 +128,8 @@ type Result struct {
 
 // Solve runs CoPhy over the candidate set.
 //
-// Solve never lets a panic escape: a panic during the model build, a node LP
-// solve, or the combinatorial search is recovered and returned as a
+// Solve never lets a panic escape: a panic during the model build, the
+// bounds, or a node LP solve is recovered and returned as a
 // *fault.WorkerPanicError.
 func Solve(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index, opts Options) (res *Result, err error) {
 	defer func() {
@@ -144,9 +139,6 @@ func Solve(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index, 
 	}()
 	if opts.Budget <= 0 {
 		return nil, fmt.Errorf("cophy: budget must be positive (got %d)", opts.Budget)
-	}
-	if opts.ForceLP && opts.ForceCombinatorial {
-		return nil, fmt.Errorf("cophy: ForceLP and ForceCombinatorial are mutually exclusive")
 	}
 	// The build phase honors only the context (TimeLimit is a solve-phase
 	// budget): cancellation truncates the candidate loop, and the solve then
@@ -168,26 +160,14 @@ func Solve(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index, 
 		ins.prov = &explain.SolveProvenance{}
 	}
 
-	if opts.DominanceReduction {
-		limit := opts.MaxDominanceSize
-		if limit == 0 {
-			limit = 4000
-		}
-		if len(ins.cands) <= limit {
-			rsp := opts.Span.Child("cophy.reduce")
-			before := len(ins.cands)
-			ins.reduceDominated()
-			rsp.SetInt("candidates_before", int64(before))
-			rsp.SetInt("candidates_after", int64(len(ins.cands)))
-			rsp.End()
-		}
+	if opts.DominanceReduction && len(ins.cands) <= maxDominanceSize {
+		rsp := opts.Span.Child("cophy.reduce")
+		before := len(ins.cands)
+		ins.reduceDominated()
+		rsp.SetInt("candidates_before", int64(before))
+		rsp.SetInt("candidates_after", int64(len(ins.cands)))
+		rsp.End()
 	}
-
-	maxLP := opts.MaxLPSize
-	if maxLP == 0 {
-		maxLP = 5000
-	}
-	useLP := opts.ForceLP || (!opts.ForceCombinatorial && ins.lpVars() <= maxLP)
 
 	ssp := opts.Span.Child("cophy.solve")
 	start := time.Now()
@@ -198,77 +178,57 @@ func Solve(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index, 
 	// stop merges TimeLimit and the context (including the context's own
 	// deadline) for the solve phase.
 	stop := fault.NewStopper(opts.Context, deadline)
-	var (
-		chosen []int
-		cost   float64
-		nodes  int
-		gap    float64
-		dnf    bool
-		serr   error
-	)
-	if useLP {
-		directCap := opts.MaxDirectLPSize
-		if directCap == 0 {
-			directCap = 40_000
-		}
-		chosen, cost, nodes, gap, dnf, serr = ins.solveLP(opts.Budget, opts.Gap, stop, opts.Parallelism, directCap, ssp)
-	} else {
-		chosen, cost, nodes, gap, dnf = ins.solveCombinatorial(opts.Budget, opts.Gap, stop)
-	}
-	if serr != nil {
+	out, err := ins.solve(opts.Budget, opts.Gap, stop, opts.Parallelism, ssp)
+	if err != nil {
 		ssp.Discard()
-		return nil, serr
+		return nil, err
 	}
-	if ins.truncated {
-		// A cancelled build means the solve ran over a candidate subset; the
-		// result is feasible but not a certificate over the full set.
-		dnf = true
-	}
+	cost, gap := out.cost, relGap(out.cost, out.bound)
+	// A cancelled build means the solve ran over a candidate subset; the
+	// result is feasible but not a certificate over the full set.
+	dnf := out.stopped || ins.truncated || !(gap <= opts.Gap+gapTol)
 	stats.Elapsed = time.Since(start)
-	stats.Nodes = nodes
+	stats.Nodes = out.nodes
 	stats.Gap = gap
 	stats.DNF = dnf
-	stats.UsedLP = useLP
 
 	if ins.prov != nil {
 		p := ins.prov
-		p.UsedLP = useLP
 		p.Candidates = len(ins.cands)
 		p.Vars = stats.Vars
 		p.Constraints = stats.Constraints
-		p.Nodes = nodes
+		p.Nodes = out.nodes
 		p.Incumbent = cost
 		p.DNF = dnf
-		// Gap can be +Inf when no bound was proven (DNF before the root
-		// solved); the record stays JSON-marshalable by carrying the
-		// certificate only when it exists.
-		if !math.IsInf(gap, 1) && !math.IsNaN(gap) {
+		// A cost source that returned NaN or infinities leaves no
+		// certificate; the record stays JSON-marshalable by carrying one
+		// only when it is finite.
+		if !math.IsInf(gap, 0) && !math.IsNaN(gap) {
 			p.Gap = gap
 			p.Bound = cost - gap*math.Abs(cost)
 		}
 		ssp.SetAny("provenance", *p)
 	}
-	ssp.SetBool("used_lp", useLP)
-	ssp.SetInt("nodes", int64(nodes))
+	ssp.SetInt("nodes", int64(out.nodes))
 	ssp.SetFloat("gap", gap)
 	ssp.SetBool("dnf", dnf)
-	ssp.SetInt("selected", int64(len(chosen)))
+	ssp.SetInt("selected", int64(len(out.chosen)))
 	ssp.End()
 	mSolves.Inc()
 	mSolveDur.Observe(stats.Elapsed.Seconds())
-	mNodes.Add(int64(nodes))
+	mNodes.Add(int64(out.nodes))
 	if dnf {
 		mDNF.Inc()
 	}
 	if lg := telemetry.L(); lg.Enabled(context.Background(), slog.LevelDebug) {
 		lg.Debug("cophy solve complete",
-			"candidates", len(cands), "used_lp", useLP, "nodes", nodes,
+			"candidates", len(cands), "nodes", out.nodes,
 			"gap", gap, "dnf", dnf, "elapsed", stats.Elapsed)
 	}
 
 	sel := workload.NewSelection()
 	var mem int64
-	for _, ci := range chosen {
+	for _, ci := range out.chosen {
 		sel.Add(ins.cands[ci].index)
 		mem += ins.cands[ci].size
 	}
@@ -307,8 +267,8 @@ type instance struct {
 	// feasible but DNF with respect to the full set.
 	truncated bool
 
-	// prov, when non-nil, collects the solve certificate; the LP paths add
-	// the root-relaxation fields (objective, budget dual) as they compute
+	// prov, when non-nil, collects the solve certificate; the MIP step adds
+	// the root-relaxation fields (objective, budget dual) as it computes
 	// them.
 	prov *explain.SolveProvenance
 }
@@ -464,38 +424,194 @@ func (ins *instance) reduceDominated() {
 	}
 }
 
-// solveLP materializes eqs. (5)-(8) and solves with the lp package's
-// warm-started branch and bound. The greedy heuristic runs first: its
-// objective seeds the MIP as a cutoff (pruning nodes before any incumbent
-// exists) and serves as the fallback incumbent when the deadline strikes
-// early. The reported gap is proven against the MIP's lower bound for
-// whichever solution — MIP incumbent or greedy — is returned.
+const (
+	// maxDominanceSize bounds the candidate count for the quadratic
+	// dominance filter.
+	maxDominanceSize = 4000
+	// gapTol absorbs the float noise between the MIP's objective and the
+	// selection's recomputed cost when deciding whether the gap was proven.
+	gapTol = 1e-9
+)
+
+// maxDirectLPSize bounds the LP variables the MIP step materializes in
+// full; larger models are restricted by the ascent. A variable only so
+// tests can exercise the restriction on brute-forceable instances.
+var maxDirectLPSize = 40_000
+
+// relGap is the relative gap between a selection's cost and a lower bound
+// on every selection's cost, floored at zero.
+func relGap(cost, bound float64) float64 {
+	if cost <= 0 || bound >= cost {
+		return 0
+	}
+	return (cost - bound) / cost
+}
+
+// solved is the outcome of the solve sequence: the selection, its cost, the
+// best proven lower bound on any selection's cost, the MIP's node count, and
+// whether the time limit or the context stopped the solve.
+type solved struct {
+	chosen  []int
+	cost    float64
+	bound   float64
+	nodes   int
+	stopped bool
+}
+
+// solve runs the sequence of the package comment: greedy certified by the
+// cheap bounds, else by the ascent bound, else one MIP from the greedy
+// incumbent. Each step runs only if the bounds so far miss the gap.
+func (ins *instance) solve(budget int64, gap float64, stop *fault.Stopper, parallelism int, span *telemetry.Span) (solved, error) {
+	out := solved{}
+	out.chosen, out.cost = ins.greedy(budget)
+	out.bound = ins.cheapBound(budget)
+	if relGap(out.cost, out.bound) <= gap {
+		return out, nil
+	}
+
+	asp := span.Child("cophy.ascent")
+	asc := newAscent(ins, budget)
+	ascBound, lam := asc.search(out.cost, ins.baseTotal(), stop)
+	asp.SetFloat("bound", ascBound)
+	asp.SetFloat("lambda", lam)
+	asp.SetInt("passes", int64(asc.passes))
+	asp.End()
+	out.bound = math.Max(out.bound, ascBound)
+	if relGap(out.cost, out.bound) <= gap {
+		return out, nil
+	}
+	if stop.Check() != fault.StopNone {
+		out.stopped = true
+		return out, nil
+	}
+
+	var restrict *ascent
+	if ins.lpVars() > maxDirectLPSize {
+		restrict = asc
+		if ins.prov != nil {
+			ins.prov.Sifted = true
+		}
+	}
+	msp := span.Child("cophy.mip")
+	mm := ins.buildMIP(budget, out.chosen, restrict, lam)
+	msp.SetInt("vars", int64(mm.NumVars()))
+	msp.SetInt("rows", int64(mm.NumConstraints()))
+	msp.SetBool("restricted", !mm.complete)
+	res, err := lp.SolveMIP(mm.Model, lp.MIPOptions{
+		Gap:          gap,
+		Deadline:     stop.Deadline(),
+		Context:      stop.Context(),
+		Parallelism:  parallelism,
+		Incumbent:    mm.incumbent,
+		CrashAtUpper: mm.crash,
+		Span:         msp,
+	})
+	if err != nil {
+		msp.Discard()
+		return out, err
+	}
+	out.nodes, out.stopped = res.Nodes, res.DNF
+
+	if res.Status == lp.Optimal {
+		// Recompute the cost from the selection (z variables may leave slack
+		// when an unused index is set).
+		chosen := mm.selected(res.X)
+		if c := ins.evalCost(chosen); c < out.cost {
+			out.chosen, out.cost = chosen, c
+		}
+	}
+	// Density greedy over the root relaxation's fractional support: the
+	// support is the set the LP proves worth buying fractions of, and greedy
+	// within it routinely beats greedy over everything.
+	if res.RootX != nil {
+		support := make([]bool, len(ins.cands))
+		for ci, x := range mm.xVar {
+			support[ci] = x >= 0 && res.RootX[x] > 1e-6
+		}
+		if sChosen, sCost := ins.greedyMasked(budget, support); sCost < out.cost {
+			out.chosen, out.cost = sChosen, sCost
+		}
+	}
+
+	// The MIP's own bound certifies the full model only when the model is
+	// whole; the Lagrangian bound at the root's duals always does.
+	if mm.complete && !math.IsInf(res.Bound, -1) {
+		out.bound = math.Max(out.bound, res.Bound)
+	}
+	if res.RootDuals != nil {
+		vv := make([]float64, len(ins.perQuery))
+		for j := range vv {
+			vv[j] = ins.freq[j]*ins.base[j] + math.Min(res.RootDuals[mm.assignRow[j]], 0)
+		}
+		lamLP := math.Max(-res.RootDuals[mm.budgetRow], 0)
+		out.bound = math.Max(out.bound, ins.lagrangeBound(vv, lamLP, budget))
+		if ins.prov != nil {
+			ins.prov.RootObjective = res.RootObjective
+			ins.prov.BudgetDual = lamLP
+		}
+	}
+	msp.SetFloat("full_model_bound", out.bound)
+	msp.End()
+	return out, nil
+}
+
+// mipModel is eqs. (5)-(8) over a restriction of the instance, with the
+// greedy selection as a feasible starting point.
 //
 // The model is built in substituted form: the base-assignment variable is
 // eliminated via z_j0 = 1 − Σ_k z_jk, turning constraint (6) into
 // Σ_k z_jk ≤ 1 and shifting each z_jk's cost to freq·(f_j(k) − f_j(0)) ≤ 0
-// plus a constant Σ freq·f_j(0). With every row a ≤ with nonnegative
-// right-hand side, the all-slack basis is primal feasible at the "no
-// indexes" vertex and the primal simplex descends directly — no equality
-// phase-1 work on the 100k-row instances of Table I.
-func (ins *instance) solveLP(budget int64, gap float64, stop *fault.Stopper, parallelism int, directCap int, span *telemetry.Span) (chosen []int, cost float64, nodes int, finalGap float64, dnf bool, err error) {
-	gChosen, gCost := ins.greedy(budget)
-	if ins.lpVars() > directCap {
-		return ins.solveLPSifted(gChosen, gCost, budget, gap, stop, parallelism, span)
-	}
+// plus the objective constant Σ freq·f_j(0). With every row a ≤ with
+// nonnegative right-hand side, the all-slack basis is primal feasible at the
+// "no indexes" vertex and the primal simplex descends directly — no
+// equality phase-1 work on the 100k-row instances of Table I. The constant
+// keeps the MIP's objective, bound and gap in total workload cost.
+type mipModel struct {
+	*lp.Model
+	xVar      []int // per candidate; -1 outside the restriction
+	assignRow []int // per query: its Σ_k z_jk ≤ 1 row
+	budgetRow int
+	incumbent []float64
+	// crash lists the greedy x columns: the root LP starts at the greedy
+	// vertex, so the z ≤ x rows open up immediately instead of forcing a
+	// long run of degenerate pivots from the all-zero start.
+	crash []int
+	// complete reports that the restriction dropped no candidate and no
+	// (query, candidate) pair, so the MIP's bound holds for the full model.
+	complete bool
+}
 
-	m := lp.NewModel()
-	xVar := make([]int, len(ins.cands))
-	memCols := make([]int32, len(ins.cands))
-	memVals := make([]float64, len(ins.cands))
-	for ci := range ins.cands {
-		xVar[ci] = m.AddVar(ins.cands[ci].writeCost, fmt.Sprintf("x_%s", ins.cands[ci].index.Key()), 1, true)
-		memCols[ci] = int32(xVar[ci])
-		memVals[ci] = float64(ins.cands[ci].size)
+// buildMIP builds the model. A nil restrict keeps every candidate and pair;
+// otherwise the ascent's restriction (left at lam) picks the candidates and
+// prunes pairs far above their query's dual, except for greedy-selected
+// candidates, which the incumbent needs intact.
+func (ins *instance) buildMIP(budget int64, greedy []int, restrict *ascent, lam float64) *mipModel {
+	inG := make([]bool, len(ins.cands))
+	for _, ci := range greedy {
+		inG[ci] = true
 	}
-	var baseSum float64
-	for j := range ins.base {
-		baseSum += ins.freq[j] * ins.base[j]
+	var inR []bool
+	if restrict != nil {
+		inR = restrict.restriction(lam, inG)
+	}
+	m := lp.NewModel()
+	mm := &mipModel{
+		Model:     m,
+		xVar:      make([]int, len(ins.cands)),
+		assignRow: make([]int, len(ins.perQuery)),
+		complete:  true,
+	}
+	var memCols []int32
+	var memVals []float64
+	for ci := range ins.cands {
+		mm.xVar[ci] = -1
+		if inR != nil && !inR[ci] {
+			mm.complete = false
+			continue
+		}
+		mm.xVar[ci] = m.AddVar(ins.cands[ci].writeCost, fmt.Sprintf("x_%s", ins.cands[ci].index.Key()), 1, true)
+		memCols = append(memCols, int32(mm.xVar[ci]))
+		memVals = append(memVals, float64(ins.cands[ci].size))
 	}
 	// Shared backing storage: the per-(query, candidate) VUB rows dominate
 	// the model (one row per pair), so their column slices come from one
@@ -505,9 +621,7 @@ func (ins *instance) solveLP(budget int64, gap float64, stop *fault.Stopper, par
 	maxRow := 1
 	for _, pq := range ins.perQuery {
 		pairs += len(pq)
-		if len(pq) > maxRow {
-			maxRow = len(pq)
-		}
+		maxRow = max(maxRow, len(pq))
 	}
 	pairCols := make([]int32, 0, 2*pairs)
 	pairVals := []float64{1, -1}
@@ -515,81 +629,63 @@ func (ins *instance) solveLP(budget int64, gap float64, stop *fault.Stopper, par
 	for i := range ones {
 		ones[i] = 1
 	}
+	// incZ collects each query's incumbent z column: its cheapest
+	// greedy-selected pair.
+	var incZ []int
 	for j, pq := range ins.perQuery {
 		row := make([]int32, 0, len(pq))
+		z0, c0 := -1, ins.base[j]
 		for _, a := range pq {
+			if mm.xVar[a.other] < 0 {
+				continue
+			}
+			if restrict != nil && !inG[a.other] && restrict.prunes(j, ins.freq[j]*a.cost) {
+				mm.complete = false
+				continue
+			}
 			z := m.AddVar(ins.freq[j]*(a.cost-ins.base[j]), fmt.Sprintf("z_%d_%d", j, a.other), 1, false)
 			row = append(row, int32(z))
 			// z_jk <= x_k (constraint (7)).
 			base := len(pairCols)
-			pairCols = append(pairCols, int32(z), int32(xVar[a.other]))
+			pairCols = append(pairCols, int32(z), int32(mm.xVar[a.other]))
 			m.AddConstraintCols(pairCols[base:], pairVals, lp.LE, 0)
+			if inG[a.other] && a.cost < c0 {
+				z0, c0 = z, a.cost
+			}
 		}
 		// sum_k z_jk <= 1 (constraint (6) with z_j0 substituted out).
+		mm.assignRow[j] = m.NumConstraints()
 		m.AddConstraintCols(row, ones[:len(row)], lp.LE, 1)
+		if z0 >= 0 {
+			incZ = append(incZ, z0)
+		}
 	}
 	// Memory budget (constraint (8)) — the last row, so its root dual is the
 	// budget's shadow price.
-	budgetRow := m.NumConstraints()
+	mm.budgetRow = m.NumConstraints()
 	m.AddConstraintCols(memCols, memVals, lp.LE, float64(budget))
+	m.SetObjConstant(ins.baseTotal())
 
-	// Slight inflation keeps an incumbent that exactly matches the greedy
-	// objective from being pruned, so optimal-equal solutions still close
-	// the gap through the incumbent path. The MIP works in the shifted
-	// objective (total minus baseSum).
-	cutoff := gCost - baseSum
-	cutoff += 1e-9 + 1e-9*math.Abs(cutoff)
-	// Crash the root LP at the greedy vertex: with every greedy-chosen x
-	// starting at its bound the z ≤ x rows open up immediately, instead of
-	// forcing a long run of degenerate pivots from the all-zero start.
-	crash := make([]int, 0, len(gChosen))
-	for _, ci := range gChosen {
-		crash = append(crash, xVar[ci])
+	mm.incumbent = make([]float64, m.NumVars())
+	for _, ci := range greedy {
+		mm.incumbent[mm.xVar[ci]] = 1
+		mm.crash = append(mm.crash, mm.xVar[ci])
 	}
-	res, err := lp.SolveMIP(m, lp.MIPOptions{
-		Gap:          gap,
-		Deadline:     stop.Deadline(),
-		Context:      stop.Context(),
-		Parallelism:  parallelism,
-		Cutoff:       cutoff,
-		CrashAtUpper: crash,
-		Span:         span,
-	})
-	if err != nil {
-		return nil, 0, 0, 0, false, err
+	for _, z := range incZ {
+		mm.incumbent[z] = 1
 	}
-	if ins.prov != nil && res.RootDuals != nil {
-		ins.prov.RootObjective = res.RootObjective + baseSum
-		if d := -res.RootDuals[budgetRow]; d > 0 {
-			ins.prov.BudgetDual = d
+	return mm
+}
+
+// selected returns the candidates a MIP point selects, ascending.
+func (mm *mipModel) selected(x []float64) []int {
+	var chosen []int
+	for ci, v := range mm.xVar {
+		if v >= 0 && x[v] > 0.5 {
+			chosen = append(chosen, ci)
 		}
 	}
-	cost = math.Inf(1)
-	if res.Status == lp.Optimal {
-		for ci := range ins.cands {
-			if res.X[xVar[ci]] > 0.5 {
-				chosen = append(chosen, ci)
-			}
-		}
-		// Recompute the cost from the selection (z variables may leave slack
-		// when an unused index is set).
-		cost = ins.evalCost(chosen)
-	}
-	if gCost < cost {
-		chosen, cost = gChosen, gCost
-	}
-	finalGap = math.Inf(1)
-	if !math.IsInf(res.Bound, -1) && !math.IsInf(cost, 1) {
-		bound := res.Bound + baseSum
-		finalGap = 0
-		if cost != 0 {
-			finalGap = (cost - bound) / math.Abs(cost)
-		}
-		if finalGap < 0 {
-			finalGap = 0
-		}
-	}
-	return chosen, cost, res.Nodes, finalGap, res.DNF, nil
+	return chosen
 }
 
 // evalCost returns F for the chosen candidate indices. Write costs are
@@ -616,12 +712,4 @@ func (ins *instance) evalCost(chosen []int) float64 {
 		}
 	}
 	return total
-}
-
-func (ins *instance) evalMem(chosen []int) int64 {
-	var mem int64
-	for _, ci := range chosen {
-		mem += ins.cands[ci].size
-	}
-	return mem
 }

@@ -1,6 +1,7 @@
 package cophy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -77,36 +78,49 @@ func singleAttrCandidates(w *workload.Workload, n int) []workload.Index {
 	return out
 }
 
-func TestBothPathsMatchBruteForce(t *testing.T) {
-	w := gen(t, 1, 8, 12, 20_000, 3)
-	m, opt := setup(w)
-	cands := singleAttrCandidates(w, 8)
-	budget := m.Budget(0.4)
+// checkBruteForce runs the solve at gap 0 and 0.05, with and without
+// dominance reduction, against the brute-force optimum want: every run is
+// feasible, reports the model's cost, finishes, and proves a gap that holds
+// against want; the exact runs hit want.
+func checkBruteForce(t *testing.T, w *workload.Workload, m *costmodel.Model, opt *whatif.Optimizer, cands []workload.Index, budget int64) {
+	t.Helper()
 	want := bruteForce(w, m, cands, budget)
-
-	for _, force := range []struct {
-		name string
-		opts Options
-	}{
-		{"lp", Options{Budget: budget, ForceLP: true}},
-		{"combinatorial", Options{Budget: budget, ForceCombinatorial: true}},
-		{"lp+dominance", Options{Budget: budget, ForceLP: true, DominanceReduction: true}},
-		{"comb+dominance", Options{Budget: budget, ForceCombinatorial: true, DominanceReduction: true}},
-	} {
-		res, err := Solve(w, opt, cands, force.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", force.name, err)
-		}
-		if math.Abs(res.Cost-want) > 1e-6*want {
-			t.Errorf("%s: cost %v, brute force %v", force.name, res.Cost, want)
-		}
-		if res.Memory > budget {
-			t.Errorf("%s: memory %d exceeds budget %d", force.name, res.Memory, budget)
-		}
-		if got := m.TotalCost(res.Selection); math.Abs(got-res.Cost) > 1e-6*got {
-			t.Errorf("%s: reported cost %v != model %v", force.name, res.Cost, got)
+	for _, gap := range []float64{0, 0.05} {
+		for _, dom := range []bool{false, true} {
+			name := fmt.Sprintf("gap=%g/dominance=%t", gap, dom)
+			res, err := Solve(w, opt, cands, Options{Budget: budget, Gap: gap, DominanceReduction: dom})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.Stats.DNF {
+				t.Errorf("%s: DNF without a time limit", name)
+			}
+			if res.Stats.Gap > gap+gapTol {
+				t.Errorf("%s: proven gap %v above the requested %v", name, res.Stats.Gap, gap)
+			}
+			if res.Cost < want-1e-6*want {
+				t.Errorf("%s: cost %v below the brute-force optimum %v", name, res.Cost, want)
+			}
+			if bound := res.Cost * (1 - res.Stats.Gap); bound > want+1e-6*want {
+				t.Errorf("%s: certified bound %v above the brute-force optimum %v", name, bound, want)
+			}
+			if gap == 0 && math.Abs(res.Cost-want) > 1e-6*want {
+				t.Errorf("%s: cost %v, brute force %v", name, res.Cost, want)
+			}
+			if res.Memory > budget {
+				t.Errorf("%s: memory %d exceeds budget %d", name, res.Memory, budget)
+			}
+			if got := m.TotalCost(res.Selection); math.Abs(got-res.Cost) > 1e-6*got {
+				t.Errorf("%s: reported cost %v != model %v", name, res.Cost, got)
+			}
 		}
 	}
+}
+
+func TestSolveMatchesBruteForce(t *testing.T) {
+	w := gen(t, 1, 8, 12, 20_000, 3)
+	m, opt := setup(w)
+	checkBruteForce(t, w, m, opt, singleAttrCandidates(w, 8), m.Budget(0.4))
 }
 
 func TestMultiAttributeCandidates(t *testing.T) {
@@ -120,23 +134,13 @@ func TestMultiAttributeCandidates(t *testing.T) {
 	if len(cands) > 16 {
 		cands = cands[:16]
 	}
-	budget := m.Budget(0.5)
-	want := bruteForce(w, m, cands, budget)
-	for _, force := range []Options{
-		{Budget: budget, ForceLP: true},
-		{Budget: budget, ForceCombinatorial: true},
-	} {
-		res, err := Solve(w, opt, cands, force)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(res.Cost-want) > 1e-6*want {
-			t.Errorf("opts %+v: cost %v, brute force %v", force, res.Cost, want)
-		}
-	}
+	checkBruteForce(t, w, m, opt, cands, m.Budget(0.5))
 }
 
-func TestPathsAgreeOnLargerInstance(t *testing.T) {
+// TestLargerInstanceMatchesBruteForce takes the 2-attribute representatives
+// of a 14-query table: a 16-candidate prefix is checked by brute force, and
+// the exact solve over all of them must be at least as good.
+func TestLargerInstanceMatchesBruteForce(t *testing.T) {
 	w := gen(t, 1, 8, 14, 50_000, 7)
 	m, opt := setup(w)
 	combos, err := candidates.Combos(w, 2)
@@ -149,16 +153,17 @@ func TestPathsAgreeOnLargerInstance(t *testing.T) {
 		cands = append(cands, candidates.Representative(c, g, w))
 	}
 	budget := m.Budget(0.3)
-	lpRes, err := Solve(w, opt, cands, Options{Budget: budget, ForceLP: true})
+	checkBruteForce(t, w, m, opt, cands[:16], budget)
+	prefix := bruteForce(w, m, cands[:16], budget)
+	all, err := Solve(w, opt, cands, Options{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	combRes, err := Solve(w, opt, cands, Options{Budget: budget, ForceCombinatorial: true})
-	if err != nil {
-		t.Fatal(err)
+	if all.Stats.DNF || all.Stats.Gap > gapTol {
+		t.Fatalf("exact solve over %d candidates: DNF=%v gap=%v", len(cands), all.Stats.DNF, all.Stats.Gap)
 	}
-	if math.Abs(lpRes.Cost-combRes.Cost) > 1e-6*lpRes.Cost {
-		t.Errorf("paths disagree: LP %v vs combinatorial %v", lpRes.Cost, combRes.Cost)
+	if all.Cost > prefix+1e-9*prefix {
+		t.Errorf("exact solve over all candidates %v worse than the prefix optimum %v", all.Cost, prefix)
 	}
 }
 
@@ -213,9 +218,8 @@ func TestTimeLimitDNF(t *testing.T) {
 	}
 	cands := candidates.Permutations(combos)
 	res, err := Solve(w, opt, cands, Options{
-		Budget:             m.Budget(0.3),
-		TimeLimit:          time.Nanosecond,
-		ForceCombinatorial: true,
+		Budget:    m.Budget(0.3),
+		TimeLimit: time.Nanosecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,11 +246,11 @@ func TestGapSpeedsUpAndBoundsQuality(t *testing.T) {
 		cands = append(cands, candidates.Representative(c, g, w))
 	}
 	budget := m.Budget(0.3)
-	exact, err := Solve(w, opt, cands, Options{Budget: budget, ForceCombinatorial: true})
+	exact, err := Solve(w, opt, cands, Options{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := Solve(w, opt, cands, Options{Budget: budget, Gap: 0.05, ForceCombinatorial: true})
+	loose, err := Solve(w, opt, cands, Options{Budget: budget, Gap: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +289,6 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := Solve(w, opt, nil, Options{}); err == nil {
 		t.Error("accepted zero budget")
 	}
-	if _, err := Solve(w, opt, nil, Options{Budget: 1, ForceLP: true, ForceCombinatorial: true}); err == nil {
-		t.Error("accepted contradictory force flags")
-	}
 }
 
 func TestEmptyCandidates(t *testing.T) {
@@ -314,11 +315,11 @@ func TestDominanceReductionPreservesOptimum(t *testing.T) {
 	}
 	cands := candidates.Permutations(combos)
 	budget := m.Budget(0.3)
-	plain, err := Solve(w, opt, cands, Options{Budget: budget, ForceCombinatorial: true})
+	plain, err := Solve(w, opt, cands, Options{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := Solve(w, opt, cands, Options{Budget: budget, ForceCombinatorial: true, DominanceReduction: true})
+	reduced, err := Solve(w, opt, cands, Options{Budget: budget, DominanceReduction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,23 +335,57 @@ func TestWriteWorkloadMatchesBruteForce(t *testing.T) {
 	cfg.WriteShare = 0.3
 	w := workload.MustGenerate(cfg)
 	m, opt := setup(w)
-	cands := singleAttrCandidates(w, 8)
-	budget := m.Budget(0.5)
-	want := bruteForce(w, m, cands, budget) // TotalCost includes maintenance
+	// TotalCost, and so the brute force, includes maintenance.
+	checkBruteForce(t, w, m, opt, singleAttrCandidates(w, 8), m.Budget(0.5))
+}
 
-	for _, force := range []Options{
-		{Budget: budget, ForceLP: true},
-		{Budget: budget, ForceCombinatorial: true},
-	} {
-		res, err := Solve(w, opt, cands, force)
+// TestProvenGapOnWritesConfig solves the sql-writes benchmark's generator
+// configuration (20 % writes, 30 attributes per table) over 500, 1 000 and
+// 2 000 H1-M candidates at gap 0.05. A solve that does not report DNF must
+// have proven the gap in total cost, and Stats.Gap is the gap proven, not
+// the one requested: it is never looser than the cheap bounds' proof and,
+// where those certify greedy, equal to it.
+func TestProvenGapOnWritesConfig(t *testing.T) {
+	const gap = 0.05
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := workload.DefaultGenConfig()
+		cfg.Seed, cfg.AttrsPerTable, cfg.WriteShare = seed, 30, 0.2
+		w := workload.MustGenerate(cfg)
+		m, opt := setup(w)
+		budget := m.Budget(0.5)
+		set, err := candidates.Enumerate(w, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(res.Cost-want) > 1e-6*want {
-			t.Errorf("opts %+v: cost %v, brute force %v", force, res.Cost, want)
-		}
-		if got := m.TotalCost(res.Selection); math.Abs(got-res.Cost) > 1e-6*got {
-			t.Errorf("reported cost %v != model %v", res.Cost, got)
+		for _, n := range []int{500, 1000, 2000} {
+			cands, err := set.Select(candidates.H1M, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Solve(w, opt, cands, Options{Budget: budget, Gap: gap, TimeLimit: 2 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			ins := buildInstance(w, opt, cands, nil)
+			_, gCost := ins.greedy(budget)
+			cheapBound := ins.cheapBound(budget)
+			cheap := relGap(gCost, cheapBound)
+			t.Logf("seed %d, %d candidates: cost %.6g gap %.4g dnf %v nodes %d (greedy's cheap gap %.4g)",
+				seed, n, res.Cost, st.Gap, st.DNF, st.Nodes, cheap)
+			if !st.DNF && st.Gap > gap+gapTol {
+				t.Errorf("seed %d, %d candidates: finished with gap %v above %v", seed, n, st.Gap, gap)
+			}
+			if bound := res.Cost * (1 - st.Gap); res.Cost > gCost || bound < cheapBound*(1-gapTol) {
+				t.Errorf("seed %d, %d candidates: cost %v bound %v looser than greedy %v with the cheap bound %v",
+					seed, n, res.Cost, bound, gCost, cheapBound)
+			}
+			if seed <= 2 && n <= 1000 {
+				if st.DNF || st.Nodes != 0 || st.Gap != cheap || res.Cost != gCost {
+					t.Errorf("seed %d, %d candidates: want greedy certified by the cheap bounds (gap %v), got cost %v gap %v dnf %v nodes %d",
+						seed, n, cheap, res.Cost, st.Gap, st.DNF, st.Nodes)
+				}
+			}
 		}
 	}
 }

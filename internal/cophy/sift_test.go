@@ -1,6 +1,7 @@
 package cophy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -42,8 +43,16 @@ func TestAscentBoundBelowOptimum(t *testing.T) {
 	}
 }
 
-// TestSiftedPathSolvesAndCertifies forces the sifting path on an instance
-// small enough to brute force: the selection must be feasible, no worse than
+// restrictAbove lowers the size above which the MIP runs over the ascent's
+// restriction, for the rest of the test.
+func restrictAbove(t *testing.T, vars int) {
+	old := maxDirectLPSize
+	maxDirectLPSize = vars
+	t.Cleanup(func() { maxDirectLPSize = old })
+}
+
+// TestSiftedPathSolvesAndCertifies runs the MIP over the ascent's
+// restriction on an instance small enough to brute force: the selection must be feasible, no worse than
 // greedy, and the reported gap must be a valid certificate (cost reduced by
 // the gap never exceeds the true optimum).
 func TestSiftedPathSolvesAndCertifies(t *testing.T) {
@@ -53,14 +62,16 @@ func TestSiftedPathSolvesAndCertifies(t *testing.T) {
 	budget := m.Budget(0.4)
 	want := bruteForce(w, m, cands, budget)
 
-	res, err := Solve(w, opt, cands, Options{
-		Budget: budget, Gap: 0.05, ForceLP: true, MaxDirectLPSize: 1,
-	})
+	restrictAbove(t, 1)
+	res, err := Solve(w, opt, cands, Options{Budget: budget, Gap: 0.05, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !res.Provenance.Sifted {
+		t.Fatal("the MIP did not run over the ascent's restriction")
+	}
 	if res.Stats.DNF {
-		t.Fatal("sifted path reported DNF without a time limit")
+		t.Fatalf("sifted path reported DNF without a time limit (gap %v)", res.Stats.Gap)
 	}
 	if res.Memory > budget {
 		t.Fatalf("memory %d exceeds budget %d", res.Memory, budget)
@@ -81,46 +92,56 @@ func TestSiftedPathSolvesAndCertifies(t *testing.T) {
 	}
 }
 
-// TestSiftedPathOnMultiAttributeInstance runs the sifting path on a slightly
-// larger multi-attribute instance against the direct LP path: the sifted
-// selection may be worse (it searches a restriction) but must stay feasible,
-// finish, and never beat the direct path's optimum-with-gap guarantee.
+// TestSiftedPathOnMultiAttributeInstance runs the sifting path on slightly
+// larger multi-attribute instances against the exact solve of the whole
+// model: the sifted selection may be worse (it searches a restriction) but
+// must stay feasible and never beat the exact optimum, its certificate must
+// hold against that optimum, and it reports DNF exactly when the
+// full-model certificate misses the gap. On seed 1 the restriction drops
+// the optimum, so the restricted MIP's own bound would not be a valid
+// certificate.
 func TestSiftedPathOnMultiAttributeInstance(t *testing.T) {
-	w := gen(t, 1, 8, 14, 50_000, 7)
-	m, opt := setup(w)
-	combos, err := candidates.Combos(w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := w.Occurrences()
-	var cands []workload.Index
-	for _, c := range combos {
-		cands = append(cands, candidates.Representative(c, g, w))
-	}
-	budget := m.Budget(0.3)
-	direct, err := Solve(w, opt, cands, Options{Budget: budget, ForceLP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sifted, err := Solve(w, opt, cands, Options{
-		Budget: budget, Gap: 0.05, ForceLP: true, MaxDirectLPSize: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sifted.Stats.DNF {
-		t.Fatal("sifted path reported DNF without a time limit")
-	}
-	if sifted.Memory > budget {
-		t.Fatalf("memory %d exceeds budget %d", sifted.Memory, budget)
-	}
-	if sifted.Cost < direct.Cost-1e-6*direct.Cost {
-		t.Fatalf("sifted cost %v below the direct optimum %v", sifted.Cost, direct.Cost)
-	}
-	if !math.IsInf(sifted.Stats.Gap, 1) {
-		bound := sifted.Cost - sifted.Stats.Gap*math.Abs(sifted.Cost)
-		if bound > direct.Cost+1e-6*direct.Cost {
-			t.Fatalf("certified bound %v exceeds direct optimum %v", bound, direct.Cost)
-		}
+	for _, tc := range []struct {
+		seed int64
+		gap  float64
+	}{{7, 0.05}, {1, 0}} {
+		t.Run(fmt.Sprintf("seed=%d/gap=%g", tc.seed, tc.gap), func(t *testing.T) {
+			w := gen(t, 1, 8, 14, 50_000, tc.seed)
+			m, opt := setup(w)
+			combos, err := candidates.Combos(w, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := w.Occurrences()
+			var cands []workload.Index
+			for _, c := range combos {
+				cands = append(cands, candidates.Representative(c, g, w))
+			}
+			budget := m.Budget(0.3)
+			direct, err := Solve(w, opt, cands, Options{Budget: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			restrictAbove(t, 1)
+			sifted, err := Solve(w, opt, cands, Options{Budget: budget, Gap: tc.gap, Explain: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sifted.Provenance.Sifted {
+				t.Fatal("the MIP did not run over the ascent's restriction")
+			}
+			if missed := sifted.Stats.Gap > tc.gap+gapTol; sifted.Stats.DNF != missed {
+				t.Fatalf("DNF=%v with proven gap %v against %v", sifted.Stats.DNF, sifted.Stats.Gap, tc.gap)
+			}
+			if sifted.Memory > budget {
+				t.Fatalf("memory %d exceeds budget %d", sifted.Memory, budget)
+			}
+			if sifted.Cost < direct.Cost-1e-6*direct.Cost {
+				t.Fatalf("sifted cost %v below the direct optimum %v", sifted.Cost, direct.Cost)
+			}
+			if bound := sifted.Cost - sifted.Stats.Gap*sifted.Cost; bound > direct.Cost+1e-6*direct.Cost {
+				t.Fatalf("certified bound %v exceeds direct optimum %v", bound, direct.Cost)
+			}
+		})
 	}
 }

@@ -64,15 +64,15 @@ func Table1(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			// The explicit LP path is forced: the sparse revised simplex with
-			// warm-started branch and bound is the CPLEX stand-in, solving
-			// the eq. (5)-(8) BIP directly even at the ~100k-variable scale
-			// of the largest settings here.
+			// CoPhy's one solve path is the CPLEX stand-in: greedy certified
+			// by bounds where they close the gap, else the eq. (5)-(8) BIP
+			// on the sparse revised simplex with warm-started branch and
+			// bound, restricted by the Lagrangian ascent at the
+			// ~100k-variable scale of the largest settings here.
 			res, err := cophy.Solve(w, opt, cands, cophy.Options{
 				Budget:    budget,
 				Gap:       0.05,
 				TimeLimit: cfg.SolverTimeLimit,
-				ForceLP:   true,
 			})
 			if err != nil {
 				return err

@@ -177,17 +177,18 @@ type SelectionProvenance struct {
 
 // SolveProvenance is the CoPhy path's optimality certificate.
 type SolveProvenance struct {
-	UsedLP bool `json:"used_lp"`
-	// Sifted is true when the model exceeded MaxDirectLPSize and went
-	// through the Lagrangian sifting path.
+	// Sifted is true when the MIP ran over the Lagrangian ascent's
+	// restriction of a model too large to materialize whole.
 	Sifted      bool `json:"sifted,omitempty"`
 	Candidates  int  `json:"candidates"`
 	Vars        int  `json:"vars"`
 	Constraints int  `json:"constraints"`
-	Nodes       int  `json:"nodes"`
+	// Nodes counts MIP branch-and-bound nodes; zero when a bound certified
+	// the greedy incumbent without the MIP.
+	Nodes int `json:"nodes"`
 	// Incumbent is the final selection's cost, Bound the proven lower bound
-	// on any selection's cost, and Gap their normalized distance — the MIP
-	// gap certificate ((Incumbent-Bound)/|Incumbent|).
+	// on any selection's cost, and Gap their normalized distance — the gap
+	// certificate ((Incumbent-Bound)/|Incumbent|).
 	Incumbent float64 `json:"incumbent"`
 	Bound     float64 `json:"bound"`
 	Gap       float64 `json:"gap"`
@@ -195,7 +196,7 @@ type SolveProvenance struct {
 	// RootObjective is the root LP relaxation's objective (total workload
 	// cost scale) and BudgetDual the root's shadow price on the memory
 	// budget row — the marginal cost reduction per byte of extra budget.
-	// Zero when the combinatorial fallback solved the instance.
+	// Zero when the solve ended before the MIP's root LP.
 	RootObjective float64 `json:"root_objective,omitempty"`
 	BudgetDual    float64 `json:"budget_dual,omitempty"`
 }

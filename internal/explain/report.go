@@ -106,12 +106,12 @@ func writeHeuristic(w io.Writer, p *SelectionProvenance) {
 }
 
 func writeSolve(w io.Writer, p *SolveProvenance) {
-	method := "combinatorial"
-	if p.UsedLP {
-		method = "LP branch-and-bound"
-		if p.Sifted {
-			method = "LP (sifted)"
-		}
+	method := "greedy, certified by bounds"
+	switch {
+	case p.Sifted:
+		method = "MIP (sifted)"
+	case p.Nodes > 0:
+		method = "MIP branch-and-bound"
 	}
 	fmt.Fprintf(w, "\nCoPhy solve (%s): %d candidates, %d vars, %d constraints, %d nodes\n",
 		method, p.Candidates, p.Vars, p.Constraints, p.Nodes)

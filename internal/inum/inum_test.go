@@ -158,8 +158,8 @@ func TestSelectionQualityUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 60 candidates (41 of them pairs) let the combinatorial search converge
-	// in milliseconds. On the full set both runs hit the time limit, and
+	// 60 candidates (41 of them pairs) let the solve converge in
+	// milliseconds. On the full set both runs hit the time limit, and
 	// where the wall clock cuts each search differs under CPU load.
 	cands := set.Representatives(w)[:60]
 	budget := m.Budget(0.3)
@@ -167,7 +167,7 @@ func TestSelectionQualityUnchanged(t *testing.T) {
 	// Converged searches stop identically because INUM changes only WHERE
 	// costs come from, not their values; the limit only bounds a regression.
 	opts := func() cophy.Options {
-		return cophy.Options{Budget: budget, ForceCombinatorial: true, Gap: 0.05, TimeLimit: 2 * time.Second}
+		return cophy.Options{Budget: budget, Gap: 0.05, TimeLimit: 2 * time.Second}
 	}
 	plain, err := cophy.Solve(w, whatif.New(m), cands, opts())
 	if err != nil {

@@ -100,3 +100,27 @@ func BenchmarkMIPDense(b *testing.B) {
 		return denseSolveMIP(m, MIPOptions{})
 	})
 }
+
+// BenchmarkSimplex measures one sparse revised simplex solve of a 60-var /
+// 40-row LP.
+func BenchmarkSimplex(b *testing.B) {
+	m := NewModel()
+	n := 60
+	vars := make([]int, n)
+	for i := 0; i < n; i++ {
+		vars[i] = m.AddVar(-float64(1+i%7), "x", 1, false)
+	}
+	for r := 0; r < 40; r++ {
+		coeffs := map[int]float64{}
+		for i := r % 3; i < n; i += 3 {
+			coeffs[vars[i]] = float64(1 + (i+r)%5)
+		}
+		m.AddConstraint(coeffs, LE, float64(10+r))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveLP(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

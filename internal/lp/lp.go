@@ -14,11 +14,7 @@
 // differential-testing and benchmarking baseline.
 package lp
 
-import (
-	"fmt"
-	"sort"
-	"time"
-)
+import "fmt"
 
 // Sense is a constraint comparison direction.
 type Sense int
@@ -62,6 +58,8 @@ type Model struct {
 	names   []string
 	cons    []Constraint
 	nnz     int
+	// objConst is added to every objective value SolveMIP reports.
+	objConst float64
 }
 
 // NewModel returns an empty model.
@@ -78,22 +76,6 @@ func (m *Model) AddVar(obj float64, name string, upper float64, integer bool) in
 	return len(m.obj) - 1
 }
 
-// AddConstraint appends a constraint given as a coefficient map. The map is
-// converted to sorted sparse-slice form (so solver arithmetic is independent
-// of map iteration order) and not retained.
-func (m *Model) AddConstraint(coeffs map[int]float64, sense Sense, rhs float64) {
-	cols := make([]int32, 0, len(coeffs))
-	for j := range coeffs {
-		cols = append(cols, int32(j))
-	}
-	sort.Slice(cols, func(a, b int) bool { return cols[a] < cols[b] })
-	vals := make([]float64, len(cols))
-	for i, j := range cols {
-		vals[i] = coeffs[int(j)]
-	}
-	m.AddConstraintCols(cols, vals, sense, rhs)
-}
-
 // AddConstraintCols appends a constraint in sparse (column, value) form.
 // The slices are retained without copying; callers must not modify them
 // afterwards. This is the allocation-lean path for large models (CoPhy's
@@ -102,6 +84,11 @@ func (m *Model) AddConstraintCols(cols []int32, vals []float64, sense Sense, rhs
 	m.cons = append(m.cons, Constraint{Cols: cols, Vals: vals, Sense: sense, RHS: rhs})
 	m.nnz += len(cols)
 }
+
+// SetObjConstant sets a constant term of the objective. SolveMIP adds it to
+// every objective it reports (incumbent, bound, root relaxation), so its
+// relative gap is measured on the whole objective, constant included.
+func (m *Model) SetObjConstant(c float64) { m.objConst = c }
 
 // NumVars returns the number of variables.
 func (m *Model) NumVars() int { return len(m.obj) }
@@ -157,31 +144,4 @@ type Solution struct {
 	// binding ≤ row has y ≤ 0 and a binding ≥ row has y ≥ 0. Callers use
 	// these for column-generation pricing and Lagrangian bounds.
 	RowDuals []float64
-}
-
-const eps = 1e-9
-
-// SolveLP solves the LP relaxation of m (integrality ignored) with the
-// sparse revised simplex. Finite upper bounds are handled as variable
-// bounds, not rows.
-func SolveLP(m *Model) (*Solution, error) {
-	if m.NumVars() == 0 {
-		return &Solution{Status: Optimal, X: nil, Objective: 0}, nil
-	}
-	p := compile(m)
-	s := newSparseSolver(p)
-	s.reset(nil, nil)
-	sol := s.solve(time.Time{})
-	return sol, nil
-}
-
-// objectiveOf evaluates the model objective at x (structural variables).
-func (m *Model) objectiveOf(x []float64) float64 {
-	var v float64
-	for i, c := range m.obj {
-		if c != 0 {
-			v += c * x[i]
-		}
-	}
-	return v
 }

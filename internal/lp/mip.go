@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -565,7 +564,7 @@ func solveNode(s *sparseSolver, m *Model, p *prob, nd *bbNode, deadline time.Tim
 	if st != Optimal {
 		return r
 	}
-	r.obj = s.objValue()
+	r.obj = s.objValue() + m.objConst
 	s.primalX(xbuf)
 	if nd.id == 0 {
 		r.duals = s.rowDuals()
@@ -623,7 +622,7 @@ func floorFeasible(m *Model, x []float64) (float64, []float64, bool) {
 			}
 		}
 	}
-	var obj float64
+	obj := m.objConst
 	for i, v := range rounded {
 		obj += m.obj[i] * v
 	}
@@ -670,23 +669,9 @@ func checkStart(m *Model, x []float64) (float64, []float64, error) {
 			return 0, nil, fmt.Errorf("lp: incumbent violates constraint %d (%g %v %g)", ci, lhs, c.Sense, c.RHS)
 		}
 	}
-	var obj float64
+	obj := m.objConst
 	for j, v := range xi {
 		obj += m.obj[j] * v
 	}
 	return obj, xi, nil
-}
-
-// RoundedVars returns the integer-variable indices of x whose value rounds
-// to 1 (within tolerance), sorted ascending — a convenience for extracting
-// 0/1 selections from MIP solutions.
-func RoundedVars(m *Model, x []float64) []int {
-	var on []int
-	for i := 0; i < m.NumVars(); i++ {
-		if m.Integer(i) && x[i] > 0.5 {
-			on = append(on, i)
-		}
-	}
-	sort.Ints(on)
-	return on
 }

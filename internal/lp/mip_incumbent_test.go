@@ -163,3 +163,36 @@ func TestLPRowDualsSatisfyDuality(t *testing.T) {
 		t.Fatalf("dual objective %v != primal %v", yb, sol.Objective)
 	}
 }
+
+// TestMIPObjConstantInGap: an objective constant shifts every objective the
+// MIP reports, and the gap it stops on is relative to the whole objective.
+func TestMIPObjConstantInGap(t *testing.T) {
+	m := incumbentKnapsack()
+	m.SetObjConstant(200)
+	exact, err := SolveMIP(m, MIPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Optimum −21 and root relaxation −22 (a, b and half of c), plus 200.
+	if exact.Status != Optimal || math.Abs(exact.Objective-179) > 1e-9 || math.Abs(exact.Bound-179) > 1e-9 {
+		t.Fatalf("status=%v obj=%v bound=%v, want optimal 179 proven", exact.Status, exact.Objective, exact.Bound)
+	}
+	if math.Abs(exact.RootObjective-178) > 1e-9 {
+		t.Fatalf("root objective %v, want 178", exact.RootObjective)
+	}
+
+	// From the {b, d} incumbent (185) the root bound 178 is within 5 % of the
+	// total objective, though 7/15 of the part the variables control: the
+	// search must stop at the root.
+	res, err := SolveMIP(m, MIPOptions{Incumbent: []float64{0, 1, 0, 1}, Gap: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes != 1 || res.DNF || res.Objective > 185 || res.Gap > 0.05 {
+		t.Fatalf("nodes=%d dnf=%v obj=%v gap=%v, want a root stop within 5%% of 185 or better",
+			res.Nodes, res.DNF, res.Objective, res.Gap)
+	}
+	if want := (res.Objective - res.Bound) / res.Objective; math.Abs(res.Gap-want) > 1e-12 {
+		t.Fatalf("gap %v, want %v from objective %v and bound %v", res.Gap, want, res.Objective, res.Bound)
+	}
+}

@@ -556,23 +556,6 @@ func (s *sparseSolver) objValue() float64 {
 	return v
 }
 
-// solve runs optimize and packages a Solution. X is populated for Optimal
-// and IterationLimit (the latter so callers can inspect the partial point).
-func (s *sparseSolver) solve(deadline time.Time) *Solution {
-	st := s.optimize(deadline)
-	sol := &Solution{Status: st, Iterations: s.iters}
-	if st == Optimal || st == IterationLimit {
-		x := make([]float64, s.p.n)
-		s.primalX(x)
-		sol.X = x
-		sol.Objective = s.objValue()
-	}
-	if st == Optimal {
-		sol.RowDuals = s.rowDuals()
-	}
-	return sol
-}
-
 // rowDuals extracts the dual multipliers of the current (optimal) basis in
 // model row units. The slack of row i is the unit column e_i with zero cost,
 // so its reduced cost is −y_i in scaled row units; undoing the compile-time

@@ -101,14 +101,21 @@ func (d tableDump) empty() bool {
 // has probed the fuzz workload and evicted its tables. Each input is either
 // rejected as ErrSpillCorrupt with nothing merged, or restores tables that
 // the same optimizer writes back, evicts and restores to the same contents.
+//
+// The optimizer is probed and evicted once per fuzz process and evicted
+// again after each accepted input, so every input starts from the same
+// empty tables, interner and query bound; that is checked before each one.
 func FuzzReadTables(f *testing.F) {
 	w := fuzzWorkload()
 	valid := spillPayload(f, w)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(spillPayload(f, workload.MustGenerate(workload.DefaultGenConfig())))
+	o := evictedOptimizer(w)
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		o := evictedOptimizer(w)
+		if !dumpTables(o).empty() {
+			t.Fatal("tables not empty before the input")
+		}
 		if err := o.ReadTables(bytes.NewReader(withTrailer(payload))); err != nil {
 			if !errors.Is(err, ErrSpillCorrupt) {
 				t.Fatalf("rejection %v is not ErrSpillCorrupt", err)
@@ -118,6 +125,7 @@ func FuzzReadTables(f *testing.F) {
 			}
 			return
 		}
+		defer o.EvictTables()
 		first := dumpTables(o)
 		var buf bytes.Buffer
 		if _, err := o.WriteTables(&buf); err != nil {
