@@ -113,8 +113,8 @@ func resolveFleetDir(dir string) ([]fleetEntry, error) {
 // loadFleet resolves the tenants of a -fleet argument. Eagerly (the
 // default) every workload file is read up front; with stream set each tenant
 // instead carries a Load that reads its file whenever TuneFleet's clusterer
-// or prefetcher asks for it, never all at once — each file is then parsed
-// twice, trading time for O(workers) resident workloads.
+// or a worker dispatching it asks for it, never all at once — each file is
+// then parsed twice, trading time for O(workers) resident workloads.
 func loadFleet(path string, budgetShare float64, budgetBytes int64, stream bool) ([]indexsel.FleetTenant, error) {
 	entries, err := resolveFleet(path)
 	if err != nil {
@@ -150,9 +150,10 @@ func readWorkloadFile(path string) (*indexsel.Workload, error) {
 }
 
 // fleetReport prints the human-readable fleet summary: one row per tenant
-// plus the sharing and memory aggregates. The prefetcher's peak is printed
-// only for streamed tenants: eagerly loaded workloads are all resident for
-// the whole run, and the peak would count only the dispatch window.
+// plus the sharing and memory aggregates. The workers' peak of held
+// workloads is printed only for streamed tenants: eagerly loaded workloads
+// are all resident for the whole run, and the peak would count only the
+// running set.
 func fleetReport(out io.Writer, res *indexsel.FleetResult, stream bool) {
 	fmt.Fprintf(out, "%-12s %-7s %-8s %-12s %-12s %-8s %s\n",
 		"tenant", "cluster", "indexes", "cost", "improve", "time", "status")
@@ -182,7 +183,7 @@ func fleetReport(out io.Writer, res *indexsel.FleetResult, stream bool) {
 		fmt.Fprintf(out, "table spill:   %d spills, %d restores\n", res.Spills, res.Restores)
 	}
 	if stream {
-		fmt.Fprintf(out, "prefetcher:    peak %d workloads resident (%d bytes)\n",
+		fmt.Fprintf(out, "workloads:     peak %d resident (%d bytes)\n",
 			res.WorkloadPeakResident, res.WorkloadPeakBytes)
 	}
 	fmt.Fprintf(out, "elapsed:       %v\n", res.Elapsed.Round(time.Millisecond))
@@ -220,7 +221,7 @@ type fleetTenantJSON struct {
 }
 
 // writeFleetJSON writes the -json report; like fleetReport it gives the
-// prefetcher's peak only for streamed tenants.
+// workers' peak of held workloads only for streamed tenants.
 func writeFleetJSON(out io.Writer, res *indexsel.FleetResult, stream bool) error {
 	rep := fleetJSON{
 		Clusters:         res.Clusters,

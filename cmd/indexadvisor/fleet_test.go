@@ -101,7 +101,7 @@ func TestFleetStreamMatchesEager(t *testing.T) {
 	// Eagerly loaded workloads are all resident; the dispatch window's peak
 	// would understate that, so the eager report leaves it out.
 	if eager.WorkloadPeak != 0 || eager.WorkloadPeakB != 0 {
-		t.Fatalf("eager report gives a prefetcher peak (%d workloads, %d bytes)", eager.WorkloadPeak, eager.WorkloadPeakB)
+		t.Fatalf("eager report gives a workload peak (%d workloads, %d bytes)", eager.WorkloadPeak, eager.WorkloadPeakB)
 	}
 	if len(eager.Tenants) != families*perFamily || len(streamed.Tenants) != len(eager.Tenants) {
 		t.Fatalf("tenant counts: eager %d, streamed %d", len(eager.Tenants), len(streamed.Tenants))

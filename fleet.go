@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/compress"
@@ -48,10 +49,11 @@ import (
 // MultiIndexCosts runs unshared (its context-dependent costs invalidate
 // cache entries mid-run, which must not cross tenants).
 //
-// Pass 2 (run). The scheduler's dispatch order is computed up front
-// (fleet.DispatchOrder) and a windowed prefetcher loads workloads in exactly
-// that order — load-on-dispatch, release-after-result — so at most Workers
-// Load tenants' workloads are resident at any instant.
+// Pass 2 (run). Each worker loads the tenant it dispatches inside the
+// scheduler's runner and drops it after the result — load-on-dispatch,
+// release-after-result — so at most Workers Load tenants' workloads are
+// resident at any instant, and a failing or panicking load is that tenant's
+// error under the scheduler's recover and deadline.
 //
 // Memory. All cluster caches are registered with one fleet.TableBudget:
 // while a tenant runs, its cluster's tables are pinned working memory; once
@@ -69,10 +71,12 @@ type FleetTenant struct {
 	Workload *Workload
 	// Load materializes the tenant's workload on demand, so a large manifest
 	// needs only O(workers) workloads in memory. It is called twice — once
-	// to cluster, once at dispatch — from the fleet's goroutines, and MUST
-	// return the same workload both times, or the clustering's query mapping
-	// is invalid and the tenant's run errors. A first-call error fails the
-	// fleet; a dispatch-time error fails only this tenant.
+	// to cluster, once at dispatch — and MUST return the same workload both
+	// times, or the clustering's query mapping is invalid and the tenant's
+	// run errors. Dispatch-time calls for different tenants run concurrently
+	// on the fleet's workers. A first-call error or nil workload fails the
+	// fleet; a dispatch-time error, nil workload or panic fails only this
+	// tenant.
 	Load func() (*Workload, error)
 	// Weight scales the tenant's scheduling share (<= 0 means 1); heavier
 	// tenants are dispatched earlier relative to their size.
@@ -167,14 +171,13 @@ type FleetResult struct {
 	// Spills/Restores count cost tables serialized to disk on eviction and
 	// restored from disk on re-pin (SpillDir mode only).
 	Spills, Restores int64
-	// WorkloadPeakResident/WorkloadPeakBytes report the dispatch prefetcher's
-	// high-water marks: the most tenant workloads (and their estimated
-	// bytes) it held at once, between load and release. Every fleet goes
-	// through the prefetcher, whose window is Workers, so both are set for
-	// every run and the count never exceeds Workers. For Load tenants that
-	// bounds the workloads resident in memory; Workload tenants are held by
-	// the caller throughout, so for them it measures only the dispatch
-	// window.
+	// WorkloadPeakResident/WorkloadPeakBytes report the high-water marks of
+	// the tenant workloads (and their estimated bytes) the workers held at
+	// once, between dispatch-time load and result. Each worker holds one, so
+	// both are set for every run and the count never exceeds Workers. For
+	// Load tenants that bounds the workloads resident in memory; Workload
+	// tenants are held by the caller throughout, so for them it measures
+	// only the running set.
 	WorkloadPeakResident int
 	WorkloadPeakBytes    int64
 	// Elapsed is the whole fleet's wall-clock time.
@@ -203,12 +206,12 @@ func (r *FleetResult) Failed() int {
 // TuneFleet runs one selection per tenant over a bounded worker pool with
 // cross-tenant what-if sharing and a global table memory budget, returning
 // per-tenant results in input order. See the package comment above for the
-// two-pass pipeline. Tenant failures (panics, crashing sources, dispatch-time
-// load errors) and deadline-bounded partial results are isolated per tenant;
-// the fleet itself only errors on invalid input, including a failed
-// clustering load. Fleet-level progress (tenants queued/running/done, shared
-// hit rate, budget accounting) is published to the /progress endpoint for
-// the duration of the run.
+// two-pass pipeline. Tenant failures (panics, crashing sources, failing or
+// panicking dispatch-time loads) and deadline-bounded partial results are
+// isolated per tenant; the fleet itself only errors on invalid input,
+// including a failed clustering load. Fleet-level progress (tenants
+// queued/running/done, shared hit rate, budget accounting) is published to
+// the /progress endpoint for the duration of the run.
 func TuneFleet(ctx context.Context, tenants []FleetTenant, opts FleetOptions) (*FleetResult, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("indexsel: fleet has no tenants")
@@ -244,8 +247,8 @@ func TuneFleet(ctx context.Context, tenants []FleetTenant, opts FleetOptions) (*
 		budget.SpillTo(opts.SpillDir)
 	}
 
-	// Pass 2: schedule. The prefetcher loads workloads in dispatch order, so
-	// slot k of the prefetcher is the k-th tenant the pool will start.
+	// Pass 2: schedule. Each worker loads the tenant it dispatches and
+	// drops it after the result, so at most Workers workloads are held.
 	ftenants := make([]fleet.Tenant, len(tenants))
 	for i, t := range tenants {
 		id := t.ID
@@ -260,15 +263,7 @@ func TuneFleet(ctx context.Context, tenants []FleetTenant, opts FleetOptions) (*
 			Payload:  i,
 		}
 	}
-	order := fleet.DispatchOrder(ftenants)
-	rank := make([]int, len(order)) // input position -> dispatch rank
-	for k, pos := range order {
-		rank[pos] = k
-	}
-	pf := fleet.NewPrefetcher(len(tenants), max(opts.Workers, 1),
-		func(k int) (any, error) { return loads[order[k]]() },
-		func(item any) int64 { return item.(*Workload).FootprintBytes() })
-	defer pf.Close()
+	var held residency
 
 	prog := telemetry.BeginFleetProgress(len(tenants), len(plan.caches))
 	publish := func() {
@@ -278,7 +273,7 @@ func TuneFleet(ctx context.Context, tenants []FleetTenant, opts FleetOptions) (*
 		prog.SetMemory(resident, evictions)
 		spills, restores, _ := budget.SpillStats()
 		prog.SetSpill(spills, restores)
-		prog.SetWorkloads(pf.Resident())
+		prog.SetWorkloads(held.now())
 	}
 
 	sched := fleet.NewAdvisor(fleet.Options{
@@ -293,14 +288,17 @@ func TuneFleet(ctx context.Context, tenants []FleetTenant, opts FleetOptions) (*
 
 	results := sched.Run(ctx, ftenants, func(ctx context.Context, t fleet.Tenant) (any, error) {
 		pos := t.Payload.(int)
-		item, err := pf.Acquire(rank[pos])
-		// A failed load holds a window slot too: release it on every path,
-		// or the loader stalls and later tenants wait forever.
-		defer pf.Release(rank[pos])
+		w, err := loads[pos]()
 		if err != nil {
 			return nil, fmt.Errorf("indexsel: fleet tenant %q load: %w", t.ID, err)
 		}
-		ad, opt, err := plan.advisor(pos, t.ID, item.(*Workload))
+		if w == nil {
+			return nil, fmt.Errorf("indexsel: fleet tenant %q loaded a nil workload", t.ID)
+		}
+		bytes := w.FootprintBytes()
+		held.add(1, bytes)
+		defer held.add(-1, -bytes)
+		ad, opt, err := plan.advisor(pos, t.ID, w)
 		if err != nil {
 			return nil, err
 		}
@@ -329,11 +327,50 @@ func TuneFleet(ctx context.Context, tenants []FleetTenant, opts FleetOptions) (*
 	out.SharedCalls, out.SharedHits = plan.stats()
 	out.ResidentBytes, out.MaxResidentBytes, out.Evictions = budget.Stats()
 	out.Spills, out.Restores, _ = budget.SpillStats()
-	out.WorkloadPeakResident, out.WorkloadPeakBytes = pf.Stats()
+	out.WorkloadPeakResident, out.WorkloadPeakBytes = held.peak()
 	out.Elapsed = time.Since(start)
 	publish()
 	prog.Finish()
 	return out, nil
+}
+
+var (
+	mWorkloadsResident = telemetry.Default().Gauge("indexsel_fleet_workloads_resident",
+		"Tenant workloads currently held in memory by running fleet workers.")
+	mWorkloadBytes = telemetry.Default().Gauge("indexsel_fleet_workload_resident_bytes",
+		"Estimated bytes of tenant workloads currently held by running fleet workers.")
+)
+
+// residency counts the tenant workloads the fleet's workers hold between
+// dispatch-time load and result, now and at peak, and feeds the gauges.
+type residency struct {
+	mu                   sync.Mutex
+	held, peakHeld       int
+	heldBytes, peakBytes int64
+}
+
+// add changes the held count and bytes by n and bytes (negative to drop).
+func (r *residency) add(n int, bytes int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.held += n
+	r.heldBytes += bytes
+	r.peakHeld = max(r.peakHeld, r.held)
+	r.peakBytes = max(r.peakBytes, r.heldBytes)
+	mWorkloadsResident.Set(float64(r.held))
+	mWorkloadBytes.Set(float64(r.heldBytes))
+}
+
+func (r *residency) now() (int, int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.held, r.heldBytes
+}
+
+func (r *residency) peak() (int, int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.peakHeld, r.peakBytes
 }
 
 // fleetPlan is what pass 1 leaves for pass 2: one cache per cluster, and

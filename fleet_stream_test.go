@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -301,9 +302,9 @@ func TestFleetStreamNonDeterministicLoadIsolated(t *testing.T) {
 	}
 }
 
-// A dispatch-time Load failure is that tenant's error alone, and it must
-// free its prefetch slot: with one worker the window holds one workload, so
-// a leaked slot would stall every tenant dispatched after it.
+// A dispatch-time Load failure is that tenant's error alone, and the worker
+// that ran it goes on: with one worker, a stalled worker would leave every
+// tenant dispatched after it unrun.
 func TestFleetStreamDispatchLoadErrorIsolated(t *testing.T) {
 	tenants := nearCloneTenants(t, 17, 4)
 	var loads []int
@@ -326,6 +327,93 @@ func TestFleetStreamDispatchLoadErrorIsolated(t *testing.T) {
 	}
 	if res.Failed() != 1 {
 		t.Fatalf("Failed() = %d, want 1", res.Failed())
+	}
+}
+
+// A dispatch-time Load that panics or returns a nil workload fails only its
+// own tenant — recovered as a *WorkerPanicError, or the nil-workload error —
+// and every other tenant's recommendation is its standalone one.
+func TestFleetStreamDispatchLoadFaultIsolated(t *testing.T) {
+	tenants := nearCloneTenants(t, 18, 4)
+	standalone := make([]*Recommendation, len(tenants))
+	for i, tn := range tenants {
+		rec, err := NewAdvisor(tn.Workload, WithParallelism(1)).Select(StrategyExtend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		standalone[i] = rec
+	}
+	const bad = 1
+	for _, fault := range []string{"panic", "nil"} {
+		for _, workers := range []int{1, 2} {
+			label := fmt.Sprintf("%s/workers=%d", fault, workers)
+			var loads []int
+			lazy := lazyTenants(tenants, &loads)
+			calls := 0
+			lazy[bad].Load = func() (*workload.Workload, error) {
+				if calls++; calls == 1 {
+					return tenants[bad].Workload, nil // the clustering call
+				}
+				if fault == "panic" {
+					panic("loader bug")
+				}
+				return nil, nil
+			}
+			res, err := TuneFleet(context.Background(), lazy, FleetOptions{Workers: workers, Parallelism: 1})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			var pe *WorkerPanicError
+			switch got := res.Tenants[bad].Err; {
+			case fault == "panic" && !errors.As(got, &pe):
+				t.Fatalf("%s: failing tenant err = %v, want a WorkerPanicError", label, got)
+			case fault == "nil" && (got == nil || !strings.Contains(got.Error(), "loaded a nil workload")):
+				t.Fatalf("%s: failing tenant err = %v, want the nil-workload error", label, got)
+			}
+			if res.Failed() != 1 {
+				t.Fatalf("%s: Failed() = %d, want 1", label, res.Failed())
+			}
+			for i, tr := range res.Tenants {
+				if i != bad {
+					sameRec(t, label, standalone[i], tr.Rec)
+				}
+			}
+		}
+	}
+}
+
+// With two workers, the dispatch-time loads of the first two dispatched
+// tenants run concurrently: each waits until the other has started. Loads
+// serialized on one goroutine would time the first one out instead.
+func TestFleetStreamDispatchLoadsOverlap(t *testing.T) {
+	tenants := nearCloneTenants(t, 19, 4)
+	var loads []int
+	lazy := lazyTenants(tenants, &loads)
+	started := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	for i := range started {
+		i, calls := i, 0
+		lazy[i].Weight = 1000 // tenants 0 and 1 are dispatched first
+		lazy[i].Load = func() (*workload.Workload, error) {
+			if calls++; calls == 1 {
+				return tenants[i].Workload, nil // the clustering call
+			}
+			close(started[i])
+			select {
+			case <-started[1-i]:
+				return tenants[i].Workload, nil
+			case <-time.After(10 * time.Second):
+				return nil, errors.New("the other dispatched tenant's load never started")
+			}
+		}
+	}
+	res, err := TuneFleet(context.Background(), lazy, FleetOptions{Workers: 2, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range res.Tenants {
+		if tr.Err != nil {
+			t.Fatalf("tenant %d: %v", i, tr.Err)
+		}
 	}
 }
 

@@ -429,9 +429,9 @@ func TestFleetCustomSourcesRunUnshared(t *testing.T) {
 	}
 }
 
-// Every fleet goes through the dispatch prefetcher, so WorkloadPeak* report
-// its window for in-memory tenants too: at most Workers workloads held at
-// once, never the whole fleet.
+// Every fleet's workers load the tenants they dispatch, so WorkloadPeak*
+// report the running set for in-memory tenants too: at most Workers
+// workloads held at once, never the whole fleet.
 func TestFleetWorkloadPeakReportsDispatchWindow(t *testing.T) {
 	tenants := fleetFamily(t, 6, 6, 0.5)
 	var total int64

@@ -31,13 +31,11 @@ import (
 	"net/http"
 
 	"repro/internal/candidates"
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/explain"
 	"repro/internal/fault"
-	"repro/internal/inum"
 	"repro/internal/sqllog"
 	"repro/internal/telemetry"
 	"repro/internal/whatif"
@@ -210,36 +208,8 @@ func NewMeasuredSource(db *DB, seed int64) *MeasuredSource {
 	return engine.NewMeasuredSource(db, seed)
 }
 
-// INUMSource wraps any cost source with plan-skeleton reuse (simplified
-// INUM, Papadomanolakis et al. VLDB 2007): one optimizer evaluation serves
-// every index configuration leading to the same usable attribute set. Layer
-// it under an advisor's measured source, or rely on it implicitly through
-// WithINUM.
-type INUMSource = inum.Source
-
-// NewINUMSource wraps src with plan-skeleton reuse.
-func NewINUMSource(src WhatIfSource) *INUMSource { return inum.New(src) }
-
 // WhatIfSource is the cost-oracle interface all strategies consume.
 type WhatIfSource = whatif.Source
-
-// CompressionStats reports what workload compression kept.
-type CompressionStats = compress.Stats
-
-// CompressTopK keeps the k most expensive templates (DB2-style), returning
-// the compressed workload for tuning; evaluate the resulting selection on
-// the original workload.
-func CompressTopK(w *Workload, k int) (*Workload, CompressionStats, error) {
-	opt := whatif.New(costmodel.New(w, costmodel.SingleIndex))
-	return compress.TopK(w, opt, k)
-}
-
-// CompressByCoverage keeps the most expensive templates covering (1-eps) of
-// the total base cost (Chaudhuri-style error bound).
-func CompressByCoverage(w *Workload, eps float64) (*Workload, CompressionStats, error) {
-	opt := whatif.New(costmodel.New(w, costmodel.SingleIndex))
-	return compress.ByCoverage(w, opt, eps)
-}
 
 // ConstructionStep re-exports one step of Algorithm 1's trace.
 type ConstructionStep = core.Step

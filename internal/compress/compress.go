@@ -6,8 +6,8 @@
 // enumeration, solving — at a bounded loss of fidelity.
 //
 // Templates are ranked by their total base cost b_j * f_j(0) (the work an
-// untuned system spends on them). TopK keeps a fixed count; ByCoverage keeps
-// the cheapest prefix covering at least (1 - eps) of the total base cost.
+// untuned system spends on them). ByCoverage keeps the shortest prefix of
+// that ranking covering at least (1 - eps) of the total base cost.
 // Selections computed on the compressed workload are meant to be EVALUATED
 // on the original one; tests quantify the quality loss.
 package compress
@@ -26,19 +26,6 @@ type Stats struct {
 	KeptTemplates, TotalTemplates int
 	// Coverage is the kept share of the total frequency-weighted base cost.
 	Coverage float64
-}
-
-// TopK keeps the k most expensive templates (DB2's approach). k must be
-// positive; k >= Q returns a copy of the workload.
-func TopK(w *workload.Workload, opt *whatif.Optimizer, k int) (*workload.Workload, Stats, error) {
-	if k < 1 {
-		return nil, Stats{}, fmt.Errorf("compress: k must be positive (got %d)", k)
-	}
-	ranked, total := rank(w, opt)
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	return build(w, ranked[:k], total)
 }
 
 // ByCoverage keeps the most expensive templates until their cumulative base

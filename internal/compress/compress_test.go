@@ -19,54 +19,6 @@ func gen(t *testing.T) (*workload.Workload, *costmodel.Model, *whatif.Optimizer)
 	return w, m, whatif.New(m)
 }
 
-func TestTopKKeepsMostExpensive(t *testing.T) {
-	w, m, opt := gen(t)
-	cw, stats, err := TopK(w, opt, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cw.NumQueries() != 30 || stats.KeptTemplates != 30 || stats.TotalTemplates != w.NumQueries() {
-		t.Fatalf("stats = %+v, queries = %d", stats, cw.NumQueries())
-	}
-	// Every kept template must cost at least as much as every dropped one.
-	minKept := -1.0
-	costOf := func(q workload.Query) float64 { return float64(q.Freq) * m.BaseCost(q) }
-	keptIDs := map[string]bool{}
-	for _, q := range cw.Queries {
-		c := costOf(q)
-		if minKept < 0 || c < minKept {
-			minKept = c
-		}
-		keptIDs[keyOf(q)] = true
-	}
-	for _, q := range w.Queries {
-		if keptIDs[keyOf(q)] {
-			continue
-		}
-		if costOf(q) > minKept+1e-9 {
-			t.Fatalf("dropped template costs %v > cheapest kept %v", costOf(q), minKept)
-		}
-	}
-	// Schema preserved, IDs dense.
-	if cw.NumAttrs() != w.NumAttrs() || len(cw.Tables) != len(w.Tables) {
-		t.Error("compression changed the schema")
-	}
-	for i, q := range cw.Queries {
-		if q.ID != i {
-			t.Errorf("query ID %d at position %d", q.ID, i)
-		}
-	}
-}
-
-func keyOf(q workload.Query) string {
-	s := ""
-	for _, a := range q.Attrs {
-		s += string(rune('A' + a%26))
-		s += string(rune('0' + (a/26)%10))
-	}
-	return s + ":" + string(rune('0'+q.Table)) + ":" + string(rune('0'+int(q.Kind)))
-}
-
 func TestByCoverageHitsBound(t *testing.T) {
 	w, _, opt := gen(t)
 	for _, eps := range []float64{0.01, 0.1, 0.3} {
@@ -94,19 +46,11 @@ func TestByCoverageHitsBound(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	w, _, opt := gen(t)
-	if _, _, err := TopK(w, opt, 0); err == nil {
-		t.Error("TopK(0) accepted")
-	}
 	if _, _, err := ByCoverage(w, opt, 1.0); err == nil {
 		t.Error("ByCoverage(1.0) accepted")
 	}
 	if _, _, err := ByCoverage(w, opt, -0.1); err == nil {
 		t.Error("ByCoverage(-0.1) accepted")
-	}
-	// Oversized k degrades to a copy.
-	cw, stats, err := TopK(w, opt, 10*w.NumQueries())
-	if err != nil || cw.NumQueries() != w.NumQueries() || stats.Coverage < 1-1e-9 {
-		t.Errorf("oversized k: %v, %d queries, %+v", err, cw.NumQueries(), stats)
 	}
 }
 

@@ -71,38 +71,31 @@ func TestByCoverageEpsOutOfRange(t *testing.T) {
 
 func TestSingleTemplateWorkload(t *testing.T) {
 	w, opt := singleTemplate(t)
-	cw, stats, err := TopK(w, opt, 1)
-	if err != nil || cw.NumQueries() != 1 || stats.Coverage != 1 {
-		t.Fatalf("TopK(1): cw=%v stats=%+v err=%v", cw, stats, err)
-	}
-	cw, stats, err = TopK(w, opt, 10) // k > Q clamps
-	if err != nil || cw.NumQueries() != 1 || stats.KeptTemplates != 1 {
-		t.Fatalf("TopK(10): stats=%+v err=%v", stats, err)
-	}
-	cw, stats, err = ByCoverage(w, opt, 0.5)
-	if err != nil || cw.NumQueries() != 1 || stats.Coverage != 1 {
+	cw, stats, err := ByCoverage(w, opt, 0.5)
+	if err != nil || cw.NumQueries() != 1 || stats.Coverage != 1 || stats.KeptTemplates != 1 {
 		t.Fatalf("ByCoverage(0.5): stats=%+v err=%v", stats, err)
-	}
-	if _, _, err := TopK(w, opt, 0); err == nil {
-		t.Fatal("TopK(0) accepted")
 	}
 }
 
 func TestTieBreakDeterminism(t *testing.T) {
-	// All templates cost the same; TopK must keep the lowest query IDs and do
-	// so identically across runs and fresh optimizers.
+	// All templates cost the same, each 1/6 of the total, so eps=0.5 keeps
+	// exactly 3; ByCoverage must keep the lowest query IDs and do so
+	// identically across runs and fresh optimizers.
 	w, opt := equalCosts(t, 6)
-	first, _, err := TopK(w, opt, 3)
+	first, stats, err := ByCoverage(w, opt, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w2, opt2 := equalCosts(t, 6)
-	second, _, err := TopK(w2, opt2, 3)
+	second, _, err := ByCoverage(w2, opt2, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.NumQueries() != 3 || second.NumQueries() != 3 {
 		t.Fatalf("kept %d / %d templates, want 3", first.NumQueries(), second.NumQueries())
+	}
+	if stats.Coverage < 0.5-1e-12 {
+		t.Fatalf("coverage %v below bound", stats.Coverage)
 	}
 	for i := range first.Queries {
 		if first.Queries[i].ID != second.Queries[i].ID {
@@ -116,19 +109,5 @@ func TestTieBreakDeterminism(t *testing.T) {
 		if q.ID != i {
 			t.Fatalf("query at position %d has ID %d", i, q.ID)
 		}
-	}
-
-	// Same determinism for ByCoverage at a partial bound: each template
-	// covers 1/6 of the cost, so eps=0.5 keeps exactly 3.
-	w3, opt3 := equalCosts(t, 6)
-	cw, stats, err := ByCoverage(w3, opt3, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cw.NumQueries() != 3 {
-		t.Fatalf("ByCoverage(0.5) over 6 equal templates kept %d, want 3", cw.NumQueries())
-	}
-	if stats.Coverage < 0.5-1e-12 {
-		t.Fatalf("coverage %v below bound", stats.Coverage)
 	}
 }

@@ -16,6 +16,9 @@ import (
 type Profile struct {
 	// shares maps template signature -> share of total freq·cost mass.
 	shares map[string]float64
+	// sigs lists shares' keys in first-seen (query) order, so sums over
+	// them do not depend on Go's map order.
+	sigs []string
 }
 
 // CostFunc prices one execution of a query; it is typically a closure over a
@@ -41,7 +44,11 @@ func NewProfile(w *workload.Workload, cost CostFunc) *Profile {
 			}
 		}
 		mass := float64(q.Freq) * c
-		p.shares[compress.TemplateSignature(q)] += mass
+		sig := compress.TemplateSignature(q)
+		if _, ok := p.shares[sig]; !ok {
+			p.sigs = append(p.sigs, sig)
+		}
+		p.shares[sig] += mass
 		total += mass
 	}
 	if total > 0 {
@@ -70,22 +77,25 @@ type Score struct {
 // baseline scores 1 against any non-empty current profile (everything is
 // new), and 0 against an empty one.
 func Compare(b, cur *Profile) Score {
-	var bs, cs map[string]float64
-	if b != nil {
-		bs = b.shares
+	if b == nil {
+		b = &Profile{}
 	}
-	if cur != nil {
-		cs = cur.shares
+	if cur == nil {
+		cur = &Profile{}
 	}
+	bs, cs := b.shares, cur.shares
 	if len(bs) == 0 && len(cs) == 0 {
 		return Score{}
 	}
 	if len(bs) == 0 || len(cs) == 0 {
 		return Score{Fingerprint: 1, CostShift: 1, Score: 1}
 	}
+	// Sum in each profile's first-seen order: float addition is not
+	// associative, and the sum is compared to the drift threshold.
 	inter := 0
 	var tv float64
-	for sig, share := range bs {
+	for _, sig := range b.sigs {
+		share := bs[sig]
 		if c, ok := cs[sig]; ok {
 			inter++
 			tv += math.Abs(share - c)
@@ -93,9 +103,9 @@ func Compare(b, cur *Profile) Score {
 			tv += share
 		}
 	}
-	for sig, share := range cs {
+	for _, sig := range cur.sigs {
 		if _, ok := bs[sig]; !ok {
-			tv += share
+			tv += cs[sig]
 		}
 	}
 	union := len(bs) + len(cs) - inter
@@ -113,10 +123,7 @@ func (p *Profile) Top(n int) []string {
 	if p == nil || len(p.shares) == 0 || n <= 0 {
 		return nil
 	}
-	sigs := make([]string, 0, len(p.shares))
-	for sig := range p.shares {
-		sigs = append(sigs, sig)
-	}
+	sigs := append([]string(nil), p.sigs...)
 	sort.Slice(sigs, func(i, j int) bool {
 		si, sj := p.shares[sigs[i]], p.shares[sigs[j]]
 		if si != sj {

@@ -267,6 +267,29 @@ func TestWindowStaleTimestampsFoldAtHorizon(t *testing.T) {
 	}
 }
 
+// Compare is summed in each profile's first-seen template order, so the
+// same two profiles score the same bits on every call: the score is compared
+// to the daemon's drift threshold, and replay must take the same branch.
+func TestCompareIsBitIdentical(t *testing.T) {
+	cfg := workload.DefaultGenConfig()
+	cfg.Seed = 3
+	base, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted, err := workload.ResampleQueries(base, cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, cur := NewProfile(base, nil), NewProfile(drifted, nil)
+	want := math.Float64bits(Compare(b, cur).CostShift)
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(Compare(b, cur).CostShift); got != want {
+			t.Fatalf("call %d: cost shift bits %#x, first call %#x", i, got, want)
+		}
+	}
+}
+
 func TestProfileCompare(t *testing.T) {
 	schema := testSchema(t)
 	p1 := NewProfile(schema, nil)

@@ -15,7 +15,7 @@ import (
 
 // Accel quantifies the two what-if acceleration levers the paper's related
 // work discusses: INUM-style plan-skeleton reuse (Papadomanolakis et al.)
-// and workload compression (Chaudhuri et al. / DB2 top-k). For each, it
+// and coverage-bounded workload compression (Chaudhuri et al.). For each, it
 // reports the reduction in underlying optimizer evaluations and the
 // selection-quality impact, evaluated on the FULL workload.
 func Accel(cfg Config) error {

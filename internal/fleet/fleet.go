@@ -175,12 +175,6 @@ func (a *Advisor) runOne(ctx context.Context, t Tenant, run Runner) (res Result)
 	return res
 }
 
-// DispatchOrder exposes the scheduler's dispatch sequence for the given
-// tenants: position k of the returned slice is the input position of the
-// k-th tenant to be dispatched. The root package's TuneFleet uses it to line
-// the workload prefetcher's load order up with the pool's consumption order.
-func DispatchOrder(tenants []Tenant) []int { return dispatchOrder(tenants) }
-
 // dispatchOrder returns tenant positions in weighted shortest-job-first
 // order: ascending EstWork/Weight, input position breaking ties.
 func dispatchOrder(tenants []Tenant) []int {

@@ -39,17 +39,12 @@ type MIPOptions struct {
 	// pseudo-cost and branching decisions happen in a serial reducer that
 	// consumes batch results in deterministic order.
 	Parallelism int
-	// Cutoff is an externally known feasible objective value (an upper
-	// bound for this minimization), e.g. from a greedy heuristic. Nodes
-	// whose relaxation bound cannot beat it are pruned before any
-	// incumbent exists. Zero means no cutoff.
-	Cutoff float64
 	// Incumbent, when non-nil, is a known feasible point (length NumVars,
 	// integral on the integer variables) installed as the starting
-	// incumbent. Unlike Cutoff it is a real solution: gap-based termination
-	// can fire from the first node, and the search never depends on the
-	// floor heuristic stumbling onto a feasible point. SolveMIP returns an
-	// error if the vector is infeasible or fractional.
+	// incumbent, so gap-based termination can fire from the first node and
+	// the search never depends on the floor heuristic stumbling onto a
+	// feasible point. SolveMIP returns an error if the vector is infeasible
+	// or fractional.
 	Incumbent []float64
 	// CrashAtUpper lists variable indices whose root LP starts nonbasic at
 	// the upper bound instead of the lower (a crash hint, typically the
@@ -255,19 +250,8 @@ func SolveMIP(m *Model, opts MIPOptions) (res *MIPResult, err error) {
 		return 1
 	}
 
-	// effObj is the pruning/gap threshold: the incumbent, or the external
-	// cutoff while no incumbent exists.
-	effObj := func() float64 {
-		if !math.IsInf(res.Objective, 1) {
-			return res.Objective
-		}
-		if opts.Cutoff != 0 {
-			return opts.Cutoff
-		}
-		return math.Inf(1)
-	}
 	gapOK := func() bool {
-		obj := effObj()
+		obj := res.Objective
 		if math.IsInf(obj, 1) {
 			return false
 		}
@@ -316,7 +300,7 @@ search:
 		if opts.MaxNodes > 0 && opts.MaxNodes-res.Nodes < limit {
 			limit = opts.MaxNodes - res.Nodes
 		}
-		cut := effObj()
+		cut := res.Objective
 		for len(batch) < limit && open.Len() > 0 {
 			nd := heap.Pop(open).(*bbNode)
 			if nd.bound >= cut-1e-12 {
@@ -439,7 +423,7 @@ search:
 				res.Solution = Solution{Status: Optimal, X: r.floorX, Objective: r.floorObj}
 			}
 
-			if len(r.fracs) == 0 || r.obj >= effObj()-1e-12 {
+			if len(r.fracs) == 0 || r.obj >= res.Objective-1e-12 {
 				continue // closed: integral, or dominated after solving
 			}
 

@@ -156,43 +156,6 @@ func TestMIPMaxNodesSetsDNF(t *testing.T) {
 	}
 }
 
-// TestMIPCutoffPrunes: with an external cutoff at the known optimum, the
-// search can prove "nothing beats the cutoff" and stop without DNF; with a
-// looser cutoff it must still find the true optimum.
-func TestMIPCutoffPrunes(t *testing.T) {
-	m := randomMIP(5)
-	exact, err := SolveMIP(m, MIPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Status != Optimal {
-		t.Skipf("seed MIP not solvable to optimality: %v", exact.Status)
-	}
-	withCut, err := SolveMIP(m, MIPOptions{Cutoff: exact.Objective})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withCut.DNF {
-		t.Fatalf("cutoff run reported DNF: %+v", withCut)
-	}
-	// Any incumbent it does return must not beat the proven optimum, and its
-	// proven bound must not exceed the optimum.
-	if withCut.Status == Optimal && withCut.Objective < exact.Objective-1e-6 {
-		t.Fatalf("cutoff run objective %v below optimum %v", withCut.Objective, exact.Objective)
-	}
-	if withCut.Bound > exact.Objective+1e-6 {
-		t.Fatalf("cutoff run bound %v exceeds optimum %v", withCut.Bound, exact.Objective)
-	}
-	loose, err := SolveMIP(m, MIPOptions{Cutoff: exact.Objective + 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.Status != Optimal || !approx(loose.Objective, exact.Objective, 1e-6) {
-		t.Fatalf("loose cutoff run got %v obj %v, want optimal %v",
-			loose.Status, loose.Objective, exact.Objective)
-	}
-}
-
 // TestMIPMatchesDenseBaseline: the warm-started B&B and the retained dense
 // cold-start B&B must agree on optimal objectives.
 func TestMIPMatchesDenseBaseline(t *testing.T) {

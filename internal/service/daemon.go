@@ -306,7 +306,7 @@ func (d *Daemon) maybeRetune() {
 	}
 	d.mRetunes.Inc()
 
-	var src whatif.Source = costmodel.New(snap, costmodel.SingleIndex)
+	var src whatif.Source = model
 	if d.cfg.WrapSource != nil {
 		src = d.cfg.WrapSource(src)
 	}

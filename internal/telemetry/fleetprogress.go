@@ -48,8 +48,8 @@ type FleetState struct {
 	Spills   int64 `json:"spills,omitempty"`
 	Restores int64 `json:"restores,omitempty"`
 
-	// WorkloadsResident/WorkloadBytes report the streaming prefetcher's
-	// currently loaded tenant workloads (streaming manifest mode only).
+	// WorkloadsResident/WorkloadBytes report the tenant workloads the
+	// fleet's workers currently hold between dispatch-time load and result.
 	WorkloadsResident int   `json:"workloads_resident,omitempty"`
 	WorkloadBytes     int64 `json:"workload_bytes,omitempty"`
 }
@@ -145,8 +145,8 @@ func (p *FleetRun) SetSpill(spills, restores int64) {
 	})
 }
 
-// SetWorkloads publishes the streaming prefetcher's resident workload count
-// and estimated bytes.
+// SetWorkloads publishes the count and estimated bytes of the tenant
+// workloads the fleet's workers currently hold.
 func (p *FleetRun) SetWorkloads(resident int, bytes int64) {
 	p.update(func(st *FleetState) {
 		st.WorkloadsResident = resident

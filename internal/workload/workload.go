@@ -347,8 +347,8 @@ func (w *Workload) TotalFreq() int64 {
 // Workload retains: tables, attributes, queries (attribute lists and access
 // bitsets included) and the inverted attribute->query indexes. Like
 // whatif.TableBytes it is an accounting measure, not measured RSS — the
-// fleet prefetcher's resident-workload gauge and its bench guard use the same
-// estimator on both sides of the comparison.
+// fleet's held-workload gauge and its bench guard use the same estimator on
+// both sides of the comparison.
 func (w *Workload) FootprintBytes() int64 {
 	const (
 		tableBytes = 64 // Table struct + slice/string headers
