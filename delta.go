@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/drift"
 	"repro/internal/service"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -41,8 +42,9 @@ type (
 	DaemonConfig = service.Config
 	// TuningDaemon is the long-running observe/drift/retune service.
 	TuningDaemon = service.Daemon
-	// TuningStatus is the daemon's /status payload.
-	TuningStatus = service.Status
+	// TuningStatus is the daemon's /status payload: the daemon section of
+	// the /progress snapshot.
+	TuningStatus = telemetry.DaemonState
 	// JournalRecord is one entry of the daemon's crash-safe rollback
 	// journal.
 	JournalRecord = service.Record

@@ -106,7 +106,7 @@ type Options struct {
 	Explain bool
 	// Progress, if non-nil, receives one live-progress update per applied
 	// construction step (never per candidate) for the /progress endpoint.
-	Progress *telemetry.ProgressRun
+	Progress *telemetry.Progress
 	// Span, if non-nil, is the parent telemetry span (normally the advisor's
 	// per-Select root span); the run records one child span per construction
 	// step under it. Nil disables tracing with zero overhead.
@@ -1165,8 +1165,10 @@ func (s *selector) run() (*Result, error) {
 		if s.opts.DropUnused {
 			s.dropUnused()
 		}
-		s.opts.Progress.Update(len(s.steps), initial, s.total(), s.mem,
-			int64(s.totalEvaluated), int64(s.totalCached), int64(s.totalPruned))
+		s.opts.Progress.Update(func(p *telemetry.ProgressState) {
+			p.Step, p.InitialCost, p.BestCost, p.MemoryBytes = len(s.steps), initial, s.total(), s.mem
+			p.Evaluated, p.CacheServed, p.Pruned = int64(s.totalEvaluated), int64(s.totalCached), int64(s.totalPruned)
+		})
 	}
 	res := &Result{
 		Steps:       s.steps,
@@ -1401,8 +1403,10 @@ func (s *selector) runMultiIndex() (*Result, error) {
 			s.prov = append(s.prov, p)
 		}
 		finishStep(sp, stepStart, &s.steps[len(s.steps)-1], s.lastProv())
-		s.opts.Progress.Update(len(s.steps), initial, curCost, curMem,
-			int64(s.totalEvaluated), 0, 0)
+		s.opts.Progress.Update(func(p *telemetry.ProgressState) {
+			p.Step, p.InitialCost, p.BestCost, p.MemoryBytes = len(s.steps), initial, curCost, curMem
+			p.Evaluated, p.CacheServed, p.Pruned = int64(s.totalEvaluated), 0, 0
+		})
 	}
 	res := &Result{
 		Steps:       steps,

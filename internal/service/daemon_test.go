@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/drift"
 	"repro/internal/faultinject"
+	"repro/internal/telemetry"
 	"repro/internal/whatif"
 	"repro/internal/workload"
 )
@@ -81,12 +82,12 @@ func post(t *testing.T, h http.Handler, body string) *httptest.ResponseRecorder 
 	return rec
 }
 
-func status(t *testing.T, h http.Handler) Status {
+func status(t *testing.T, h http.Handler) telemetry.DaemonState {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, "/status", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	var st Status
+	var st telemetry.DaemonState
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatalf("status decode: %v (%s)", err, rec.Body.String())
 	}

@@ -1,17 +1,13 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 // HELP text escaping: backslash and line feed are the only characters the
@@ -160,124 +156,5 @@ func TestRotatingWriterClosed(t *testing.T) {
 	}
 	if _, err := rw.Write([]byte("x\n")); err != os.ErrClosed {
 		t.Fatalf("write after close: %v, want os.ErrClosed", err)
-	}
-}
-
-// The generation fence: a handle from an abandoned run must not clobber the
-// state of the run that superseded it.
-func TestProgressGenerationFence(t *testing.T) {
-	stale := BeginProgress("Extend(H6)", 1000, time.Time{})
-	fresh := BeginProgress("CoPhy", 2000, time.Time{})
-	stale.Update(99, 1, 1, 1, 1, 1, 1)
-	stale.Finish("cancelled", true)
-	if st := ProgressSnapshot(); st.Strategy != "CoPhy" || st.Step != 0 || st.Done {
-		t.Fatalf("stale handle clobbered live run: %+v", st)
-	}
-	fresh.Update(3, 100, 80, 512, 10, 2, 1)
-	fresh.Finish("converged", false)
-	st := ProgressSnapshot()
-	if st.Step != 3 || !st.Done || st.Active || st.StopReason != "converged" {
-		t.Fatalf("live run updates lost: %+v", st)
-	}
-}
-
-// Concurrent snapshot readers against a writing run — meaningful under
-// -race, which the CI test job runs with.
-func TestProgressConcurrentReads(t *testing.T) {
-	run := BeginProgress("Extend(H6)", 1<<20, time.Now().Add(time.Minute))
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				st := ProgressSnapshot()
-				if st.Step < 0 || st.Evaluated < 0 {
-					t.Error("torn progress snapshot")
-					return
-				}
-			}
-		}()
-	}
-	for step := 1; step <= 200; step++ {
-		run.Update(step, 1000, 1000-float64(step), int64(step)*64, int64(step)*3, int64(step), int64(step/2))
-	}
-	run.Finish("converged", false)
-	close(stop)
-	wg.Wait()
-	if st := ProgressSnapshot(); st.Step != 200 || st.DeadlineRemainingSeconds == 0 {
-		t.Fatalf("final snapshot %+v", st)
-	}
-}
-
-// /progress without parameters returns one JSON snapshot.
-func TestProgressEndpointSnapshot(t *testing.T) {
-	run := BeginProgress("Extend(H6)", 4096, time.Time{})
-	run.Update(2, 100, 90, 128, 5, 1, 0)
-	req := httptest.NewRequest("GET", "/progress", nil)
-	rr := httptest.NewRecorder()
-	NewMux(NewRegistry()).ServeHTTP(rr, req)
-	if ct := rr.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type %q", ct)
-	}
-	var st ProgressState
-	if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
-		t.Fatalf("bad snapshot JSON: %v", err)
-	}
-	if !st.Active || st.Step != 2 || st.BestCost != 90 {
-		t.Fatalf("snapshot %+v", st)
-	}
-	run.Finish("converged", false)
-}
-
-// /progress?stream=1 emits SSE events and terminates once the run is done.
-func TestProgressEndpointStream(t *testing.T) {
-	run := BeginProgress("Extend(H6)", 4096, time.Time{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		time.Sleep(80 * time.Millisecond)
-		run.Update(1, 100, 95, 64, 2, 0, 0)
-		run.Finish("converged", false)
-	}()
-
-	srv := httptest.NewServer(NewMux(NewRegistry()))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/progress?stream=1&interval=50ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-	var events int
-	var last ProgressState
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() { // the stream closing on Done ends this loop
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		events++
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &last); err != nil {
-			t.Fatalf("bad SSE payload %q: %v", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	if events == 0 {
-		t.Fatal("stream produced no events")
-	}
-	if !last.Done || last.Active || last.StopReason != "converged" {
-		t.Fatalf("stream did not end on the finished state: %+v", last)
 	}
 }

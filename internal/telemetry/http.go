@@ -10,7 +10,7 @@ import (
 )
 
 // NewMux returns an http.ServeMux exposing the registry at /metrics
-// (Prometheus text format), the live-run progress at /progress, the expvar
+// (Prometheus text format), the progress snapshot at /progress, the expvar
 // mirror at /debug/vars, and the pprof handlers under /debug/pprof/ — the
 // standard inspection surface for a long-running advisor service, on one
 // mux so a single -metrics-addr flag wires all of it.
@@ -30,12 +30,13 @@ func NewMux(r *Registry) *http.ServeMux {
 	return mux
 }
 
-// handleProgress serves the current selection run's progress. Without
-// parameters it returns one JSON snapshot; with ?stream=1 it streams
-// snapshots as server-sent events (one `data:` line per tick, default every
-// 200ms, ?interval= to override) until the run finishes or the client goes
-// away — `curl -N :PORT/progress?stream=1` watches a deadline-bound run
-// live.
+// handleProgress serves ProgressSnapshot: the run section at the top level,
+// and the fleet and daemon sections once begun. Without parameters it
+// returns one JSON snapshot; with ?stream=1 it streams snapshots as
+// server-sent events (one `data:` line per tick, default every 200ms,
+// ?interval= to override) until the run, and the fleet when one has begun,
+// finishes or the client goes away — `curl -N :PORT/progress?stream=1`
+// watches a deadline-bound run live.
 func handleProgress(w http.ResponseWriter, req *http.Request) {
 	if req.URL.Query().Get("stream") == "" {
 		w.Header().Set("Content-Type", "application/json")
