@@ -102,8 +102,8 @@ func TestCountPermutations(t *testing.T) {
 	w := tiny(t)
 	combos, _ := Combos(w, 4)
 	// 4 singles (1 each) + 3 pairs (2 each) + 1 triple (6) = 4 + 6 + 6 = 16.
-	if got := CountPermutations(combos); got != 16 {
-		t.Errorf("CountPermutations = %d, want 16", got)
+	if got := countPermutations(combos); got != 16 {
+		t.Errorf("countPermutations = %d, want 16", got)
 	}
 	if got := len(Permutations(combos)); got != 16 {
 		t.Errorf("len(Permutations) = %d, want 16", got)
@@ -135,7 +135,7 @@ func TestRepresentativeOrdering(t *testing.T) {
 	g := w.Occurrences() // g = [15, 15, 5, 7]
 	for _, c := range combos {
 		if len(c.Attrs) == 3 {
-			k := Representative(c, g, w)
+			k := representative(c, g, w)
 			// g ties 0 and 1 at 15; selectivity breaks the tie: attr 1
 			// (d=100) is more selective than attr 0 (d=10). Then attr 2.
 			want := []int{1, 0, 2}
@@ -153,7 +153,7 @@ func TestRepresentativeOrdering(t *testing.T) {
 		t.Fatalf("Representatives returned %d of %d", len(reps), len(combos))
 	}
 	for i, c := range combos {
-		if want := Representative(c, g, w); !reflect.DeepEqual(reps[i], want) {
+		if want := representative(c, g, w); !reflect.DeepEqual(reps[i], want) {
 			t.Errorf("Representatives[%d] = %v, want %v", i, reps[i], want)
 		}
 	}
@@ -222,7 +222,7 @@ func TestSelectBudgetSplit(t *testing.T) {
 	}
 	perWidth := map[int]int{}
 	for _, k := range sel {
-		perWidth[k.Width()]++
+		perWidth[len(k.Attrs)]++
 	}
 	for m := 1; m <= 4; m++ {
 		if perWidth[m] > 10 {
@@ -249,4 +249,22 @@ func TestHeuristicString(t *testing.T) {
 	if Heuristic(9).String() == "" {
 		t.Error("unknown heuristic string empty")
 	}
+}
+
+// countPermutations returns |IC_max|: the number of distinct ordered index
+// candidates over the given combinations (m! per width-m combination).
+func countPermutations(combos []Combo) int64 {
+	fact := [MaxWidth + 1]int64{1, 1, 2, 6, 24}
+	var total int64
+	for _, c := range combos {
+		total += fact[len(c.Attrs)]
+	}
+	return total
+}
+
+// representative returns the combination's representative ordering.
+func representative(c Combo, g []int64, w *workload.Workload) workload.Index {
+	attrs := append([]int(nil), c.Attrs...)
+	orderRepresentative(attrs, g, w)
+	return workload.Index{Table: c.Table, Attrs: attrs}
 }

@@ -3,6 +3,7 @@ package cophy
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -150,7 +151,7 @@ func TestLargerInstanceMatchesBruteForce(t *testing.T) {
 	g := w.Occurrences()
 	var cands []workload.Index
 	for _, c := range combos {
-		cands = append(cands, candidates.Representative(c, g, w))
+		cands = append(cands, representative(c, g, w))
 	}
 	budget := m.Budget(0.3)
 	checkBruteForce(t, w, m, opt, cands[:16], budget)
@@ -243,7 +244,7 @@ func TestGapSpeedsUpAndBoundsQuality(t *testing.T) {
 	g := w.Occurrences()
 	var cands []workload.Index
 	for _, c := range combos {
-		cands = append(cands, candidates.Representative(c, g, w))
+		cands = append(cands, representative(c, g, w))
 	}
 	budget := m.Budget(0.3)
 	exact, err := Solve(w, opt, cands, Options{Budget: budget})
@@ -388,4 +389,22 @@ func TestProvenGapOnWritesConfig(t *testing.T) {
 			}
 		}
 	}
+}
+
+// representative orders a combination's attributes as candidate
+// enumeration does: descending occurrence frequency g, then ascending
+// selectivity, then attribute ID.
+func representative(c candidates.Combo, g []int64, w *workload.Workload) workload.Index {
+	attrs := append([]int(nil), c.Attrs...)
+	sort.Slice(attrs, func(i, j int) bool {
+		a, b := attrs[i], attrs[j]
+		if g[a] != g[b] {
+			return g[a] > g[b]
+		}
+		if sa, sb := w.Attr(a).Selectivity(), w.Attr(b).Selectivity(); sa != sb {
+			return sa < sb
+		}
+		return a < b
+	})
+	return workload.Index{Table: c.Table, Attrs: attrs}
 }

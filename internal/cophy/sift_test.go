@@ -115,7 +115,7 @@ func TestSiftedPathOnMultiAttributeInstance(t *testing.T) {
 			g := w.Occurrences()
 			var cands []workload.Index
 			for _, c := range combos {
-				cands = append(cands, candidates.Representative(c, g, w))
+				cands = append(cands, representative(c, g, w))
 			}
 			budget := m.Budget(0.3)
 			direct, err := Solve(w, opt, cands, Options{Budget: budget})

@@ -71,7 +71,7 @@ func TestIncrementalBookkeepingMatchesModel(t *testing.T) {
 	if got, want := res.Cost, m.TotalCost(res.Selection); math.Abs(got-want) > 1e-6*want {
 		t.Errorf("tracked cost %v != recomputed cost %v", got, want)
 	}
-	if got, want := res.Memory, m.TotalSize(res.Selection); got != want {
+	if got, want := res.Memory, totalSize(m, res.Selection); got != want {
 		t.Errorf("tracked memory %d != recomputed %d", got, want)
 	}
 }
@@ -84,7 +84,7 @@ func TestFirstStepIsBestRatioSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := res.Steps[0]
-	if first.Kind != StepNewIndex || first.Index.Width() != 1 {
+	if first.Kind != StepNewIndex || len(first.Index.Attrs) != 1 {
 		t.Fatalf("first step = %+v, want new single-attribute index", first)
 	}
 	// Recompute all single-attribute ratios by brute force and compare.
@@ -122,13 +122,13 @@ func TestMorphingHappens(t *testing.T) {
 			extends++
 			if s.Replaced == nil {
 				t.Error("extend step without Replaced")
-			} else if s.Index.Width() != s.Replaced.Width()+1 {
+			} else if len(s.Index.Attrs) != len(s.Replaced.Attrs)+1 {
 				t.Errorf("extend %v -> %v is not a one-attribute append", s.Replaced, s.Index)
 			}
 		}
 	}
 	for _, k := range res.Selection {
-		if k.Width() > 1 {
+		if len(k.Attrs) > 1 {
 			multi++
 		}
 	}
@@ -280,7 +280,7 @@ func TestDropUnusedLeavesOnlyUsefulIndexes(t *testing.T) {
 	if got, want := res.Cost, m.TotalCost(res.Selection); math.Abs(got-want) > 1e-6*want {
 		t.Errorf("cost %v != model %v after drops", got, want)
 	}
-	if got, want := res.Memory, m.TotalSize(res.Selection); got != want {
+	if got, want := res.Memory, totalSize(m, res.Selection); got != want {
 		t.Errorf("memory %d != model %d after drops", got, want)
 	}
 }
@@ -516,4 +516,13 @@ func TestDiminishingReturns(t *testing.T) {
 	if last > first {
 		t.Errorf("last ratio %v exceeds first %v", last, first)
 	}
+}
+
+// totalSize returns P(I*) = sum_k p_k under m.
+func totalSize(m *costmodel.Model, sel workload.Selection) int64 {
+	var total int64
+	for _, k := range sel {
+		total += m.IndexSize(k)
+	}
+	return total
 }

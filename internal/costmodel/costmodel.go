@@ -344,15 +344,6 @@ func (m *Model) TotalCost(sel workload.Selection) float64 {
 	return total
 }
 
-// TotalSize returns P(I*) = sum_k p_k.
-func (m *Model) TotalSize(sel workload.Selection) int64 {
-	var total int64
-	for _, k := range sel {
-		total += m.IndexSize(k)
-	}
-	return total
-}
-
 // SingleAttrBudget returns the paper's budget base of eq. (10): the total
 // memory required by all single-attribute indexes, so that A(w) = w * base.
 func (m *Model) SingleAttrBudget() int64 {

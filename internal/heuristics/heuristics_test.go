@@ -45,7 +45,7 @@ func TestAllRulesFeasibleAndConsistent(t *testing.T) {
 		if res.Memory > budget {
 			t.Errorf("%v: memory %d exceeds budget %d", rule, res.Memory, budget)
 		}
-		if got := m.TotalSize(res.Selection); got != res.Memory {
+		if got := totalSize(m, res.Selection); got != res.Memory {
 			t.Errorf("%v: memory %d != model %d", rule, res.Memory, got)
 		}
 		if got := m.TotalCost(res.Selection); math.Abs(got-res.Cost) > 1e-6*got {
@@ -259,4 +259,13 @@ func TestRuleString(t *testing.T) {
 	if Rule(42).String() == "" {
 		t.Error("unknown rule string empty")
 	}
+}
+
+// totalSize returns P(I*) = sum_k p_k under m.
+func totalSize(m *costmodel.Model, sel workload.Selection) int64 {
+	var total int64
+	for _, k := range sel {
+		total += m.IndexSize(k)
+	}
+	return total
 }

@@ -281,9 +281,6 @@ func (w *Workload) Attrs() []Attribute { return w.attrs }
 // TableOf returns the table ID owning attribute id.
 func (w *Workload) TableOf(id int) int { return w.attrTable[id] }
 
-// TableRows returns n for the table owning attribute id.
-func (w *Workload) TableRows(id int) int64 { return w.Tables[w.attrTable[id]].Rows }
-
 // Occurrences returns g_i for every attribute: the frequency-weighted number
 // of occurrences of attribute i across all queries,
 // g_i = sum over queries j with i in q_j of b_j.
@@ -388,17 +385,6 @@ func (w *Workload) QueriesWithAttr(id int) []int32 { return w.attrQueries[id] }
 // can be Applicable. The slice is shared; callers must not modify it.
 func (w *Workload) ReadQueriesWithAttr(id int) []int32 { return w.attrReadQueries[id] }
 
-// QueriesOnTable returns the IDs of queries accessing table t.
-func (w *Workload) QueriesOnTable(t int) []int {
-	var ids []int
-	for _, q := range w.Queries {
-		if q.Table == t {
-			ids = append(ids, q.ID)
-		}
-	}
-	return ids
-}
-
 // Index is an ordered multi-attribute index k = (i_1, ..., i_K) over
 // attributes of a single table. The zero value is invalid; construct with
 // NewIndex or extend an existing index with Append.
@@ -444,9 +430,6 @@ func MustIndex(w *Workload, attrs ...int) Index {
 	}
 	return k
 }
-
-// Width returns K, the number of key attributes.
-func (k Index) Width() int { return len(k.Attrs) }
 
 // Leading returns l(k), the first key attribute.
 func (k Index) Leading() int { return k.Attrs[0] }
@@ -500,43 +483,9 @@ func ParseIndexKey(w *Workload, key string) (Index, error) {
 }
 
 // String renders the index compactly with raw IDs, e.g. "t0(1,2)". An Index
-// value carries no catalog, so names are not available here; use
-// Workload.IndexName for a human-readable rendering like "ORD(W_ID,D_ID)".
+// value carries no catalog, so names are not available here.
 func (k Index) String() string {
 	return fmt.Sprintf("t%d(%s)", k.Table, k.Key())
-}
-
-// IndexName renders index k with table and attribute names from the catalog,
-// e.g. "ORD(W_ID,D_ID)". Attribute names that repeat the table name as a
-// "TABLE."-style prefix are trimmed; unnamed tables or attributes fall back
-// to their numeric IDs.
-func (w *Workload) IndexName(k Index) string {
-	var b strings.Builder
-	tname := ""
-	if k.Table >= 0 && k.Table < len(w.Tables) {
-		tname = w.Tables[k.Table].Name
-	}
-	if tname == "" {
-		tname = fmt.Sprintf("t%d", k.Table)
-	}
-	b.WriteString(tname)
-	b.WriteByte('(')
-	for i, a := range k.Attrs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		name := ""
-		if a >= 0 && a < len(w.attrs) {
-			name = w.attrs[a].Name
-		}
-		if name == "" {
-			b.WriteString(strconv.Itoa(a))
-			continue
-		}
-		b.WriteString(strings.TrimPrefix(name, tname+"."))
-	}
-	b.WriteByte(')')
-	return b.String()
 }
 
 // CoverablePrefix returns U(q, k): the longest prefix of k's key whose

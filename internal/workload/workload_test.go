@@ -91,11 +91,11 @@ func TestDerivedStats(t *testing.T) {
 	if got := w.TotalFreq(); got != 35 {
 		t.Errorf("TotalFreq = %d, want 35", got)
 	}
-	if got := w.QueriesOnTable(1); !reflect.DeepEqual(got, []int{2}) {
-		t.Errorf("QueriesOnTable(1) = %v, want [2]", got)
+	if got := queriesOnTable(w, 1); !reflect.DeepEqual(got, []int{2}) {
+		t.Errorf("queries on table 1 = %v, want [2]", got)
 	}
-	if got := w.TableRows(3); got != 500 {
-		t.Errorf("TableRows(3) = %d, want 500", got)
+	if got := w.Tables[w.TableOf(3)].Rows; got != 500 {
+		t.Errorf("rows of attribute 3's table = %d, want 500", got)
 	}
 	if got := w.Attr(1).Selectivity(); got != 0.01 {
 		t.Errorf("Selectivity = %v, want 0.01", got)
@@ -108,14 +108,14 @@ func TestIndexConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewIndex: %v", err)
 	}
-	if k.Table != 0 || k.Width() != 2 || k.Leading() != 1 {
+	if k.Table != 0 || len(k.Attrs) != 2 || k.Leading() != 1 {
 		t.Errorf("index = %+v, want table 0, width 2, leading 1", k)
 	}
 	if !k.Contains(0) || k.Contains(2) {
 		t.Errorf("Contains wrong: %+v", k)
 	}
 	k2 := k.Append(2)
-	if k2.Width() != 3 || k.Width() != 2 {
+	if len(k2.Attrs) != 3 || len(k.Attrs) != 2 {
 		t.Errorf("Append mutated receiver or wrong width: %v -> %v", k, k2)
 	}
 	if k2.Key() != "1,0,2" {
@@ -568,4 +568,15 @@ func TestJSONKindRoundTrip(t *testing.T) {
 	if _, err := Unmarshal([]byte(`{"tables":[{"name":"T","rows":10,"attributes":[{"name":"a","distinct":2,"value_size":4}]}],"queries":[{"attributes":["a"],"frequency":1,"kind":"upsert"}]}`)); err == nil {
 		t.Error("unknown kind accepted")
 	}
+}
+
+// queriesOnTable returns the IDs of queries accessing table t.
+func queriesOnTable(w *Workload, t int) []int {
+	var ids []int
+	for _, q := range w.Queries {
+		if q.Table == t {
+			ids = append(ids, q.ID)
+		}
+	}
+	return ids
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/whatif"
 	"repro/internal/whatif/whatiftest"
+	"repro/internal/workload"
 )
 
 // TestNoisyCostRobustness injects multiplicative what-if noise (the paper's
@@ -30,7 +31,7 @@ func TestNoisyCostRobustness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("eps %v: %v", eps, err)
 		}
-		if got := m.TotalSize(res.Selection); got > budget {
+		if got := totalSize(m, res.Selection); got > budget {
 			t.Errorf("eps %v: true memory %d exceeds budget %d", eps, got, budget)
 		}
 		trueCost := m.TotalCost(res.Selection)
@@ -161,4 +162,13 @@ func TestFrontierDominatesHeuristics(t *testing.T) {
 			t.Errorf("budget %d: Extend cost %v worse than H1 %v", s.MemAfter, cost, h1.Cost)
 		}
 	}
+}
+
+// totalSize returns P(I*) = sum_k p_k under m.
+func totalSize(m *costmodel.Model, sel workload.Selection) int64 {
+	var total int64
+	for _, k := range sel {
+		total += m.IndexSize(k)
+	}
+	return total
 }
