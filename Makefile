@@ -20,7 +20,8 @@
 # records one guardrailed delta plan (drift.PlanDelta) on a scaled ERP,
 # free and priced per created byte, as results/BENCH_drift.json. All are committed so perf
 # trajectories are tracked across changes. `make oracle-guard` fails if a
-# differential oracle leaks into a shipped binary.
+# differential oracle leaks into a shipped binary, or if an internal package
+# other than the oracle package is imported only by tests.
 
 GO ?= go
 BENCH_COUNT ?= 3
@@ -84,7 +85,12 @@ oracle-guard:
 	@if $(GO) list -deps ./cmd/... ./examples/... | grep -qx '$(ORACLE_PKG)'; then \
 		echo "$(ORACLE_PKG) is a dependency of a shipped command or example"; exit 1; fi
 	@rm -f $${TMPDIR:-/tmp}/indexadvisor.oracle-guard
-	@echo "oracle-guard: no oracle in shipped binaries"
+	@used="$$($(GO) list -f '{{range .Imports}} {{.}} {{end}}' ./...)"; \
+	for p in $$($(GO) list ./internal/... | grep -vx '$(ORACLE_PKG)'); do \
+		case " $$used " in *" $$p "*) ;; \
+		*) echo "$$p has no importer outside test files"; exit 1;; esac; \
+	done
+	@echo "oracle-guard: no oracle in shipped binaries, no internal package without a non-test importer"
 
 bench-core:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem \
