@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/compress"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -59,19 +60,9 @@ func NewProfile(w *workload.Workload, cost CostFunc) *Profile {
 	return p
 }
 
-// Score quantifies drift between two profiles.
-type Score struct {
-	// Fingerprint is the Jaccard distance between the template sets:
-	// 1 - |A∩B| / |A∪B|. It reacts to templates appearing or vanishing.
-	Fingerprint float64 `json:"fingerprint"`
-	// CostShift is half the L1 distance (total variation) between the
-	// cost-share distributions — 0 for identical mixes, 1 for disjoint.
-	// It reacts to mass moving between templates even when the sets match.
-	CostShift float64 `json:"cost_shift"`
-	// Score is max(Fingerprint, CostShift): the trigger value compared to
-	// the daemon's drift threshold.
-	Score float64 `json:"score"`
-}
+// Score quantifies drift between two profiles; the daemon's status reports
+// it as is.
+type Score = telemetry.DriftScore
 
 // Compare scores the drift from baseline b to current cur. A nil or empty
 // baseline scores 1 against any non-empty current profile (everything is
