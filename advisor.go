@@ -415,9 +415,6 @@ func (ad *Advisor) runStrategy(ctx context.Context, s Strategy, budget int64, ro
 		if ad.approximate > 0 {
 			opts.Approximate = ad.approximate
 		}
-		if ad.measured != nil {
-			opts.ExactEvaluation = true
-		}
 		if ad.model != nil && ad.mode == MultiIndexCosts {
 			// The multi-index cost model is context-dependent; Algorithm 1
 			// must evaluate whole selections (Remark 2) to stay consistent.

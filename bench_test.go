@@ -208,5 +208,5 @@ func BenchmarkAblation_Remark1(b *testing.B) { runExperiment(b, "ablation") }
 // BenchmarkWrites_Sensitivity regenerates the write-share sensitivity table.
 func BenchmarkWrites_Sensitivity(b *testing.B) { runExperiment(b, "writes") }
 
-// BenchmarkAccel_WhatIfLevers regenerates the INUM/compression lever table.
+// BenchmarkAccel_WhatIfLevers regenerates the skeleton-reuse/compression lever table.
 func BenchmarkAccel_WhatIfLevers(b *testing.B) { runExperiment(b, "accel") }

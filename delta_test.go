@@ -3,6 +3,8 @@ package indexsel
 import (
 	"context"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func deltaTestWorkload(t *testing.T) *Workload {
@@ -180,5 +182,50 @@ func TestWorkloadProfileCompareAtRoot(t *testing.T) {
 	p2 := NewWorkloadProfile(drifted, nil)
 	if s := CompareProfiles(p1, p2); s.Score <= 0 {
 		t.Fatalf("drifted compare score = %v, want > 0", s.Score)
+	}
+}
+
+// A measured source declares its costs measured, so every caller of the
+// what-if optimizer gets exact evaluation without a flag: a cold PlanDelta
+// (nothing deployed, free reconfiguration) runs the same Extend search as
+// Select, so it makes at least as many what-if calls (the guardrail adds its
+// own) and creates exactly Select's indexes.
+func TestPlanDeltaMeasuredSourceEvaluatesExactly(t *testing.T) {
+	cfg := DefaultGenConfig()
+	cfg.Tables, cfg.AttrsPerTable, cfg.QueriesPerTable = 2, 8, 12
+	cfg.RowsBase, cfg.Seed = 20_000, 3
+	w, err := GenerateWorkload(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := NewDB(w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := NewMeasuredSource(db, 7)
+	opts := []Option{WithMeasuredSource(ms), WithBudgetShare(0.3)}
+
+	sel := NewAdvisor(w, opts...)
+	rec, err := sel.Select(StrategyExtend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := NewAdvisor(w, opts...)
+	plan, err := delta.PlanDelta(context.Background(), Selection{}, DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := delta.WhatIfStats().Calls, sel.WhatIfStats().Calls; got < want {
+		t.Errorf("PlanDelta made %d what-if calls, Select %d: PlanDelta derived measured costs", got, want)
+	}
+	got := selectionKeys(workload.NewSelection(plan.Creates...))
+	want := selectionKeys(workload.NewSelection(rec.Indexes...))
+	if len(got) != len(want) {
+		t.Fatalf("PlanDelta creates %v, Select chose %v", got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("PlanDelta creates %v, Select chose %v", got, want)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/costmodel"
-	"repro/internal/inum"
 	"repro/internal/workload"
 )
 
@@ -70,8 +69,8 @@ func TestCostSumsIgnoreMapOrder(t *testing.T) {
 }
 
 // TestQueryCostSumsIgnoreMapOrder: the per-query cost of a write adds the
-// maintenance of every selected index. The analytic model (both modes) and
-// INUM must sum it in a fixed order, so pricing one insert against one
+// maintenance of every selected index. The analytic model (both modes) must
+// sum it in a fixed order, so pricing one insert against one
 // 55-index selection gives the same bits every time.
 func TestQueryCostSumsIgnoreMapOrder(t *testing.T) {
 	cfg := DefaultGenConfig()
@@ -85,7 +84,6 @@ func TestQueryCostSumsIgnoreMapOrder(t *testing.T) {
 	for name, src := range map[string]WhatIfSource{
 		"single": single,
 		"multi":  costmodel.New(w, costmodel.MultiIndex),
-		"inum":   inum.New(single),
 	} {
 		want := src.QueryCost(q, sel)
 		for rep := 0; rep < 100; rep++ {

@@ -47,8 +47,6 @@ import (
 // (rebuilt over it) and *MeasuredSource (ForWorkload, whose identity-mapped
 // members measure exactly their standalone point queries). Every other
 // custom Source runs privately, one cluster per tenant, probed directly.
-// MultiIndexCosts runs unshared (its context-dependent costs invalidate
-// cache entries mid-run, which must not cross tenants).
 //
 // Pass 2 (run). Each worker loads the tenant it dispatches inside the
 // scheduler's runner and drops it after the result — load-on-dispatch,
@@ -110,7 +108,6 @@ type FleetOptions struct {
 	// all cluster caches; 0 = unlimited (accounting only).
 	TableBudgetBytes int64
 	// CostMode selects the analytic model mode for nil-Source tenants.
-	// MultiIndexCosts disables cross-tenant sharing (see package comment).
 	CostMode CostMode
 	// Parallelism is each tenant's CoPhy branch-and-bound node pool size
 	// (WithParallelism); 0 splits the cores among the tenant workers,
@@ -409,10 +406,8 @@ type fleetPlan struct {
 // planFleet is pass 1: load each workload once, cluster it, release it, then
 // build one cache per (near-match cluster, cost source) group.
 func planFleet(tenants []FleetTenant, loads []func() (*Workload, error), opts FleetOptions) (*fleetPlan, error) {
-	// MultiIndexCosts invalidates cache entries mid-run (Remark 2), which
-	// must not leak across tenants: fall back to singleton clusters.
 	threshold := 2.0
-	if !opts.DisableSharing && opts.CostMode != MultiIndexCosts {
+	if !opts.DisableSharing {
 		threshold = 1.0
 		if opts.NearMatch {
 			threshold = opts.NearMatchOverlap

@@ -379,7 +379,7 @@ func TestFleetDuplicateSignatureTwinsBitIdentity(t *testing.T) {
 	}{
 		{"exact", FleetOptions{}, false, 1},
 		{"unshared", FleetOptions{DisableSharing: true}, false, len(tenants)},
-		{"multi-index", FleetOptions{CostMode: MultiIndexCosts}, false, len(tenants)},
+		{"multi-index", FleetOptions{CostMode: MultiIndexCosts}, false, 1},
 		{"measured exact", FleetOptions{}, true, 1},
 		{"measured unshared", FleetOptions{DisableSharing: true}, true, len(tenants)},
 	} {

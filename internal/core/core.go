@@ -73,14 +73,6 @@ type Options struct {
 	// calls instead of the single-index decomposition (Remark 2). Much more
 	// expensive; intended for small workloads.
 	MultiIndex bool
-	// ExactEvaluation forces a what-if call for every (query, extended
-	// index) pair instead of deriving unchanged costs from the
-	// pre-extension index. Derivation is valid for cost sources whose
-	// f_j(k) depends only on the coverable prefix U(q_j, k) (the Appendix-B
-	// model); measured sources (the engine) should set ExactEvaluation,
-	// matching the paper's end-to-end methodology of executing every query
-	// under every candidate.
-	ExactEvaluation bool
 	// Reconfig prices R(I*, I-bar*), added to the workload cost when
 	// comparing steps. The zero value means reconfiguration is free.
 	Reconfig Reconfig
@@ -516,16 +508,18 @@ func (s *selector) costsFor(k workload.Index, id workload.IndexID) []float64 {
 	return c
 }
 
-// extCostsFor returns f_j(ext) aligned with queriesWith[ext.Leading()],
-// deriving entries from the pre-extension index's costs whenever the
-// query's coverable prefix is unchanged by the extension — those queries
-// "do not change and have already been determined previously"
-// (Section III-A), so no what-if call is spent on them.
+// extCostsFor returns f_j(ext) aligned with queriesWith[ext.Leading()].
+// When the optimizer's source is prefix-invariant, entries whose coverable
+// prefix the extension leaves unchanged are derived from the pre-extension
+// index's costs — those queries "do not change and have already been
+// determined previously" (Section III-A), so no what-if call is spent on
+// them. A measured source is asked about every query, matching the paper's
+// end-to-end methodology of executing every query under every candidate.
 func (s *selector) extCostsFor(base workload.Index, baseID workload.IndexID, ext workload.Index, extID workload.IndexID) []float64 {
 	if c := s.candCost[extID]; c != nil {
 		return c
 	}
-	if s.opts.ExactEvaluation {
+	if !s.opt.PrefixInvariant() {
 		return s.costsFor(ext, extID)
 	}
 	baseCosts := s.costsFor(base, baseID)

@@ -152,19 +152,20 @@ func TestDifferentialWriteWorkload(t *testing.T) {
 	}
 }
 
-// TestDifferentialExactEvaluation pins the ExactEvaluation path (no derived
-// extension costs) to the reference as well: call counts change, equality of
-// the trace must not.
+// TestDifferentialExactEvaluation pins the exact path (a source declaring
+// measured costs: no derived extension costs, no skeleton fill) to the
+// reference as well: call counts change, equality of the trace must not.
 func TestDifferentialExactEvaluation(t *testing.T) {
 	w := workload.MustTPCC(10)
 	m := costmodel.New(w, costmodel.SingleIndex)
-	opts := Options{Budget: m.Budget(0.5), ExactEvaluation: true}
-	refOpt := whatiftest.New(m)
+	src := whatiftest.Measured{Source: m}
+	opts := Options{Budget: m.Budget(0.5)}
+	refOpt := whatiftest.New(src)
 	want, err := selectReference(w, refOpt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flatOpt := whatif.New(m)
+	flatOpt := whatif.New(src)
 	got, err := Select(w, flatOpt, opts)
 	if err != nil {
 		t.Fatal(err)

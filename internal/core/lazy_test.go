@@ -324,17 +324,18 @@ func boundShapeRuns(t *testing.T, hook func(label string) func(*selector)) {
 		writeShare             float64
 		feat                   Options
 		price, noise           float64
+		exact                  bool // source declares measured costs
 	}
 	shapes := []shape{
-		{3, 14, 40, 0, Options{}, 0, 0},
-		{3, 14, 40, 0.3, Options{TrackSecondBest: true, DropUnused: true}, 0, 0},
-		{4, 12, 50, 0.2, Options{PairSteps: true, PairLimit: 30}, 0, 0},
-		{2, 18, 35, 0.1, Options{TopNSingle: 5}, 0, 0},
-		{3, 14, 40, 0, Options{}, 1e6, 0},
-		{3, 14, 40, 0.3, Options{TrackSecondBest: true, DropUnused: true}, 5e3, 0},
-		{4, 12, 50, 0.2, Options{PairSteps: true, PairLimit: 30}, 1, 0},
-		{3, 14, 40, 0, Options{ExactEvaluation: true}, 0, 0.2},
-		{3, 14, 40, 0.2, Options{ExactEvaluation: true, DropUnused: true}, 0, 0.2},
+		{3, 14, 40, 0, Options{}, 0, 0, false},
+		{3, 14, 40, 0.3, Options{TrackSecondBest: true, DropUnused: true}, 0, 0, false},
+		{4, 12, 50, 0.2, Options{PairSteps: true, PairLimit: 30}, 0, 0, false},
+		{2, 18, 35, 0.1, Options{TopNSingle: 5}, 0, 0, false},
+		{3, 14, 40, 0, Options{}, 1e6, 0, false},
+		{3, 14, 40, 0.3, Options{TrackSecondBest: true, DropUnused: true}, 5e3, 0, false},
+		{4, 12, 50, 0.2, Options{PairSteps: true, PairLimit: 30}, 1, 0, false},
+		{3, 14, 40, 0, Options{}, 0, 0.2, true},
+		{3, 14, 40, 0.2, Options{DropUnused: true}, 0, 0.2, true},
 	}
 	for _, seed := range []int64{1, 7, 23, 61, 104} {
 		for si, sh := range shapes {
@@ -347,6 +348,9 @@ func boundShapeRuns(t *testing.T, hook func(label string) func(*selector)) {
 			var src whatif.Source = m
 			if sh.noise > 0 {
 				src = whatiftest.NoisySource{Src: m, Eps: sh.noise, Seed: seed}
+			}
+			if sh.exact {
+				src = whatiftest.Measured{Source: src}
 			}
 			opts := sh.feat
 			opts.Budget = m.Budget(0.5)

@@ -146,7 +146,7 @@ func (s *refSelector) extCostsFor(base, ext workload.Index) []float64 {
 	if c, ok := s.candCost[key]; ok {
 		return c
 	}
-	if s.opts.ExactEvaluation {
+	if !s.opt.PrefixInvariant() {
 		return s.costsFor(ext)
 	}
 	baseCosts := s.costsFor(base)

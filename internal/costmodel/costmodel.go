@@ -16,7 +16,10 @@
 // The prefix-only sum realizes the paper's Section III-A observation that a
 // query's cost "does not change" under an index extension it cannot use —
 // which is what lets Algorithm 1 reuse earlier what-if calls and stay at
-// roughly 2*Q*q-bar calls.
+// roughly 2*Q*q-bar calls. The model is therefore prefix-invariant in the
+// sense of whatif.Source: CostWithIndex reads only q and U(q,k), so the
+// what-if optimizer serves every index with the same prefix for q from one
+// evaluation (its plan skeleton).
 //
 // Scanning an attribute i over r candidate rows costs r*a_i (reads) plus
 // 4*r*s_i (position-list writes), after which r shrinks to r*s_i.

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -67,6 +68,10 @@ type Window struct {
 
 	ref       time.Time // reference time weights are scaled to
 	templates map[string]*wtemplate
+	// order lists the retained signatures in first-seen order, so sums over
+	// the window do not follow Go's map order (float addition is not
+	// associative).
+	order     []string
 	evictions int64
 	dropped   int64 // observations older than the reference horizon
 }
@@ -191,6 +196,7 @@ func (w *Window) Observe(obs Observation, at time.Time) error {
 	if t == nil {
 		t = &wtemplate{table: w.schema.TableOf(attrs[0]), attrs: attrs, kind: kind}
 		w.templates[sig] = t
+		w.order = append(w.order, sig)
 	}
 	t.weight += float64(obs.Count) * scale
 	// Evict after crediting the weight, so a heavy newcomer displaces a
@@ -239,14 +245,14 @@ func (w *Window) advance(at time.Time) float64 {
 // breaking weight ties by signature order for determinism.
 func (w *Window) evict() {
 	for len(w.templates) > w.cap {
-		var victim string
-		var min float64
-		for sig, t := range w.templates {
-			if victim == "" || t.weight < min || (t.weight == min && sig < victim) {
-				victim, min = sig, t.weight
+		at, low := -1, 0.0
+		for i, sig := range w.order {
+			if wt := w.templates[sig].weight; at < 0 || wt < low || (wt == low && sig < w.order[at]) {
+				at, low = i, wt
 			}
 		}
-		delete(w.templates, victim)
+		delete(w.templates, w.order[at])
+		w.order = slices.Delete(w.order, at, at+1)
 		w.evictions++
 	}
 }
@@ -270,12 +276,13 @@ func (w *Window) Evictions() int64 { return w.evictions }
 // the reference horizon (folded in without decay credit).
 func (w *Window) Stale() int64 { return w.dropped }
 
-// TotalWeight returns the decayed total observation weight at time at.
+// TotalWeight returns the decayed total observation weight at time at,
+// summed in first-seen order so the same stream gives the same bits.
 func (w *Window) TotalWeight(at time.Time) float64 {
 	d := w.decayAt(at)
 	var sum float64
-	for _, t := range w.templates {
-		sum += t.weight * d
+	for _, sig := range w.order {
+		sum += w.templates[sig].weight * d
 	}
 	return sum
 }

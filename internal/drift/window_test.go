@@ -267,6 +267,36 @@ func TestWindowStaleTimestampsFoldAtHorizon(t *testing.T) {
 	}
 }
 
+// TotalWeight sums in first-seen template order, so one window reads the
+// same bits on every call: /status and the daemon's window-weight gauge
+// report it, and a replayed stream must report the same value.
+func TestTotalWeightIsBitIdentical(t *testing.T) {
+	cfg := workload.DefaultGenConfig()
+	cfg.Seed, cfg.Tables, cfg.AttrsPerTable, cfg.QueriesPerTable = 3, 2, 8, 30
+	schema, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := NewWindow(schema, WindowConfig{HalfLife: time.Hour})
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i, obs := range obsFor(schema, schema.Queries...) {
+		if err := win.Observe(obs, t0.Add(time.Duration(i)*time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if win.Len() < 30 {
+		t.Fatalf("window holds %d templates; the sum needs many terms to show its order", win.Len())
+	}
+	at := t0.Add(3 * time.Hour)
+	patterns := map[uint64]bool{}
+	for i := 0; i < 200; i++ {
+		patterns[math.Float64bits(win.TotalWeight(at))] = true
+	}
+	if len(patterns) != 1 {
+		t.Fatalf("TotalWeight gave %d bit patterns over 200 calls on one window", len(patterns))
+	}
+}
+
 // Compare is summed in each profile's first-seen template order, so the
 // same two profiles score the same bits on every call: the score is compared
 // to the daemon's drift threshold, and replay must take the same branch.

@@ -289,10 +289,10 @@ func TestEndToEndWithAlgorithm1(t *testing.T) {
 	ms := NewMeasuredSource(db, 5)
 	opt := whatif.New(ms)
 	budget := ms.Budget(0.5)
-	res, err := core.Select(w, opt, core.Options{
-		Budget:          budget,
-		ExactEvaluation: true, // measured source: no prefix-invariance shortcut
-	})
+	if opt.PrefixInvariant() {
+		t.Fatal("a measured source must not be served through prefix invariance")
+	}
+	res, err := core.Select(w, opt, core.Options{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,6 +229,11 @@ func (ms *MeasuredSource) CostWithIndex(q workload.Query, k workload.Index) floa
 	return ms.measure(NewExecutor(ms.db, ms.index(k)), pq)
 }
 
+// MeasuredCosts declares the costs measured (see whatif.Source): an
+// execution under k reads k's whole key, not only the prefix the query can
+// use, so the what-if optimizer evaluates every (query, index) pair here.
+func (ms *MeasuredSource) MeasuredCosts() bool { return true }
+
 // QueryCost implements whatif.Source in the single-index setting of
 // Example 1 (i): the best of the base execution and each selected index.
 func (ms *MeasuredSource) QueryCost(q workload.Query, sel workload.Selection) float64 {

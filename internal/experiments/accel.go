@@ -8,16 +8,19 @@ import (
 	"repro/internal/cophy"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/inum"
 	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
 // Accel quantifies the two what-if acceleration levers the paper's related
-// work discusses: INUM-style plan-skeleton reuse (Papadomanolakis et al.)
-// and coverage-bounded workload compression (Chaudhuri et al.). For each, it
+// work discusses: INUM-style plan-skeleton reuse (Papadomanolakis et al.),
+// which the what-if optimizer applies to every prefix-invariant source, and
+// coverage-bounded workload compression (Chaudhuri et al.). For each, it
 // reports the reduction in underlying optimizer evaluations and the
-// selection-quality impact, evaluated on the FULL workload.
+// selection-quality impact, evaluated on the FULL workload. A "plain" row
+// counts what-if calls (distinct probes, what a cache without skeleton reuse
+// evaluates); the "skeleton" row of the same run counts the evaluations the
+// source actually ran.
 func Accel(cfg Config) error {
 	cfg = cfg.withDefaults()
 	gen := workload.DefaultGenConfig()
@@ -41,16 +44,9 @@ func Accel(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	t.addf("extend/plain|%d|%.5f|%d", opt.Stats().Calls, res.Cost/base, w.NumQueries())
-
-	// Extend through INUM: same selection, fewer underlying evaluations.
-	in := inum.New(m)
-	optINUM := whatif.New(in)
-	resI, err := core.Select(w, optINUM, core.Options{Budget: budget})
-	if err != nil {
-		return err
-	}
-	t.addf("extend/INUM|%d|%.5f|%d", in.Stats().Evaluations, m.TotalCost(resI.Selection)/base, w.NumQueries())
+	st := opt.Stats()
+	t.addf("extend/plain|%d|%.5f|%d", st.Calls, res.Cost/base, w.NumQueries())
+	t.addf("extend/skeleton|%d|%.5f|%d", st.SourceCalls, res.Cost/base, w.NumQueries())
 
 	// Workload compression: tune on the compressed workload, evaluate full.
 	for _, eps := range []float64{0.05, 0.2} {
@@ -68,25 +64,25 @@ func Accel(cfg Config) error {
 			eps, optC.Stats().Calls, m.TotalCost(resC.Selection)/base, stats.KeptTemplates)
 	}
 
-	// CoPhy model population over permutation candidates: the INUM sweet
-	// spot (every ordering of a combination shares a skeleton).
+	// CoPhy model population over permutation candidates: the skeleton
+	// sweet spot (orderings of a combination that agree on a query's
+	// coverable prefix share its skeleton).
 	combos, err := candidates.Combos(w, 3)
 	if err != nil {
 		return err
 	}
 	perms := candidates.Permutations(combos)
-	plain := whatif.New(m)
-	ps := cophy.ModelSize(w, plain, perms)
-	in2 := inum.New(m)
-	cophy.ModelSize(w, whatif.New(in2), perms)
+	optP := whatif.New(m)
+	ps := cophy.ModelSize(w, optP, perms)
 	t.addf("cophy-model/plain (%d perms)|%d|-|%d", len(perms), ps.WhatIfCalls, w.NumQueries())
-	t.addf("cophy-model/INUM (%d perms)|%d|-|%d", len(perms), in2.Stats().Evaluations, w.NumQueries())
+	t.addf("cophy-model/skeleton (%d perms)|%d|-|%d", len(perms), optP.Stats().SourceCalls, w.NumQueries())
 
 	if err := t.render(cfg.Out, cfg.OutDir); err != nil {
 		return err
 	}
-	fmt.Fprintln(cfg.Out, "\nshape check: INUM preserves selections exactly while cutting underlying")
-	fmt.Fprintln(cfg.Out, "evaluations (order-of-magnitude on permutation candidate sets); workload")
-	fmt.Fprintln(cfg.Out, "compression trades a bounded quality loss for fewer templates everywhere.")
+	fmt.Fprintln(cfg.Out, "\nshape check: skeleton reuse leaves every cost and selection unchanged while")
+	fmt.Fprintln(cfg.Out, "cutting underlying evaluations (most on permutation candidate sets; Extend's")
+	fmt.Fprintln(cfg.Out, "own probes already use their whole key); workload compression trades a")
+	fmt.Fprintln(cfg.Out, "bounded quality loss for fewer templates everywhere.")
 	return nil
 }

@@ -183,7 +183,7 @@ func Runners() []Runner {
 		{"whatif", "what-if call accounting (Section III-A)", WhatIfCalls},
 		{"ablation", "Remark 1/2 extension ablation (beyond-paper)", Ablation},
 		{"writes", "write-workload maintenance sensitivity (beyond-paper)", Writes},
-		{"accel", "INUM + workload-compression what-if levers (related work)", Accel},
+		{"accel", "plan-skeleton reuse + workload-compression what-if levers (related work)", Accel},
 	}
 }
 

@@ -63,7 +63,7 @@ func Fig5(cfg Config) error {
 	var strats []strat
 
 	// H6 over measured costs: one trace, cut per budget.
-	res, err := core.Select(w, opt, core.Options{Budget: budget(1.0), ExactEvaluation: true})
+	res, err := core.Select(w, opt, core.Options{Budget: budget(1.0)})
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,6 @@ type backend interface {
 	QueryCost(q workload.Query, sel workload.Selection) float64
 	MaintenanceCost(q workload.Query, k workload.Index) float64
 	IndexSize(k workload.Index) int64
-	Invalidate(q workload.Query)
 	Stats() whatif.Stats
 	TableBytes() int64
 	EvictTables() int64
@@ -85,37 +84,6 @@ func TestBackendsNonApplicableIsFree(t *testing.T) {
 		}
 		if after := o.Stats().Calls; after != before {
 			t.Errorf("non-applicable consumed %d calls", after-before)
-		}
-	})
-}
-
-func TestBackendsInvalidate(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, mk func(whatif.Source) backend) {
-		w := whatif.SmallWorkload(t)
-		o := mk(costmodel.New(w, costmodel.SingleIndex))
-		q0, q1 := w.Queries[0], w.Queries[1]
-		k0 := workload.MustIndex(w, q0.Attrs[0])
-		k1 := workload.MustIndex(w, q1.Attrs[0])
-		o.BaseCost(q0)
-		o.BaseCost(q1)
-		o.CostWithIndex(q0, k0)
-		o.CostWithIndex(q1, k1)
-		entries := o.Stats().IndexCacheEntries
-		calls := o.Stats().Calls
-
-		o.Invalidate(q0)
-		if got := o.Stats().IndexCacheEntries; got != entries-1 {
-			t.Errorf("occupancy after invalidate = %d, want %d", got, entries-1)
-		}
-		o.BaseCost(q0)
-		o.CostWithIndex(q0, k0)
-		if got := o.Stats().Calls; got != calls+2 {
-			t.Errorf("q0 refresh calls = %d, want %d", got, calls+2)
-		}
-		o.BaseCost(q1)
-		o.CostWithIndex(q1, k1)
-		if got := o.Stats().Calls; got != calls+2 {
-			t.Errorf("invalidate leaked into q1: calls = %d", got)
 		}
 	})
 }

@@ -11,22 +11,17 @@ package whatif
 // state.
 //
 // Byte figures are deterministic estimates of retained table memory (slot
-// arrays, bookkeeping lists, map entries), not measured RSS: the budget layer
+// arrays and per-ID slices), not measured RSS: the budget layer
 // needs a consistent, platform-independent measure to compare against a
 // configured ceiling, and the same estimator is used on both sides of that
 // comparison.
 
-const (
-	// flatSlotBytes is one open-addressed slot: uint64 key + float64 value.
-	flatSlotBytes = 16
-	// mapEntryBytes approximates one Go map entry's amortized footprint
-	// (key, value, bucket share).
-	mapEntryBytes = 48
-)
+// flatSlotBytes is one open-addressed slot: uint64 key + float64 value.
+const flatSlotBytes = 16
 
 // TableBytes estimates the heap bytes retained by the optimizer's cost
-// tables (base costs, (query, index) cost and maintenance shards, size table,
-// and invalidation bookkeeping). The estimate is deterministic for a given
+// tables (base costs, (query, index) cost and maintenance shards, and the size
+// table). The estimate is deterministic for a given
 // probe history and is the measure the fleet's TableBudget enforces.
 func (o *Optimizer) TableBytes() int64 {
 	t := o.flat
@@ -61,14 +56,10 @@ func (o *Optimizer) EvictTables() int64 {
 	return b
 }
 
-// bytes estimates the shard's retained footprint: the slot arrays plus the
-// per-query invalidation lists.
+// bytes estimates the shard's retained footprint: its slot arrays.
 func (s *flatShard) bytes() int64 {
 	s.mu.RLock()
 	b := int64(len(s.keys)) * flatSlotBytes
-	for _, keys := range s.perQuery {
-		b += int64(len(keys))*8 + mapEntryBytes
-	}
 	s.mu.RUnlock()
 	return b
 }
@@ -77,11 +68,7 @@ func (s *flatShard) bytes() int64 {
 func (s *flatShard) clear() int64 {
 	s.mu.Lock()
 	b := int64(len(s.keys)) * flatSlotBytes
-	for _, keys := range s.perQuery {
-		b += int64(len(keys))*8 + mapEntryBytes
-	}
-	s.keys, s.vals, s.perQuery = nil, nil, nil
-	s.live, s.used = 0, 0
+	s.keys, s.vals, s.live = nil, nil, 0
 	s.mu.Unlock()
 	return b
 }

@@ -15,15 +15,19 @@ import (
 // enough to sit inside the candidate-evaluation inner loop.
 
 // A pair key packs (query ID, interned index ID) into one uint64. Query IDs
-// are dense int31 values, so bit 63 is always zero and the two sentinel
-// values below can never collide with a real key.
+// are dense int31 values, so bit 63 of a real key is always zero: emptyKey
+// can never collide with one, and a stored key may carry skeletonBit.
 func pairKeyOf(qid int, id workload.IndexID) uint64 {
 	return uint64(uint32(qid))<<32 | uint64(id)
 }
 
 const (
-	emptyKey = ^uint64(0)     // slot never used
-	tombKey  = ^uint64(0) - 1 // slot deleted by Invalidate
+	emptyKey = ^uint64(0) // slot never used
+	// skeletonBit marks a stored key whose entry was filled as another
+	// index's plan skeleton (Optimizer.fill) and has not been probed under
+	// its own key yet. The value is exact; the mark only keeps the first
+	// probe of the key itself counted as a what-if call.
+	skeletonBit = uint64(1) << 63
 )
 
 // flatHash finalizes a pair key (murmur3 fmix64) so linear probing sees
@@ -38,79 +42,77 @@ func flatHash(key uint64) uint64 {
 }
 
 // flatShard is one shard of an open-addressed (pair key -> cost) table with
-// linear probing. perQuery records, per query ID, the keys inserted for it,
-// so Invalidate walks exactly that query's entries instead of scanning the
-// whole shard.
+// linear probing. Entries are never deleted one by one; EvictTables clears
+// whole shards.
 type flatShard struct {
-	mu       sync.RWMutex
-	keys     []uint64 // power-of-two length, emptyKey-filled
-	vals     []float64
-	live     int // stored entries (excludes tombstones)
-	used     int // occupied slots (includes tombstones; bounds probe chains)
-	perQuery map[int32][]uint64
+	mu   sync.RWMutex
+	keys []uint64 // power-of-two length, emptyKey-filled
+	vals []float64
+	live int // stored entries
 }
 
-// lookup returns the slot of key, or false if absent. Caller holds mu.
+// lookup returns the slot of key (stored with or without skeletonBit), or
+// false if absent. Caller holds mu.
 func (s *flatShard) lookup(key uint64) (int, bool) {
 	if len(s.keys) == 0 {
 		return -1, false
 	}
 	mask := uint64(len(s.keys) - 1)
 	for slot := flatHash(key) & mask; ; slot = (slot + 1) & mask {
-		switch s.keys[slot] {
-		case key:
-			return int(slot), true
+		switch k := s.keys[slot]; k {
 		case emptyKey:
 			return -1, false
+		case key, key | skeletonBit:
+			return int(slot), true
 		}
 	}
 }
 
-func (s *flatShard) get(key uint64) (float64, bool) {
+// get returns key's value. skeleton reports an entry stored only as a plan
+// skeleton, which no probe of key itself has stored since.
+func (s *flatShard) get(key uint64) (v float64, ok, skeleton bool) {
 	s.mu.RLock()
 	slot, ok := s.lookup(key)
-	var v float64
 	if ok {
-		v = s.vals[slot]
+		v, skeleton = s.vals[slot], s.keys[slot]&skeletonBit != 0
 	}
 	s.mu.RUnlock()
-	return v, ok
+	return v, ok, skeleton
 }
 
-// put stores key -> v, tolerating a concurrent miss having inserted it first.
-func (s *flatShard) put(qid int, key uint64, v float64) {
+// put stores key -> v, tolerating a concurrent miss having inserted it
+// first. A key with skeletonBit set stores a plan skeleton; a plain key
+// clears the mark of an existing skeleton entry.
+func (s *flatShard) put(key uint64, v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if slot, ok := s.lookup(key); ok {
+	plain := key &^ skeletonBit
+	if slot, ok := s.lookup(plain); ok {
+		if key == plain {
+			s.keys[slot] = key // the key's own probe clears a skeleton mark
+		}
 		s.vals[slot] = v // deterministic sources: identical value
 		return
 	}
 	const initialSlots = 64
 	if len(s.keys) == 0 {
 		s.rehash(initialSlots)
-	} else if (s.used+1)*4 > len(s.keys)*3 {
+	} else if (s.live+1)*4 > len(s.keys)*3 {
 		s.rehash(2 * len(s.keys))
 	}
 	mask := uint64(len(s.keys) - 1)
-	for slot := flatHash(key) & mask; ; slot = (slot + 1) & mask {
-		if k := s.keys[slot]; k == emptyKey || k == tombKey {
-			if k == emptyKey {
-				s.used++
-			}
+	for slot := flatHash(plain) & mask; ; slot = (slot + 1) & mask {
+		if s.keys[slot] == emptyKey {
 			s.keys[slot] = key
 			s.vals[slot] = v
 			s.live++
-			break
+			return
 		}
 	}
-	if s.perQuery == nil {
-		s.perQuery = make(map[int32][]uint64)
-	}
-	s.perQuery[int32(qid)] = append(s.perQuery[int32(qid)], key)
 }
 
-// rehash rebuilds the table at n slots (power of two), dropping tombstones.
-// Caller holds the write lock.
+// rehash rebuilds the table at n slots (power of two). Caller holds the
+// write lock.
 func (s *flatShard) rehash(n int) {
 	for n < 2*s.live {
 		n *= 2
@@ -122,10 +124,10 @@ func (s *flatShard) rehash(n int) {
 	vals := make([]float64, n)
 	mask := uint64(n - 1)
 	for i, k := range s.keys {
-		if k == emptyKey || k == tombKey {
+		if k == emptyKey {
 			continue
 		}
-		for slot := flatHash(k) & mask; ; slot = (slot + 1) & mask {
+		for slot := flatHash(k&^skeletonBit) & mask; ; slot = (slot + 1) & mask {
 			if keys[slot] == emptyKey {
 				keys[slot] = k
 				vals[slot] = s.vals[i]
@@ -133,28 +135,7 @@ func (s *flatShard) rehash(n int) {
 			}
 		}
 	}
-	s.keys, s.vals, s.used = keys, vals, s.live
-}
-
-// invalidate tombstones every entry recorded for query qid and returns how
-// many were dropped — O(entries for qid), not O(shard).
-func (s *flatShard) invalidate(qid int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys, ok := s.perQuery[int32(qid)]
-	if !ok {
-		return 0
-	}
-	dropped := 0
-	for _, key := range keys {
-		if slot, ok := s.lookup(key); ok {
-			s.keys[slot] = tombKey
-			s.live--
-			dropped++
-		}
-	}
-	delete(s.perQuery, int32(qid))
-	return dropped
+	s.keys, s.vals = keys, vals
 }
 
 func (s *flatShard) len() int {
@@ -218,14 +199,6 @@ func (t *flatTables) basePut(qid int, v float64) {
 		t.baseSet = append(t.baseSet, false)
 	}
 	t.base[qid], t.baseSet[qid] = v, true
-	t.mu.Unlock()
-}
-
-func (t *flatTables) baseDrop(qid int) {
-	t.mu.Lock()
-	if qid < len(t.baseSet) {
-		t.baseSet[qid] = false
-	}
 	t.mu.Unlock()
 }
 

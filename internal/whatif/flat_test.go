@@ -6,19 +6,26 @@ import (
 	"repro/internal/workload"
 )
 
-// TestFlatShardGrowthAndTombstones drives one flat shard through several
-// rehash generations with interleaved invalidations: values must survive
-// growth, tombstoned slots must be reusable, and live accounting must stay
-// exact. This is the open-addressing edge-case coverage the map-based
-// reference never needed.
-func TestFlatShardGrowthAndTombstones(t *testing.T) {
+// TestFlatShardGrowth drives one flat shard through several rehash
+// generations: values and skeleton marks must survive growth, a plain put
+// must clear a skeleton mark, and live accounting must stay exact. This is
+// the open-addressing edge-case coverage the map-based reference never
+// needed.
+func TestFlatShardGrowth(t *testing.T) {
 	var sh flatShard
 	const queries = 64
 	const perQuery = 32 // 64*32 entries forces multiple rehashes from 64 slots
 	val := func(q, i int) float64 { return float64(q*1000 + i) }
+	key := func(q, i int) uint64 {
+		k := pairKeyOf(q, workload.IndexID(i))
+		if q%2 == 0 {
+			k |= skeletonBit // even queries' entries are stored as skeletons
+		}
+		return k
+	}
 	for q := 0; q < queries; q++ {
 		for i := 0; i < perQuery; i++ {
-			sh.put(q, pairKeyOf(q, workload.IndexID(i)), val(q, i))
+			sh.put(key(q, i), val(q, i))
 		}
 	}
 	if got := sh.len(); got != queries*perQuery {
@@ -26,47 +33,25 @@ func TestFlatShardGrowthAndTombstones(t *testing.T) {
 	}
 	for q := 0; q < queries; q++ {
 		for i := 0; i < perQuery; i++ {
-			if v, ok := sh.get(pairKeyOf(q, workload.IndexID(i))); !ok || v != val(q, i) {
-				t.Fatalf("entry (%d, %d) = %v, %v after growth", q, i, v, ok)
+			v, ok, skel := sh.get(pairKeyOf(q, workload.IndexID(i)))
+			if !ok || v != val(q, i) || skel != (q%2 == 0) {
+				t.Fatalf("entry (%d, %d) = %v, %v, skeleton %v after growth", q, i, v, ok, skel)
 			}
 		}
 	}
-	// Invalidate every other query: O(entries-for-q) tombstoning.
-	for q := 0; q < queries; q += 2 {
-		if dropped := sh.invalidate(q); dropped != perQuery {
-			t.Fatalf("invalidate(%d) dropped %d, want %d", q, dropped, perQuery)
+	// A skeleton put never marks a probed entry; a plain put clears a mark.
+	sh.put(pairKeyOf(1, 0)|skeletonBit, val(1, 0))
+	sh.put(pairKeyOf(0, 0), val(0, 0))
+	for _, q := range []int{0, 1} {
+		if _, ok, skel := sh.get(pairKeyOf(q, 0)); !ok || skel {
+			t.Errorf("entry (%d, 0): present %v, skeleton %v; want a probed entry", q, ok, skel)
 		}
 	}
-	if got := sh.len(); got != queries*perQuery/2 {
-		t.Fatalf("live after invalidation = %d, want %d", got, queries*perQuery/2)
+	if got := sh.len(); got != queries*perQuery {
+		t.Errorf("re-puts changed live to %d", got)
 	}
-	for q := 0; q < queries; q++ {
-		_, ok := sh.get(pairKeyOf(q, 0))
-		if want := q%2 == 1; ok != want {
-			t.Fatalf("query %d present=%v, want %v", q, ok, want)
-		}
-	}
-	// Re-insert into tombstoned territory, then verify a subsequent rehash
-	// (triggered by more inserts) drops the dead weight without losing data.
-	for q := 0; q < queries; q += 2 {
-		for i := 0; i < 2*perQuery; i++ {
-			sh.put(q, pairKeyOf(q, workload.IndexID(i)), -val(q, i))
-		}
-	}
-	for q := 0; q < queries; q++ {
-		if q%2 == 0 {
-			if v, ok := sh.get(pairKeyOf(q, 1)); !ok || v != -val(q, 1) {
-				t.Fatalf("re-inserted (%d, 1) = %v, %v", q, v, ok)
-			}
-		} else if v, ok := sh.get(pairKeyOf(q, 1)); !ok || v != val(q, 1) {
-			t.Fatalf("untouched (%d, 1) = %v, %v", q, v, ok)
-		}
-	}
-	// A second invalidate of an already-invalidated query is a no-op on the
-	// perQuery ledger (no stale keys double-counted).
-	sh.invalidate(1)
-	if dropped := sh.invalidate(1); dropped != 0 {
-		t.Errorf("double invalidate dropped %d entries", dropped)
+	if _, ok, _ := sh.get(pairKeyOf(queries, 0)); ok {
+		t.Error("absent key reported present")
 	}
 }
 

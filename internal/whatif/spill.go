@@ -32,8 +32,9 @@ import (
 //
 // Costs are stored as math.Float64bits so the round trip is bit-exact (the
 // differential tests compare restored values bitwise). Pair keys pack
-// (query ID << 32 | interned index ID); the per-query invalidation lists are
-// reconstructed from key>>32 on restore rather than stored. Interned index
+// (query ID << 32 | interned index ID), with bit 63 set on an entry stored
+// only as a plan skeleton (see Optimizer.fill), so a restore keeps both the
+// value and the call accounting of every entry. Interned index
 // IDs are assigned in first-intern order and are therefore process-local:
 // a spill file is only meaningful to the optimizer (strictly: the interner)
 // that wrote it, within one process run. Fleet spill files live under a
@@ -117,14 +118,14 @@ func (o *Optimizer) appendTables(buf []byte) []byte {
 	return buf
 }
 
-// appendEntries serializes the shard's live entries: count, then
+// appendEntries serializes the shard's entries: count, then
 // (key, valueBits) pairs in slot order.
 func (s *flatShard) appendEntries(buf []byte) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.live))
 	for i, k := range s.keys {
-		if k == emptyKey || k == tombKey {
+		if k == emptyKey {
 			continue
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, k)
@@ -251,7 +252,7 @@ func (o *Optimizer) parseSpill(payload []byte) (spillLayout, error) {
 				return l, err
 			}
 			for b := sections[i]; len(b) > 0; b = b[16:] {
-				key := binary.LittleEndian.Uint64(b)
+				key := binary.LittleEndian.Uint64(b) &^ skeletonBit
 				qid := uint32(key >> 32)
 				if err := checkQuery(qid); err != nil {
 					return l, err
@@ -283,7 +284,7 @@ func (s *flatShard) putEntries(records []byte) {
 	s.reserve(len(records) / 16)
 	for b := records; len(b) > 0; b = b[16:] {
 		key := binary.LittleEndian.Uint64(b)
-		s.put(int(key>>32), key, math.Float64frombits(binary.LittleEndian.Uint64(b[8:])))
+		s.put(key, math.Float64frombits(binary.LittleEndian.Uint64(b[8:])))
 	}
 }
 

@@ -75,7 +75,7 @@ func dumpTables(o *Optimizer) tableDump {
 	shard := func(s *flatShard) map[uint64]uint64 {
 		m := map[uint64]uint64{}
 		for i, k := range s.keys {
-			if k != emptyKey && k != tombKey {
+			if k != emptyKey {
 				m[k] = math.Float64bits(s.vals[i])
 			}
 		}

@@ -5,6 +5,14 @@
 // execution costs from the column-store engine (package engine) — selection
 // algorithms are agnostic to which (Section IV-B).
 //
+// The optimizer is the one owner of prefix invariance (Section III-A): for a
+// source whose CostWithIndex(q, k) reads only q and the coverable prefix
+// U(q,k), every index sharing that prefix costs the same, so a probe of a
+// longer index is served from the entry of its plan skeleton, the index over
+// U(q,k) — INUM's reuse of one evaluation per plan (Papadomanolakis et al.,
+// the paper's ref. [16]). Sources with measured costs declare it and are
+// evaluated under every index they are asked about.
+//
 // Indexes are interned to dense uint32 IDs (workload.Interner) and every
 // cache is a numeric table — open-addressed uint64-keyed shards for (query,
 // index) costs, plain slices for base costs and sizes — so a cached probe
@@ -14,16 +22,27 @@
 package whatif
 
 import (
-	"context"
-	"log/slog"
 	"sync/atomic"
 
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // Source is the cost oracle a what-if optimizer wraps. Implementations must
 // be deterministic for a given (query, index/selection) input.
+//
+// Unless it declares otherwise, a Source must be prefix-invariant: its
+// CostWithIndex(q, k) may read only q and U(q,k) = workload.CoverablePrefix(q,
+// k), as the Appendix-B model does, so that every index with the same prefix
+// for q costs the same bits. The optimizer then serves such indexes from one
+// skeleton entry, and core derives an extension's unchanged costs from the
+// pre-extension index. A source whose costs can depend on key attributes
+// beyond U(q,k), such as measured executions, implements
+//
+//	MeasuredCosts() bool
+//
+// returning true (engine.MeasuredSource does), and every (query, index) pair
+// is then evaluated by the source itself. A wrapper that does not forward
+// MeasuredCosts is treated as prefix-invariant.
 type Source interface {
 	// BaseCost returns f_j(0), the cost of query q with no index.
 	BaseCost(q workload.Query) float64
@@ -38,13 +57,24 @@ type Source interface {
 	IndexSize(k workload.Index) int64
 }
 
-// Stats aggregates what-if accounting. Calls counts distinct underlying cost
-// evaluations — the paper's "number of what-if optimizer calls"; cache hits
-// are free re-reads of earlier calls. The remaining fields snapshot cache
-// shape for observability: Stats() fills them from the retained caches.
+// PrefixInvariant reports whether src's CostWithIndex depends only on the
+// query and the coverable prefix: true unless src declares measured costs.
+func PrefixInvariant(src Source) bool {
+	m, ok := src.(interface{ MeasuredCosts() bool })
+	return !ok || !m.MeasuredCosts()
+}
+
+// Stats aggregates what-if accounting. Calls is the paper's "number of
+// what-if optimizer calls" (Section III-A, eq. (9)): distinct (query, index)
+// probes, base-cost evaluations and whole-selection costs; cache hits are
+// free re-reads of earlier calls. SourceCalls counts the evaluations the
+// source actually ran: a probe served from its plan skeleton is a call but no
+// source evaluation, so SourceCalls <= Calls. The remaining fields snapshot
+// cache shape for observability: Stats() fills them from the retained caches.
 type Stats struct {
-	Calls     int64
-	CacheHits int64
+	Calls       int64
+	CacheHits   int64
+	SourceCalls int64
 	// DistinctIndexes is the number of distinct indexes whose size has been
 	// served — the advisor's touched index universe.
 	DistinctIndexes int
@@ -85,10 +115,16 @@ func shardOf(query int) uint32 {
 // and must itself be safe for concurrent use (the Appendix-B cost model is
 // stateless; the engine's measured source synchronizes internally).
 //
+// For a prefix-invariant source (see Source), a miss on (q, k) whose
+// coverable prefix U(q,k) is shorter than k is served from the entry of the
+// skeleton index over U(q,k) — filled by one source call if absent — and
+// stored under (q, k) as well; every other miss is one source call. Calls
+// counts distinct probes either way, SourceCalls the source evaluations.
+//
 // Concurrent misses on the same key may both evaluate the source; both
 // results are identical (sources are deterministic), so the cache stays
-// consistent — only the Calls counter can exceed the distinct-evaluation
-// count in that (rare) case.
+// consistent — only the Calls and SourceCalls counters can exceed the
+// distinct-evaluation count in that (rare) case.
 //
 // Every value a Source returns is sanitized before caching (see sanitize.go):
 // NaN/±Inf/negative costs and negative sizes are clamped and counted in
@@ -99,6 +135,9 @@ type Optimizer struct {
 	src  Source
 	in   *workload.Interner
 	flat *flatTables
+	// invariant is PrefixInvariant(src), checked once: misses go through
+	// their plan skeleton's entry.
+	invariant bool
 
 	// ctr is shared between an optimizer and all its Views, so fleet-wide
 	// call accounting stays in one place no matter which tenant view probed.
@@ -114,13 +153,15 @@ type Optimizer struct {
 
 // optCounters is the shared call accounting of an optimizer and its views.
 type optCounters struct {
-	calls     atomic.Int64
-	cacheHits atomic.Int64
+	calls       atomic.Int64
+	cacheHits   atomic.Int64
+	sourceCalls atomic.Int64
 }
 
 // New wraps src in a caching optimizer backed by the flat interned tables.
 func New(src Source) *Optimizer {
-	return &Optimizer{src: src, in: workload.NewInterner(), flat: &flatTables{}, ctr: &optCounters{}}
+	return &Optimizer{src: src, in: workload.NewInterner(), flat: &flatTables{},
+		invariant: PrefixInvariant(src), ctr: &optCounters{}}
 }
 
 // View returns an optimizer that shares o's caches, interner, call counters
@@ -135,9 +176,7 @@ func New(src Source) *Optimizer {
 // is what makes subset-level reuse exact (cf. CoPhy's per-query/per-index
 // cost decomposition).
 //
-// Views must be built from the base optimizer, not from another view, and
-// MUST NOT be used with context-dependent sources (multi-index mode), whose
-// Invalidate patterns are tenant-specific.
+// Views must be built from the base optimizer, not from another view.
 func (o *Optimizer) View(canon []workload.Query) *Optimizer {
 	if o.canon != nil {
 		panic("whatif: View of a View; build views from the base optimizer")
@@ -158,6 +197,11 @@ func (o *Optimizer) canonical(q *workload.Query) *workload.Query {
 
 // Source returns the wrapped cost source.
 func (o *Optimizer) Source() Source { return o.src }
+
+// PrefixInvariant reports whether the wrapped source's costs depend only on
+// (query, U(q,k)); see Source. Callers deriving costs from that fact (core's
+// extension costs) ask here rather than deciding for themselves.
+func (o *Optimizer) PrefixInvariant() bool { return o.invariant }
 
 // Interner returns the optimizer's index interner. Callers that hold an
 // index for many probes (the core selector, the greedy heuristics) intern it
@@ -201,29 +245,65 @@ func (o *Optimizer) baseCostCanonical(q *workload.Query) float64 {
 		return c
 	}
 	o.ctr.calls.Add(1)
+	o.ctr.sourceCalls.Add(1)
 	c := SanitizeCost(o.src.BaseCost(*q))
 	o.flat.basePut(q.ID, c)
 	return c
 }
 
+// costWithInterned serves f_q(k) for an applicable, canonical query. The
+// first probe of a key is one call whether fill finds its value in a plan
+// skeleton or asks the source.
 func (o *Optimizer) costWithInterned(q *workload.Query, k workload.Index, id workload.IndexID) float64 {
 	key := pairKeyOf(q.ID, id)
 	shard := &o.flat.indexCache[shardOf(q.ID)]
-	if c, ok := shard.get(key); ok {
+	c, ok, skeleton := shard.get(key)
+	if ok && !skeleton {
 		o.ctr.cacheHits.Add(1)
 		return c
 	}
 	o.ctr.calls.Add(1)
-	c := SanitizeCost(o.src.CostWithIndex(*q, k))
+	if !ok {
+		c = o.fill(q, k, shard)
+	}
 	o.flat.notePair(key)
-	shard.put(q.ID, key, c)
+	shard.put(key, c)
 	return c
+}
+
+// fill computes f_q(k) for a key with no entry. For a prefix-invariant
+// source and an index longer than U(q,k), that is the cost of the skeleton
+// index over U(q,k): read from the skeleton's entry, or computed by one
+// source call and stored there under the skeleton mark. Otherwise it is one
+// source call for k itself. shard is q's shard, which holds both entries.
+func (o *Optimizer) fill(q *workload.Query, k workload.Index, shard *flatShard) float64 {
+	if o.invariant {
+		if u := workload.CoverablePrefix(*q, k); len(u) < len(k.Attrs) {
+			skel := workload.Index{Table: k.Table, Attrs: u}
+			key := pairKeyOf(q.ID, o.in.Intern(skel))
+			if c, ok, _ := shard.get(key); ok {
+				return c
+			}
+			c := o.sourceCost(q, skel)
+			o.flat.notePair(key)
+			shard.put(key|skeletonBit, c)
+			return c
+		}
+	}
+	return o.sourceCost(q, k)
+}
+
+// sourceCost is one counted, sanitized source evaluation of f_q(k).
+func (o *Optimizer) sourceCost(q *workload.Query, k workload.Index) float64 {
+	o.ctr.sourceCalls.Add(1)
+	return SanitizeCost(o.src.CostWithIndex(*q, k))
 }
 
 // QueryCost returns f_j(I*). Whole-selection evaluations are not cached
 // (selections rarely repeat); each evaluation counts as one call.
 func (o *Optimizer) QueryCost(q workload.Query, sel workload.Selection) float64 {
 	o.ctr.calls.Add(1)
+	o.ctr.sourceCalls.Add(1)
 	return SanitizeCost(o.src.QueryCost(*o.canonical(&q), sel))
 }
 
@@ -250,12 +330,12 @@ func (o *Optimizer) MaintenanceCostInterned(q *workload.Query, k workload.Index,
 func (o *Optimizer) maintInterned(q *workload.Query, k workload.Index, id workload.IndexID) float64 {
 	key := pairKeyOf(q.ID, id)
 	shard := &o.flat.maintCache[shardOf(q.ID)]
-	if c, ok := shard.get(key); ok {
+	if c, ok, _ := shard.get(key); ok {
 		return c
 	}
 	c := SanitizeCost(o.src.MaintenanceCost(*q, k))
 	o.flat.notePair(key)
-	shard.put(q.ID, key, c)
+	shard.put(key, c)
 	return c
 }
 
@@ -275,25 +355,12 @@ func (o *Optimizer) IndexSizeInterned(k workload.Index, id workload.IndexID) int
 	return s
 }
 
-// Invalidate drops all cached costs for query q. Used in multi-index mode
-// (Remark 2) when the current selection changes the context earlier calls
-// were made under. It walks only q's recorded entries (O(entries for q)).
-func (o *Optimizer) Invalidate(q workload.Query) {
-	id := o.canonical(&q).ID
-	o.flat.baseDrop(id)
-	shard := shardOf(id)
-	dropped := o.flat.indexCache[shard].invalidate(id) +
-		o.flat.maintCache[shard].invalidate(id)
-	if lg := telemetry.L(); lg.Enabled(context.Background(), slog.LevelDebug) {
-		lg.Debug("whatif cache invalidated", "query", id, "entries_dropped", dropped)
-	}
-}
-
 // Stats returns a snapshot of the call counters and cache occupancy.
 func (o *Optimizer) Stats() Stats {
 	s := Stats{
 		Calls:           o.ctr.calls.Load(),
 		CacheHits:       o.ctr.cacheHits.Load(),
+		SourceCalls:     o.ctr.sourceCalls.Load(),
 		InternedIndexes: o.in.Len(),
 	}
 	o.flat.mu.RLock()

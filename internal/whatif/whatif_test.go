@@ -81,31 +81,6 @@ func TestQueryCostCountsCalls(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	w := testWorkload(t)
-	o := New(costmodel.New(w, costmodel.SingleIndex))
-	q0, q1 := w.Queries[0], w.Queries[1]
-	k0 := workload.MustIndex(w, q0.Attrs[0])
-	k1 := workload.MustIndex(w, q1.Attrs[0])
-	o.BaseCost(q0)
-	o.BaseCost(q1)
-	o.CostWithIndex(q0, k0)
-	o.CostWithIndex(q1, k1)
-	calls := o.Stats().Calls
-
-	o.Invalidate(q0)
-	o.BaseCost(q0)
-	o.CostWithIndex(q0, k0)
-	if got := o.Stats().Calls; got != calls+2 {
-		t.Errorf("after invalidate, calls = %d, want %d (both q0 entries refreshed)", got, calls+2)
-	}
-	o.BaseCost(q1)
-	o.CostWithIndex(q1, k1)
-	if got := o.Stats().Calls; got != calls+2 {
-		t.Errorf("invalidate(q0) also dropped q1 entries: calls = %d", got)
-	}
-}
-
 func TestResetStatsKeepsCache(t *testing.T) {
 	w := testWorkload(t)
 	o := New(costmodel.New(w, costmodel.SingleIndex))
@@ -292,4 +267,5 @@ func TestConcurrentValuesMatchSerial(t *testing.T) {
 func resetStats(o *Optimizer) {
 	o.ctr.calls.Store(0)
 	o.ctr.cacheHits.Store(0)
+	o.ctr.sourceCalls.Store(0)
 }

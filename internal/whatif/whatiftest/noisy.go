@@ -67,3 +67,12 @@ func hashString(s string) int64 {
 	}
 	return int64(h &^ (1 << 63))
 }
+
+// Measured declares the wrapped source's costs measured (see whatif.Source):
+// an optimizer over it evaluates every (query, index) pair through the
+// source, and core derives no extension cost. Tests use it to pin that exact
+// path on a source that is in fact prefix-invariant.
+type Measured struct{ whatif.Source }
+
+// MeasuredCosts implements the whatif.Source declaration.
+func (Measured) MeasuredCosts() bool { return true }

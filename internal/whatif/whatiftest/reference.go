@@ -4,7 +4,8 @@
 // semantics, call accounting and sanitization over plain Go maps keyed by
 // index key strings, so tests can run a whole selection over both and compare
 // traces and Calls/CacheHits bit for bit. NoisySource perturbs a cost source
-// for robustness tests. Only test code imports this package; a CI guard
+// for robustness tests, and Measured pins the optimizer's exact path on a
+// prefix-invariant source. Only test code imports this package; a CI guard
 // keeps it out of every shipped binary.
 package whatiftest
 
@@ -22,7 +23,10 @@ const mapEntryBytes = 48
 
 // Reference is the string-keyed caching what-if facade. It mirrors
 // whatif.Optimizer's probe surface (minus interning, views and spilling) and
-// is safe for concurrent use.
+// is safe for concurrent use. It probes the source directly for every
+// (query, index) key, with no plan-skeleton fill, so its Calls are the
+// distinct probes the optimizer's Calls must equal and its values are the
+// direct source calls the optimizer's must equal bit for bit.
 type Reference struct {
 	src       whatif.Source
 	calls     atomic.Int64
@@ -93,6 +97,10 @@ func New(src whatif.Source) *Reference {
 	}
 	return r
 }
+
+// PrefixInvariant reports what whatif.Optimizer.PrefixInvariant reports for
+// the same source.
+func (r *Reference) PrefixInvariant() bool { return whatif.PrefixInvariant(r.src) }
 
 // BaseCost returns f_j(0), cached per query.
 func (r *Reference) BaseCost(q workload.Query) float64 {
@@ -165,23 +173,6 @@ func (r *Reference) IndexSize(k workload.Index) int64 {
 	r.sizeCache[key] = s
 	r.mu.Unlock()
 	return s
-}
-
-// Invalidate drops all cached costs for query q by scanning its shard.
-func (r *Reference) Invalidate(q workload.Query) {
-	r.mu.Lock()
-	delete(r.baseCache, q.ID)
-	r.mu.Unlock()
-	for _, caches := range [2]*[whatif.NumShards]pairShard{&r.indexCache, &r.maintCache} {
-		shard := &caches[shardOf(q.ID)]
-		shard.mu.Lock()
-		for key := range shard.m {
-			if key.query == q.ID {
-				delete(shard.m, key)
-			}
-		}
-		shard.mu.Unlock()
-	}
 }
 
 // Stats returns the call counters and cache occupancy. InternedIndexes is

@@ -90,8 +90,8 @@ func TestNoisyCostRobustnessMeasured(t *testing.T) {
 	ms := NewMeasuredSource(db, 5)
 	budget := ms.Budget(0.3)
 	noisy := whatiftest.NoisySource{Src: ms, Eps: 0.15, Seed: 31}
-	opt := whatif.New(noisy)
-	res, err := core.Select(w, opt, core.Options{Budget: budget, ExactEvaluation: true})
+	opt := whatif.New(whatiftest.Measured{Source: noisy})
+	res, err := core.Select(w, opt, core.Options{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,9 +125,8 @@ func TestTelemetryTPCCRun(t *testing.T) {
 
 // TestTelemetryCacheOccupancy pins the observability of the flat what-if
 // tables on a real TPC-C run in multi-index cost mode: the occupancy stats
-// must stay internally consistent (total == sum over shards), the bound
-// gauges must report them, and Invalidate must shrink exactly the target
-// query's entries — with the per-shard accounting still adding up afterward.
+// must stay internally consistent (total == sum over shards), and the bound
+// gauges must report them.
 func TestTelemetryCacheOccupancy(t *testing.T) {
 	w, err := TPCCWorkload(5)
 	if err != nil {
@@ -170,40 +169,6 @@ func TestTelemetryCacheOccupancy(t *testing.T) {
 	}
 	if got := metricValue(t, text, "indexsel_whatif_interned_indexes"); got != float64(stats.InternedIndexes) {
 		t.Errorf("gauge reports %v interned indexes, stats %d", got, stats.InternedIndexes)
-	}
-
-	// Invalidate one cached query: occupancy drops by that query's entries
-	// only, and the per-shard breakdown still sums to the total.
-	q := w.Queries[0]
-	adv.opt.Invalidate(q)
-	after := adv.WhatIfStats()
-	if after.IndexCacheEntries >= stats.IndexCacheEntries {
-		t.Errorf("Invalidate(q0) did not shrink occupancy: %d -> %d",
-			stats.IndexCacheEntries, after.IndexCacheEntries)
-	}
-	if got := sumShards(after); got != after.IndexCacheEntries {
-		t.Fatalf("after Invalidate, shards sum to %d, IndexCacheEntries = %d", got, after.IndexCacheEntries)
-	}
-	if after.InternedIndexes != stats.InternedIndexes {
-		t.Errorf("Invalidate changed the interner population: %d -> %d",
-			stats.InternedIndexes, after.InternedIndexes)
-	}
-	// Untouched queries keep their entries: re-evaluating the same strategy
-	// must only refresh q0's pairs, so the cache converges back to the same
-	// occupancy rather than rebuilding from scratch.
-	dropped := stats.IndexCacheEntries - after.IndexCacheEntries
-	callsBefore := after.Calls
-	if _, err := adv.Select(StrategyH4); err != nil {
-		t.Fatal(err)
-	}
-	final := adv.WhatIfStats()
-	if final.IndexCacheEntries != stats.IndexCacheEntries {
-		t.Errorf("occupancy after refresh = %d, want %d", final.IndexCacheEntries, stats.IndexCacheEntries)
-	}
-	refreshCalls := final.Calls - callsBefore
-	// The rerun may also re-pay q0's base cost, hence <= dropped+1.
-	if refreshCalls > int64(dropped)+1 {
-		t.Errorf("refresh performed %d calls; only %d entries were invalidated", refreshCalls, dropped)
 	}
 }
 
