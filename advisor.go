@@ -88,7 +88,6 @@ type Advisor struct {
 	dominance   bool
 	extendOpts  core.Options
 	parallelism int
-	approximate float64
 	explain     bool
 	tel         *telemetry.Telemetry
 
@@ -166,18 +165,6 @@ func WithTelemetry(t *Telemetry) Option {
 // H1-H5 are serial and ignore it.
 func WithParallelism(n int) Option {
 	return func(ad *Advisor) { ad.parallelism = n }
-}
-
-// WithApproximate relaxes Algorithm 1's lazy step loop by eps: each
-// construction step may stop re-evaluating candidates once the best remaining
-// gain upper bound falls below bestRatio*(1+eps), so every chosen step's
-// ratio is within a (1+eps) factor of the exact maximum. Runs stay
-// deterministic but are no longer bit-identical to the
-// exact default (eps = 0). Ignored by strategies other than Extend and when
-// MultiIndex is set. It overrides the Approximate field of
-// WithExtendOptions regardless of option order.
-func WithApproximate(eps float64) Option {
-	return func(ad *Advisor) { ad.approximate = eps }
 }
 
 // NewAdvisor builds an advisor for the workload.
@@ -261,9 +248,6 @@ type Recommendation struct {
 	// gain upper bound could not beat the step winner (StrategyExtend only;
 	// zero on the multi-index path).
 	Pruned int
-	// Approximate echoes the lazy loop's relative relaxation eps
-	// (WithApproximate); 0 means the provably exact default.
-	Approximate float64
 	// DNF reports a CoPhy solve aborted by the time limit.
 	DNF bool
 	// Gap is CoPhy's final relative optimality gap.
@@ -412,9 +396,6 @@ func (ad *Advisor) runStrategy(ctx context.Context, s Strategy, budget int64, ro
 		opts := ad.extendOpts
 		opts.Budget = budget
 		opts.Context = ctx
-		if ad.approximate > 0 {
-			opts.Approximate = ad.approximate
-		}
 		if ad.model != nil && ad.mode == MultiIndexCosts {
 			// The multi-index cost model is context-dependent; Algorithm 1
 			// must evaluate whole selections (Remark 2) to stay consistent.
@@ -436,7 +417,6 @@ func (ad *Advisor) runStrategy(ctx context.Context, s Strategy, budget int64, ro
 		rec.Evaluated = res.Evaluated
 		rec.CacheServed = res.CacheServed
 		rec.Pruned = res.Pruned
-		rec.Approximate = res.Approximate
 		rec.StopReason = res.StopReason
 		rec.Partial = res.Partial
 		if res.Provenance != nil {

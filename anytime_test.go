@@ -211,3 +211,32 @@ func TestSelectContextCoPhy(t *testing.T) {
 		t.Errorf("H4: memory %d over budget %d", rec.Memory, rec.Budget)
 	}
 }
+
+// TestCoPhyStopReasonUnderTimeLimit: CoPhy's time limit wraps the caller's
+// context, but a cancelled caller still reads StopCancelled, and only an
+// expired bound reads StopDeadline.
+func TestCoPhyStopReasonUnderTimeLimit(t *testing.T) {
+	w := smallWorkload(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		limit time.Duration
+		want  StopReason
+	}{
+		{"cancelled, long time limit", cancelled, time.Hour, StopCancelled},
+		{"cancelled, expired time limit", cancelled, time.Nanosecond, StopCancelled},
+		{"expired time limit", context.Background(), time.Nanosecond, StopDeadline},
+	} {
+		adv := NewAdvisor(w, WithBudgetShare(0.4), WithGap(0), WithTimeLimit(tc.limit))
+		rec, err := adv.SelectContext(tc.ctx, StrategyCoPhy)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !rec.DNF || !rec.Partial || rec.StopReason != tc.want {
+			t.Errorf("%s: DNF=%v Partial=%v StopReason=%v, want DNF, partial, %v",
+				tc.name, rec.DNF, rec.Partial, rec.StopReason, tc.want)
+		}
+	}
+}

@@ -11,7 +11,6 @@
 //	indexadvisor -workload w.json -strategy cophy -parallelism 2
 //	indexadvisor -workload w.json -metrics-addr 127.0.0.1:9177 -trace-out run.jsonl -json
 //	indexadvisor -workload w.json -timeout 500ms -json
-//	indexadvisor -workload w.json -approximate 0.1 -json
 //	indexadvisor -workload w.json -explain -trace-out run.jsonl -json
 //	indexadvisor explain -journal run.jsonl
 //	indexadvisor -fleet fleetdir -fleet-workers 4 -fleet-table-budget 1000000
@@ -33,6 +32,9 @@
 // -fleet-stream reads tenant workloads lazily, -fleet-workers sizes the
 // scheduler pool, -fleet-tenant-timeout bounds each tenant (partial results,
 // not errors), and per-tenant weights/deadlines come from the manifest.
+// Fleet CoPhy tenants solve at gap 0 with no time limit; fleet mode exits 2
+// if any of -gap, -timelimit, -candidates, -steps, -explain, -trace-out or
+// -trace-rotate-bytes is set, since it would not honor them.
 //
 // -explain records decision provenance: the -json report (and the trace
 // journal) additionally carry, per step, the winning candidate's exact gain
@@ -42,14 +44,6 @@
 // Provenance is a pure observer — the selection is bit-identical with it on
 // or off. The `explain` subcommand renders a journaled run as a
 // human-readable report; cmd/runcompare diffs two journals.
-//
-// -approximate eps relaxes the Extend strategy's lazy (CELF) step loop: each
-// construction step may stop re-evaluating candidates once the best remaining
-// gain upper bound falls below bestRatio*(1+eps), so every chosen step's ratio
-// is within a (1+eps) factor of the exact maximum. The default eps=0 is
-// provably exact (bit-identical to evaluating every candidate at every
-// step). The JSON report carries "approximate": true and "eps" when the
-// relaxation is on.
 //
 // -timeout puts the whole selection under a deadline: on expiry the advisor
 // returns its best partial result (for Extend, a bit-identical prefix of the
@@ -61,7 +55,7 @@
 // runs serially. -parallelism sizes CoPhy's branch-and-bound node pool
 // (0 = all cores, split among the -fleet-workers in fleet mode), with
 // identical results at any setting; -cpuprofile
-// records a pprof profile of the selection for performance work.
+// records a pprof profile of the run for performance work.
 //
 // Observability: -metrics-addr serves Prometheus text exposition at /metrics
 // (plus expvar and pprof under /debug/) while the advisor runs; -trace-out
@@ -81,6 +75,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -129,8 +124,7 @@ func main() {
 		timeout          = flag.Duration("timeout", 0, "overall selection deadline (any strategy); on expiry the best partial result found so far is reported and the exit code stays 0")
 		showSteps        = flag.Bool("steps", false, "print the Extend construction trace")
 		parallelism      = flag.Int("parallelism", 0, "worker goroutines for cophy branch-and-bound node solves (0 = all cores, split among -fleet-workers in fleet mode; 1 = serial; identical results)")
-		approximate      = flag.Float64("approximate", 0, "extend only: relax the lazy step loop by this relative eps (each step's ratio within a (1+eps) factor of exact); 0 = provably exact")
-		cpuProfile       = flag.String("cpuprofile", "", "write a pprof CPU profile of the selection to this file")
+		cpuProfile       = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile       = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		jsonOut          = flag.Bool("json", false, "emit the full recommendation as JSON on stdout")
 		explainRun       = flag.Bool("explain", false, "record decision provenance and per-query attribution (reported in -json and the human report, journaled with -trace-out)")
@@ -152,6 +146,21 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *fleetPath != "" {
+		if ignored := fleetIgnoredFlags(); len(ignored) > 0 {
+			fmt.Fprintf(os.Stderr, "indexadvisor: fleet mode does not honor %s\n", strings.Join(ignored, ", "))
+			os.Exit(2)
+		}
+	}
+
+	if *logLevel != "" {
+		var lvl slog.Level
+		if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
+			log.Fatalf("bad -log-level %q: %v", *logLevel, err)
+		}
+		indexsel.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
+	}
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 
 	if *fleetPath != "" {
 		strat, ok := strategies[strings.ToLower(*strategy)]
@@ -192,6 +201,7 @@ func main() {
 		if err := runFleet(ctx, os.Stdout, *fleetPath, fopts, share, bytes, *fleetStream, *jsonOut); err != nil {
 			log.Fatal(err)
 		}
+		stopProfiles()
 		if *metricsAddr != "" && *linger > 0 {
 			log.Printf("lingering %v for metric scrapes", *linger)
 			time.Sleep(*linger)
@@ -229,14 +239,6 @@ func main() {
 	strat, ok := strategies[strings.ToLower(*strategy)]
 	if !ok {
 		log.Fatalf("unknown strategy %q (want extend, cophy, h1..h5)", *strategy)
-	}
-
-	if *logLevel != "" {
-		var lvl slog.Level
-		if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
-			log.Fatalf("bad -log-level %q: %v", *logLevel, err)
-		}
-		indexsel.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
 	}
 
 	tel := &indexsel.Telemetry{}
@@ -284,15 +286,11 @@ func main() {
 		log.Printf("serving metrics on http://%s/metrics", bound)
 	}
 
-	if *approximate < 0 {
-		log.Fatalf("-approximate must be >= 0 (got %v)", *approximate)
-	}
 	opts := []indexsel.Option{
 		indexsel.WithGap(*gap),
 		indexsel.WithTimeLimit(*timeLimit),
 		indexsel.WithDominanceReduction(),
 		indexsel.WithParallelism(*parallelism),
-		indexsel.WithApproximate(*approximate),
 		indexsel.WithTelemetry(tel),
 	}
 	if *budgetBytes > 0 {
@@ -312,17 +310,6 @@ func main() {
 	}
 
 	adv := indexsel.NewAdvisor(w, opts...)
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -333,9 +320,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *cpuProfile != "" {
-		pprof.StopCPUProfile() // flush before printing; deferred stop is a no-op
-	}
+	stopProfiles()
 	// Flush the span journal before anything that can delay or prevent a
 	// clean exit (the linger sleep, or a scraper killing the process).
 	if journalFlush != nil {
@@ -350,21 +335,60 @@ func main() {
 		report(w, rec, *showSteps)
 	}
 
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runtime.GC() // materialize up-to-date allocation stats
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-	}
-
 	if *metricsAddr != "" && *linger > 0 {
 		log.Printf("lingering %v for metric scrapes", *linger)
 		time.Sleep(*linger)
+	}
+}
+
+// fleetUnhonored lists the flags fleet mode has no use for: FleetOptions
+// carries no gap, time limit or candidate set, and the fleet report has no
+// construction trace, provenance or span journal.
+var fleetUnhonored = []string{"candidates", "explain", "gap", "steps", "timelimit", "trace-out", "trace-rotate-bytes"}
+
+// fleetIgnoredFlags returns the explicitly set flags (defaults do not count)
+// that fleet mode would not honor.
+func fleetIgnoredFlags() []string {
+	var ignored []string
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(fleetUnhonored, f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	return ignored
+}
+
+// startProfiles starts the -cpuprofile (if set) and returns the function
+// that stops it and writes the -memprofile (if set). Both are process-wide,
+// so single and fleet runs share them.
+func startProfiles(cpuPath, memPath string) func() {
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			log.Fatal(err)
+		}
+		cpu = f
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			cpu.Close()
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				log.Fatal(err)
+			}
+			runtime.GC() // materialize up-to-date allocation stats
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				log.Fatal(err)
+			}
+			f.Close()
+		}
 	}
 }
 
@@ -380,10 +404,6 @@ func report(w *indexsel.Workload, rec *indexsel.Recommendation, showSteps bool) 
 	fmt.Println()
 	if rec.Partial {
 		fmt.Printf("partial:     interrupted (%v) — best result found before the cut\n", rec.StopReason)
-	}
-	if rec.Approximate > 0 {
-		fmt.Printf("approximate: eps=%v (each step's ratio within a factor %v of exact; %d candidates bound-pruned)\n",
-			rec.Approximate, 1+rec.Approximate, rec.Pruned)
 	}
 
 	if showSteps && len(rec.Steps) > 0 {
@@ -437,8 +457,6 @@ type jsonReport struct {
 	Evaluated   int         `json:"evaluated,omitempty"`
 	CacheServed int         `json:"cache_served,omitempty"`
 	Pruned      int         `json:"pruned,omitempty"`
-	Approximate bool        `json:"approximate,omitempty"`
-	Eps         float64     `json:"eps,omitempty"`
 	Indexes     []jsonIndex `json:"indexes"`
 	Steps       []jsonStep  `json:"steps,omitempty"`
 	Frontier    []jsonPoint `json:"frontier"`
@@ -502,8 +520,6 @@ func writeJSON(out *os.File, w *indexsel.Workload, adv *indexsel.Advisor, rec *i
 		Evaluated:   rec.Evaluated,
 		CacheServed: rec.CacheServed,
 		Pruned:      rec.Pruned,
-		Approximate: rec.Approximate > 0,
-		Eps:         rec.Approximate,
 		Indexes:     make([]jsonIndex, 0, len(rec.Indexes)),
 		WhatIf: jsonWhatIf{
 			Calls:           ws.Calls,

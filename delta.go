@@ -80,16 +80,12 @@ func NewTuningDaemon(cfg DaemonConfig) (*TuningDaemon, error) { return service.N
 // guardrail report: the plan is Accepted only if no heavy query (top-K by
 // frequency·base-cost) regresses beyond (1+Epsilon) of its deployed cost.
 //
-// A zero o.Budget uses the advisor's budget; the advisor's approximation
-// setting applies unless overridden in o. Context carries the
+// A zero o.Budget uses the advisor's budget. Context carries the
 // anytime contract of SelectContext: a deadline yields a partial but valid,
 // guardrail-checked plan, never an error.
 func (ad *Advisor) PlanDelta(ctx context.Context, deployed Selection, o DeltaOptions) (*DeltaPlan, error) {
 	if o.Budget <= 0 {
 		o.Budget = ad.Budget()
-	}
-	if o.Approximate == 0 {
-		o.Approximate = ad.approximate
 	}
 	start := time.Now()
 	plan, err := drift.PlanDelta(ctx, ad.w, ad.opt, deployed, o)

@@ -214,8 +214,8 @@ type WhatIfSource = whatif.Source
 // ConstructionStep re-exports one step of Algorithm 1's trace.
 type ConstructionStep = core.Step
 
-// ExtendOptions re-exports Algorithm 1's knobs (budget, max steps, the
-// Remark 1 extensions, and the lazy loop's Approximate); pass via
+// ExtendOptions re-exports Algorithm 1's knobs (budget, max steps and the
+// Remark 1 extensions); pass via
 // WithExtendOptions. The advisor's budget options override the Budget
 // field.
 type ExtendOptions = core.Options

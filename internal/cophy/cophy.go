@@ -57,15 +57,17 @@ type Options struct {
 	// Gap is the relative optimality gap in total workload cost (the paper
 	// uses mipgap=0.05 on objective (5)).
 	Gap float64
-	// TimeLimit aborts the solve; zero means none. On abort the best
-	// incumbent found is returned with Stats.DNF set.
+	// TimeLimit bounds the solve phase (the CPLEX time limit of CoPhy and
+	// Table I); zero means none. Solve wraps the context in a deadline of
+	// TimeLimit after the build and hands the MIP only that context. On
+	// expiry the best incumbent found is returned with Stats.DNF set.
 	TimeLimit time.Duration
 	// Context, if non-nil, cancels the solve with the same graceful
 	// degradation as TimeLimit: the model build truncates its candidate loop,
 	// the ascent stops between its grid points, the MIP's branch-and-bound
 	// reducer stops between node batches, and the best incumbent found
-	// (greedy at worst) is returned with Stats.DNF set. The context's own
-	// deadline (if earlier than TimeLimit's) wins.
+	// (greedy at worst) is returned with Stats.DNF set. The earlier of the
+	// context's own deadline and TimeLimit's wins.
 	Context context.Context
 	// DominanceReduction removes globally dominated candidates before
 	// solving when there are at most 4 000 of them (the filter is
@@ -143,7 +145,7 @@ func Solve(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index, 
 	// The build phase honors only the context (TimeLimit is a solve-phase
 	// budget): cancellation truncates the candidate loop, and the solve then
 	// degrades over the candidates built so far.
-	buildStop := fault.NewStopper(opts.Context, time.Time{})
+	buildStop := fault.NewStopper(opts.Context)
 	bsp := opts.Span.Child("cophy.build")
 	ins := buildInstance(w, opt, cands, buildStop)
 	stats := Stats{
@@ -171,14 +173,16 @@ func Solve(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index, 
 
 	ssp := opts.Span.Child("cophy.solve")
 	start := time.Now()
-	var deadline time.Time
-	if opts.TimeLimit > 0 {
-		deadline = start.Add(opts.TimeLimit)
+	solveCtx := opts.Context
+	if solveCtx == nil {
+		solveCtx = context.Background()
 	}
-	// stop merges TimeLimit and the context (including the context's own
-	// deadline) for the solve phase.
-	stop := fault.NewStopper(opts.Context, deadline)
-	out, err := ins.solve(opts.Budget, opts.Gap, stop, opts.Parallelism, ssp)
+	if opts.TimeLimit > 0 {
+		var cancel context.CancelFunc
+		solveCtx, cancel = context.WithDeadline(solveCtx, start.Add(opts.TimeLimit))
+		defer cancel()
+	}
+	out, err := ins.solve(opts.Budget, opts.Gap, fault.NewStopper(solveCtx), opts.Parallelism, ssp)
 	if err != nil {
 		ssp.Discard()
 		return nil, err
@@ -499,7 +503,6 @@ func (ins *instance) solve(budget int64, gap float64, stop *fault.Stopper, paral
 	msp.SetBool("restricted", !mm.complete)
 	res, err := lp.SolveMIP(mm.Model, lp.MIPOptions{
 		Gap:          gap,
-		Deadline:     stop.Deadline(),
 		Context:      stop.Context(),
 		Parallelism:  parallelism,
 		Incumbent:    mm.incumbent,

@@ -1,6 +1,7 @@
 package cophy
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -231,6 +232,52 @@ func TestTimeLimitDNF(t *testing.T) {
 	// Even a DNF returns a feasible incumbent.
 	if res.Memory > m.Budget(0.3) {
 		t.Errorf("DNF incumbent exceeds budget")
+	}
+}
+
+// TestSolveRunBound: the solve phase runs under one context, the caller's
+// wrapped in TimeLimit's deadline, so whichever bound comes first stops it
+// with DNF. The instance is one whose unbounded gap-0 solve runs for
+// seconds, so a solve that ignored the earlier bound would overrun it.
+func TestSolveRunBound(t *testing.T) {
+	w := gen(t, 2, 15, 60, 100_000, 9)
+	m, opt := setup(w)
+	combos, err := candidates.Combos(w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := candidates.Permutations(combos)
+	const short, long = 300 * time.Millisecond, time.Hour
+	for _, tc := range []struct {
+		name      string
+		ctxBound  time.Duration // 0 = no caller deadline
+		timeLimit time.Duration
+	}{
+		{"time limit alone", 0, short},
+		{"time limit before caller deadline", long, short},
+		{"caller deadline before time limit", short, long},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			if tc.ctxBound > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, tc.ctxBound)
+				defer cancel()
+			}
+			start := time.Now()
+			res, err := Solve(w, opt, cands, Options{
+				Budget: m.Budget(0.3), TimeLimit: tc.timeLimit, Context: ctx, Parallelism: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); !res.Stats.DNF || elapsed > 10*short {
+				t.Fatalf("DNF=%v after %v; want DNF within about %v", res.Stats.DNF, elapsed, short)
+			}
+			if res.Memory > m.Budget(0.3) {
+				t.Errorf("DNF incumbent exceeds budget")
+			}
+		})
 	}
 }
 

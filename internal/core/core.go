@@ -79,15 +79,6 @@ type Options struct {
 	// Deprecated: ignored. Candidate evaluation is serial; the field stays
 	// only because the end-to-end benchmark (bench/e2e/erp.go) still sets it.
 	Parallelism int
-	// Approximate, when > 0, relaxes the lazy loop's stop rule: a step stops
-	// re-evaluating stale candidates once the best remaining upper bound
-	// falls below bestRatio*(1+Approximate), so the chosen step's ratio is
-	// within a (1+Approximate) factor of the exact maximum. Traces remain
-	// deterministic, but are no longer bit-identical to exact mode; steps
-	// that actually engaged the relaxed cut are counted in
-	// indexsel_lazy_approx_steps_total. 0 (the default) is provably exact.
-	// Ignored when MultiIndex is set.
-	Approximate float64
 	// Explain records decision provenance: one explain.StepProvenance per
 	// applied step (gain decomposition by query, maintenance delta,
 	// runner-up margin, and the lazy loop's prune ledger) on
@@ -107,12 +98,9 @@ type Options struct {
 	// step boundary and polled inside the candidate evaluation loop. An
 	// interrupted run is not an error — Extend is an anytime algorithm, every
 	// completed step is a feasible frontier point — so Select returns the
-	// best-so-far Result with Partial set and StopReason saying why.
+	// best-so-far Result with Partial set and StopReason saying why. The
+	// context's deadline is the run's only wall-clock bound.
 	Context context.Context
-	// Deadline is an absolute wall-clock bound with the same anytime
-	// semantics as Context; zero means none. The earlier of Deadline and the
-	// Context's own deadline wins.
-	Deadline time.Time
 }
 
 // Reconfig is the reconfiguration cost R(I*, I-bar*) against the deployed
@@ -214,8 +202,6 @@ type Result struct {
 	// Pruned totals the candidates the lazy (CELF) loop bound-skipped over the
 	// whole run (see Step.Pruned). Zero on the sweep and multi-index paths.
 	Pruned int
-	// Approximate echoes Options.Approximate (0 = exact mode).
-	Approximate float64
 	// Provenance, when Options.Explain was set, holds one record per Step,
 	// aligned by index (drop steps included). Nil otherwise.
 	Provenance []explain.StepProvenance
@@ -392,7 +378,7 @@ type selector struct {
 	lastLedgerSkip  int
 	lastLedgerTrunc bool
 
-	// stop folds Options.Context and Options.Deadline into the sticky stop
+	// stop turns Options.Context (and its deadline) into the sticky stop
 	// signal checked at step boundaries and polled by evalAll.
 	// stopReason records why the construction loop ended.
 	stop       *fault.Stopper
@@ -433,7 +419,7 @@ func newSelector(w *workload.Workload, opt *whatif.Optimizer, opts Options) *sel
 		size: make(map[workload.IndexID]int64),
 	}
 	s.sel = workload.NewIDSelection(s.in)
-	s.stop = fault.NewStopper(opts.Context, opts.Deadline)
+	s.stop = fault.NewStopper(opts.Context)
 	s.queriesWith = make([][]int32, w.NumAttrs())
 	for a := range s.queriesWith {
 		s.queriesWith[a] = w.ReadQueriesWithAttr(a)
@@ -1173,7 +1159,6 @@ func (s *selector) run() (*Result, error) {
 		Evaluated:   s.totalEvaluated,
 		CacheServed: s.totalCached,
 		Pruned:      s.totalPruned,
-		Approximate: s.opts.Approximate,
 		Provenance:  s.prov,
 		StopReason:  s.stopReason,
 		Partial:     s.stopReason.Interrupted(),
@@ -1329,7 +1314,7 @@ func (s *selector) runMultiIndex() (*Result, error) {
 			mem := selSize(c.sel)
 			if mem > s.opts.Budget {
 				if mem > curMem {
-					// Approximate: the candidate was never cost-evaluated, so
+					// An estimate: the candidate was never cost-evaluated, so
 					// "viable but over budget" is judged on memory alone.
 					budgetExcluded = true
 				}

@@ -90,9 +90,7 @@
 // candidates — and with it the whole trace and the Step accounting — is a
 // fixed function of the workload and options. The stop rule is strict
 // (top bound < threshold): candidates whose bound ties the winner are still
-// evaluated so tie-breaks match the sweep. Options.Approximate relaxes only
-// this cut to threshold*(1+eps), trading exactness of the step choice
-// (within a (1+eps) ratio factor) for fewer evaluations.
+// evaluated so tie-breaks match the sweep.
 package core
 
 import (
@@ -485,7 +483,7 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 	depth := lz.sentinels.len()
 
 	evaluated, cached := 0, 0
-	budgetExcluded, approxCut, stopped := false, false, false
+	budgetExcluded, stopped := false, false
 
 	reduce := func(c candidate) {
 		if s.mem+c.deltaMem > s.opts.Budget {
@@ -551,15 +549,8 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 		if !pending {
 			break
 		}
-		if t, have := threshold(); have {
-			cut := t
-			if s.opts.Approximate > 0 {
-				cut = t * (1 + s.opts.Approximate)
-			}
-			if top < cut {
-				approxCut = top >= t // only reachable with Approximate > 0
-				break
-			}
+		if t, have := threshold(); have && top < t {
+			break
 		}
 		if sentinel {
 			// Bucket sentinel: open the bucket, pricing each entry. The
@@ -626,9 +617,6 @@ func (s *selector) collectLazy() (best, second candidate, haveSecond, ok bool, e
 	s.totalPruned += s.lastPruned
 	mLazyEvalsSaved.Add(int64(s.lastPruned))
 	mLazyHeapDepth.Set(float64(depth))
-	if approxCut {
-		mLazyApproxSteps.Inc()
-	}
 	if s.opts.Explain && ok {
 		lz.captureLedger(s)
 	}

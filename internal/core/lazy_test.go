@@ -445,61 +445,6 @@ func TestSentinelKeysDominateFreshRatios(t *testing.T) {
 	})
 }
 
-// TestLazyApproximateTier pins the Options.Approximate contract: runs stay
-// deterministic across repeated runs, never evaluate more than exact mode, echo
-// the eps in the result, and the first step's ratio — decided from the same
-// initial state as exact mode — is within the documented (1+eps) factor.
-func TestLazyApproximateTier(t *testing.T) {
-	w := diffWorkloads(t)["TPCC"]
-	m := costmodel.New(w, costmodel.SingleIndex)
-	budget := m.Budget(0.5)
-	const eps = 0.2
-
-	exact, err := Select(w, whatif.New(m), Options{Budget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx := func() *Result {
-		t.Helper()
-		r, err := Select(w, whatif.New(m), Options{Budget: budget, Approximate: eps})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a1, a4 := approx(), approx()
-	traceEqual(t, "approx run 1 vs run 2", a1, a4)
-
-	if a4.Approximate != eps {
-		t.Errorf("Result.Approximate = %v, want %v", a4.Approximate, eps)
-	}
-	if exact.Approximate != 0 {
-		t.Errorf("exact run echoes Approximate = %v", exact.Approximate)
-	}
-	if a4.Evaluated > exact.Evaluated {
-		t.Errorf("approximate mode evaluated %d candidates, exact only %d", a4.Evaluated, exact.Evaluated)
-	}
-	if len(a4.Steps) == 0 || len(exact.Steps) == 0 {
-		t.Fatal("empty trace")
-	}
-	if got, want := a4.Steps[0].Ratio, exact.Steps[0].Ratio; got < want/(1+eps) || got > want {
-		t.Errorf("first approximate step ratio %v outside [%v/(1+eps), %v]", got, want, want)
-	}
-	if math.IsNaN(a4.Cost) || math.IsInf(a4.Cost, 0) || a4.Cost < 0 {
-		t.Errorf("approximate run cost %v is not sane", a4.Cost)
-	}
-	if a4.Memory > budget {
-		t.Errorf("approximate run memory %d exceeds budget %d", a4.Memory, budget)
-	}
-
-	// The sweep's decision ignores the knob entirely.
-	sweep, err := selectSweep(w, whatif.New(m), Options{Budget: budget, Approximate: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traceEqual(t, "sweep ignores Approximate", exact, sweep)
-}
-
 // lazyAuditInfo is what an audit reports for every candidate after a step
 // decision: the bound the loop would price it at and a from-scratch
 // evaluation against the same frozen state.

@@ -85,7 +85,7 @@ func newRefSelector(w *workload.Workload, opt *whatiftest.Reference, opts Option
 		size:     make(map[string]int64),
 		candCost: make(map[string][]float64),
 	}
-	s.stop = fault.NewStopper(opts.Context, opts.Deadline)
+	s.stop = fault.NewStopper(opts.Context)
 	if rc := opts.Reconfig; rc.CreatePerByte > 0 {
 		s.reconfig = func(sel workload.Selection) float64 {
 			var created int64

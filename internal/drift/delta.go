@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/whatif"
@@ -32,8 +33,6 @@ type PlanOptions struct {
 	ReconfigPerByte float64
 	// MaxSteps bounds construction steps; 0 means unlimited.
 	MaxSteps int
-	// Approximate enables the lazy loop's bounded-deviation cut.
-	Approximate float64
 }
 
 // HeavyQuery is one guardrail-protected query with its costs under the
@@ -120,11 +119,10 @@ func PlanDelta(ctx context.Context, w *workload.Workload, opt *whatif.Optimizer,
 	}
 	start := time.Now()
 	copts := core.Options{
-		Budget:      o.Budget,
-		MaxSteps:    o.MaxSteps,
-		Approximate: o.Approximate,
-		Reconfig:    core.Reconfig{Deployed: deployed, CreatePerByte: o.ReconfigPerByte},
-		Context:     ctx,
+		Budget:   o.Budget,
+		MaxSteps: o.MaxSteps,
+		Reconfig: core.Reconfig{Deployed: deployed, CreatePerByte: o.ReconfigPerByte},
+		Context:  ctx,
 	}
 	res, err := core.Select(w, opt, copts)
 	if err != nil {
@@ -212,7 +210,7 @@ func guardrail(w *workload.Workload, opt *whatif.Optimizer, deployed, target wor
 			Freq:     h.q.Freq,
 			Deployed: dep,
 			Planned:  plc,
-			Sig:      signature(h.q.Table, h.q.Kind, h.q.Attrs),
+			Sig:      compress.TemplateSignature(h.q),
 		}
 		if dep > 0 {
 			hq.Ratio = plc / dep

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/workload"
 )
 
@@ -164,22 +165,8 @@ func (w *Window) Resolve(obs Observation) (sig string, attrs []int, kind workloa
 		return "", nil, 0, fmt.Errorf("%w: unknown table %q", ErrMalformed, obs.Table)
 	}
 	sort.Ints(attrs)
-	sig = signature(w.schema.TableOf(attrs[0]), kind, attrs)
+	sig = compress.TemplateSignature(workload.Query{Table: w.schema.TableOf(attrs[0]), Kind: kind, Attrs: attrs})
 	return sig, attrs, kind, nil
-}
-
-// signature is the canonical template identity: table, kind, sorted attrs —
-// the same structural content as compress.TemplateSignature, rebuilt here
-// from resolved IDs.
-func signature(table int, kind workload.QueryKind, attrs []int) string {
-	sig := fmt.Sprintf("t%d:%s:", table, kind)
-	for i, a := range attrs {
-		if i > 0 {
-			sig += ","
-		}
-		sig += fmt.Sprint(a)
-	}
-	return sig
 }
 
 // Observe folds one observation into the window at time at (obs.At is

@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/workload"
 )
@@ -269,8 +268,6 @@ type Measurement struct {
 	// BytesTouched is the deterministic work metric: bytes of column data,
 	// permutation entries and position-list traffic read or written.
 	BytesTouched int64
-	// Elapsed is the wall-clock execution time.
-	Elapsed time.Duration
 }
 
 // Executor runs point queries against the database under a set of available
@@ -295,7 +292,6 @@ func NewExecutor(db *DB, indexes ...*SecondaryIndex) *Executor {
 // positionally; with no applicable index it scans columns in ascending
 // selectivity order.
 func (e *Executor) Run(pq PointQuery) Measurement {
-	start := time.Now()
 	var bytes int64
 	w := e.db.w
 	td := e.db.tables[pq.Table]
@@ -414,9 +410,5 @@ func (e *Executor) Run(pq PointQuery) Measurement {
 			positions = out
 		}
 	}
-	return Measurement{
-		Rows:         len(positions),
-		BytesTouched: bytes,
-		Elapsed:      time.Since(start),
-	}
+	return Measurement{Rows: len(positions), BytesTouched: bytes}
 }

@@ -263,20 +263,6 @@ func TestMeasuredSourceInterface(t *testing.T) {
 	}
 }
 
-func TestMeasuredSourceWallTime(t *testing.T) {
-	w := testWorkload(t, 2_000)
-	db, err := New(w, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := NewMeasuredSource(db, 5)
-	ms.UseWallTime = true
-	ms.Repeats = 2
-	if c := ms.BaseCost(w.Queries[0]); c <= 0 {
-		t.Errorf("wall-time cost %v", c)
-	}
-}
-
 // TestEndToEndWithAlgorithm1 runs the full Section IV-B pipeline at test
 // scale: measured costs feed Algorithm 1, whose selection must be feasible
 // and improve the measured workload cost.

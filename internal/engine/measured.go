@@ -31,25 +31,16 @@ var (
 // running every query under every candidate instead of trusting a cost model
 // (Section IV-B).
 //
-// By default the cost is the deterministic bytes-touched metric. With
-// UseWallTime the cost is the minimum wall-clock time over Repeats runs
-// (the paper repeats each measurement >= 100 times); wall time is realistic
-// but machine-dependent, so tests and recorded experiments use bytes.
+// The cost is the deterministic bytes-touched metric, so a probe returns the
+// same value on every call, as the whatif.Source contract requires. (The
+// paper times each execution instead, repeated >= 100 times; wall time is
+// machine-dependent and would break that contract.)
 //
 // MeasuredSource is safe for concurrent use: the column data is immutable
 // after New, executors keep per-run state only, and index builds are
-// deduplicated under an internal lock. Note that with UseWallTime a fleet run
-// with several workers (FleetOptions.Workers > 1) measures queries under CPU
-// contention from sibling tenants; the bytes metric is unaffected.
+// deduplicated under an internal lock.
 type MeasuredSource struct {
-	db *DB
-	// Repeats is how often each (query, index) execution is repeated when
-	// UseWallTime is set (minimum taken). Default 3.
-	Repeats int
-	// UseWallTime switches the cost metric from bytes touched to wall time
-	// in nanoseconds.
-	UseWallTime bool
-
+	db      *DB
 	queries []PointQuery
 	seed    int64
 
@@ -75,9 +66,8 @@ type buildCache struct {
 // point query (seeded deterministically) and returns the measured source.
 func NewMeasuredSource(db *DB, seed int64) *MeasuredSource {
 	ms := &MeasuredSource{
-		db:      db,
-		Repeats: 3,
-		seed:    seed,
+		db:   db,
+		seed: seed,
 		bc: &buildCache{
 			in:       workload.NewInterner(),
 			indexes:  make(map[workload.IndexID]*SecondaryIndex),
@@ -96,15 +86,12 @@ func NewMeasuredSource(db *DB, seed int64) *MeasuredSource {
 // build a cluster-superset source whose point queries are instantiated under
 // superset template IDs. The built-index cache (and its in-flight
 // deduplication) is shared with the receiver, so physical indexes are built
-// once per database across all rebindings; Repeats/UseWallTime settings are
-// inherited.
+// once per database across all rebindings.
 func (ms *MeasuredSource) ForWorkload(w *workload.Workload) *MeasuredSource {
 	out := &MeasuredSource{
-		db:          ms.db,
-		Repeats:     ms.Repeats,
-		UseWallTime: ms.UseWallTime,
-		seed:        ms.seed,
-		bc:          ms.bc,
+		db:   ms.db,
+		seed: ms.seed,
+		bc:   ms.bc,
 	}
 	for _, q := range w.Queries {
 		out.queries = append(out.queries, ms.db.Instantiate(q, ms.seed))
@@ -171,29 +158,6 @@ func (ms *MeasuredSource) index(k workload.Index) *SecondaryIndex {
 	}
 }
 
-// measure executes the query under the given executor per the source's
-// metric settings.
-func (ms *MeasuredSource) measure(e *Executor, pq PointQuery) float64 {
-	if !ms.UseWallTime {
-		m := e.Run(pq)
-		return float64(m.BytesTouched)
-	}
-	repeats := ms.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < repeats; i++ {
-		if m := e.Run(pq); m.Elapsed < best {
-			best = m.Elapsed
-		}
-	}
-	if best < 1 {
-		best = 1
-	}
-	return float64(best)
-}
-
 // point returns the point query instantiated for template q. A probe for a
 // template the source was not instantiated for — another ID, table or
 // attribute list at q.ID — would silently measure some other query, so it
@@ -214,9 +178,10 @@ func (ms *MeasuredSource) point(q workload.Query) PointQuery {
 		"rebind it to the workload with ForWorkload", q.ID, q.Table, q.Attrs))
 }
 
-// BaseCost implements whatif.Source: execution with no indexes.
+// BaseCost implements whatif.Source: the bytes touched by an execution with
+// no indexes.
 func (ms *MeasuredSource) BaseCost(q workload.Query) float64 {
-	return ms.measure(NewExecutor(ms.db), ms.point(q))
+	return float64(NewExecutor(ms.db).Run(ms.point(q)).BytesTouched)
 }
 
 // CostWithIndex implements whatif.Source: execution with only index k
@@ -226,7 +191,7 @@ func (ms *MeasuredSource) CostWithIndex(q workload.Query, k workload.Index) floa
 		return ms.BaseCost(q)
 	}
 	pq := ms.point(q)
-	return ms.measure(NewExecutor(ms.db, ms.index(k)), pq)
+	return float64(NewExecutor(ms.db, ms.index(k)).Run(pq).BytesTouched)
 }
 
 // MeasuredCosts declares the costs measured (see whatif.Source): an

@@ -42,8 +42,8 @@ const (
 	// StopBudget: viable candidate steps remained but none fit the memory
 	// budget — the budget, not the candidate space, is exhausted.
 	StopBudget
-	// StopDeadline: the wall-clock deadline (Options.Deadline or the
-	// context's) expired; the result is the best-so-far prefix.
+	// StopDeadline: the context's deadline expired; the result is the
+	// best-so-far prefix.
 	StopDeadline
 	// StopCancelled: the context was cancelled; the result is the best-so-far
 	// prefix.
@@ -116,33 +116,31 @@ func AsPanicError(op string, recovered any) *WorkerPanicError {
 	return &WorkerPanicError{Op: op, Value: recovered, Stack: debug.Stack()}
 }
 
-// Stopper folds a context and an optional wall-clock deadline into one stop
-// signal. Check polls both; the first non-none reason is sticky, so a worker
-// pool observes a single consistent reason no matter which goroutine noticed
-// first. Stopped is a plain atomic load for per-iteration polling in hot
-// loops. The zero-cost case (nil Stopper, or background context with no
-// deadline) never allocates a timer and never stops.
+// Stopper turns a context into one stop signal. Check polls the context and,
+// when the context has a deadline, the clock; the first non-none reason is
+// sticky, so a worker pool observes a single consistent reason no matter
+// which goroutine noticed first. Stopped is a plain atomic load for
+// per-iteration polling in hot loops. The zero-cost case (nil Stopper, or a
+// context with no deadline) never reads the clock and never stops on its own.
 type Stopper struct {
 	ctx      context.Context
 	deadline time.Time
 	state    atomic.Int32 // StopReason once detected
 }
 
-// NewStopper builds a Stopper for ctx (nil means context.Background()) and an
-// optional extra deadline (zero means none). The context's own deadline, if
-// earlier, wins; both map to StopDeadline.
-func NewStopper(ctx context.Context, deadline time.Time) *Stopper {
+// NewStopper builds a Stopper for ctx (nil means context.Background()). The
+// wall-clock bound it polls is ctx.Deadline(); expiry maps to StopDeadline,
+// cancellation to StopCancelled.
+func NewStopper(ctx context.Context) *Stopper {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	return &Stopper{ctx: ctx, deadline: deadline}
+	d, _ := ctx.Deadline()
+	return &Stopper{ctx: ctx, deadline: d}
 }
 
-// Deadline returns the effective wall-clock deadline (zero when none) — the
-// earlier of the constructor's deadline and the context's.
+// Deadline returns the context's deadline (zero when none), for loops that
+// poll the clock without holding the Stopper, such as one long LP solve.
 func (s *Stopper) Deadline() time.Time {
 	if s == nil {
 		return time.Time{}

@@ -24,15 +24,22 @@ func TestStopperNilReceiverIsInert(t *testing.T) {
 }
 
 func TestStopperNilContextWithDeadline(t *testing.T) {
-	// nil ctx means Background; the explicit wall-clock deadline must still
-	// fire on its own.
-	past := time.Now().Add(-time.Second)
-	s := NewStopper(nil, past)
-	if got := s.Deadline(); !got.Equal(past) {
-		t.Fatalf("Deadline() = %v, want %v", got, past)
-	}
+	// nil ctx means Background: no deadline, never stops on its own.
+	s := NewStopper(nil)
 	if s.Context() == nil {
 		t.Fatal("nil ctx not replaced with Background")
+	}
+	if !s.Deadline().IsZero() || s.Check() != StopNone {
+		t.Fatal("Background stopper has a deadline or stopped")
+	}
+	// A context whose deadline has passed fires StopDeadline, and the
+	// Stopper reports that deadline as the bound it polls.
+	past := time.Now().Add(-time.Second)
+	ctx, cancel := context.WithDeadline(context.Background(), past)
+	defer cancel()
+	s = NewStopper(ctx)
+	if got := s.Deadline(); !got.Equal(past) {
+		t.Fatalf("Deadline() = %v, want %v", got, past)
 	}
 	if r := s.Check(); r != StopDeadline {
 		t.Fatalf("Check() = %v, want StopDeadline", r)
@@ -43,18 +50,21 @@ func TestStopperNilContextWithDeadline(t *testing.T) {
 }
 
 func TestStopperEarlierContextDeadlineWins(t *testing.T) {
-	ctxDeadline := time.Now().Add(time.Hour)
-	ctx, cancel := context.WithDeadline(context.Background(), ctxDeadline)
+	// The Stopper polls the effective deadline of a context chain: an outer
+	// bound earlier than the inner one wins, and so does an earlier inner one.
+	outerDeadline := time.Now().Add(time.Hour)
+	outer, cancel := context.WithDeadline(context.Background(), outerDeadline)
 	defer cancel()
-	s := NewStopper(ctx, time.Now().Add(2*time.Hour))
-	if got := s.Deadline(); !got.Equal(ctxDeadline) {
-		t.Fatalf("effective deadline %v, want the earlier context deadline %v", got, ctxDeadline)
+	later, cancelLater := context.WithDeadline(outer, time.Now().Add(2*time.Hour))
+	defer cancelLater()
+	if got := NewStopper(later).Deadline(); !got.Equal(outerDeadline) {
+		t.Fatalf("effective deadline %v, want the earlier outer deadline %v", got, outerDeadline)
 	}
-	// And the other way around: an earlier explicit deadline wins.
 	early := time.Now().Add(time.Minute)
-	s2 := NewStopper(ctx, early)
-	if got := s2.Deadline(); !got.Equal(early) {
-		t.Fatalf("effective deadline %v, want the earlier explicit deadline %v", got, early)
+	inner, cancelInner := context.WithDeadline(outer, early)
+	defer cancelInner()
+	if got := NewStopper(inner).Deadline(); !got.Equal(early) {
+		t.Fatalf("effective deadline %v, want the earlier inner deadline %v", got, early)
 	}
 }
 
@@ -64,8 +74,9 @@ func TestStopperFirstReasonSticksUnderConcurrency(t *testing.T) {
 	// goroutine must observe the same sticky reason; run under -race this
 	// also proves the CAS publication is clean.
 	for round := 0; round < 20; round++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		s := NewStopper(ctx, time.Now().Add(2*time.Millisecond))
+		parent, cancel := context.WithCancel(context.Background())
+		ctx, cancelDeadline := context.WithDeadline(parent, time.Now().Add(2*time.Millisecond))
+		s := NewStopper(ctx)
 		const workers = 8
 		reasons := make([]StopReason, workers)
 		var wg sync.WaitGroup
@@ -86,6 +97,7 @@ func TestStopperFirstReasonSticksUnderConcurrency(t *testing.T) {
 		close(start)
 		cancel() // races with the expiring deadline
 		wg.Wait()
+		cancelDeadline()
 		for i := 1; i < workers; i++ {
 			if reasons[i] != reasons[0] {
 				t.Fatalf("round %d: goroutines observed different reasons: %v vs %v",
@@ -103,7 +115,7 @@ func TestStopperFirstReasonSticksUnderConcurrency(t *testing.T) {
 
 func TestStopperReasonDoesNotPoll(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := NewStopper(ctx, time.Time{})
+	s := NewStopper(ctx)
 	cancel()
 	// Reason and Stopped read the sticky state only; no Check has run yet.
 	if s.Reason() != StopNone || s.Stopped() {

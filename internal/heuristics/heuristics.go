@@ -91,9 +91,6 @@ type Options struct {
 	// interrupted run still returns a feasible selection over the scored
 	// prefix with Result.Partial set — not an error.
 	Context context.Context
-	// Deadline, if non-zero, is an explicit wall-clock deadline folded with
-	// the context's (the earlier wins).
-	Deadline time.Time
 	// Explain records selection provenance (the ranked pool with every
 	// candidate's score and fate) on Result.Provenance and the run's
 	// heuristics.rank span. It changes no score, tie-break, or what-if call —
@@ -136,7 +133,7 @@ func Select(w *workload.Workload, opt *whatif.Optimizer, cands []workload.Index,
 		return nil, fmt.Errorf("heuristics: unknown rule %d", int(rule))
 	}
 	start := time.Now()
-	stop := fault.NewStopper(opts.Context, opts.Deadline)
+	stop := fault.NewStopper(opts.Context)
 	var prov *explain.SelectionProvenance
 	if opts.Explain {
 		prov = &explain.SelectionProvenance{Rule: rule.String()}

@@ -320,7 +320,11 @@ func (t *tableau) driveOutArtificials() {
 // node LP is solved from scratch by the dense tableau, branching on the most
 // fractional integer variable via extra constraint rows.
 func denseSolveMIP(m *Model, opts MIPOptions) (*MIPResult, error) {
-	root, err := denseSolveWithExtra(m, nil, opts.Deadline)
+	var deadline time.Time
+	if opts.Context != nil {
+		deadline, _ = opts.Context.Deadline()
+	}
+	root, err := denseSolveWithExtra(m, nil, deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -368,11 +372,7 @@ func denseSolveMIP(m *Model, opts MIPOptions) (*MIPResult, error) {
 	}
 
 	for len(open) > 0 {
-		if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
-			res.DNF = true
-			break
-		}
-		if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
+		if !deadline.IsZero() && time.Now().After(deadline) {
 			res.DNF = true
 			break
 		}
@@ -393,11 +393,11 @@ func denseSolveMIP(m *Model, opts MIPOptions) (*MIPResult, error) {
 		if nd.bound >= res.Objective-1e-12 {
 			continue // dominated by incumbent
 		}
-		sol, err := denseSolveWithExtra(m, nd.extra, opts.Deadline)
+		sol, err := denseSolveWithExtra(m, nd.extra, deadline)
 		if err != nil {
 			return nil, err
 		}
-		if sol.Status == IterationLimit && !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
+		if sol.Status == IterationLimit && !deadline.IsZero() && time.Now().After(deadline) {
 			res.DNF = true
 			break
 		}

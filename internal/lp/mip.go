@@ -20,19 +20,12 @@ type MIPOptions struct {
 	// (e.g. 0.05 mirrors the paper's mipgap=0.05 CPLEX setting). Zero means
 	// solve to proven optimality.
 	Gap float64
-	// Deadline aborts the search; the incumbent (if any) is returned with
-	// DNF set. Zero means no deadline. The deadline is polled inside
-	// simplex iterations, so a single long LP cannot overrun it.
-	Deadline time.Time
-	// Context, if non-nil, cancels the search with the same graceful
-	// degradation as Deadline: it is checked in the serial reducer loop
-	// between node batches, and its own deadline (if earlier) is merged into
-	// Deadline so even a single long LP honors it. On cancellation the
-	// incumbent (if any) is returned with DNF set — never an error.
+	// Context, if non-nil, bounds the search: cancellation and its deadline
+	// are checked in the serial reducer loop between node batches, and the
+	// deadline is also polled inside simplex iterations, so a single long LP
+	// cannot overrun it. On either, the incumbent (if any) is returned with
+	// DNF set — never an error.
 	Context context.Context
-	// MaxNodes bounds the number of explored nodes; 0 means unlimited.
-	// Hitting the limit before the gap is proven sets DNF.
-	MaxNodes int
 	// Parallelism is the number of worker goroutines solving node LPs.
 	// 0 means GOMAXPROCS. Results are bit-identical at any setting: nodes
 	// are dispatched in fixed-size batches and all incumbent, bound,
@@ -71,8 +64,8 @@ type MIPResult struct {
 	Gap float64
 	// Nodes is the number of branch-and-bound nodes whose LP was solved.
 	Nodes int
-	// DNF reports that the deadline or node limit was hit before the gap
-	// was proven ("did not finish", Table I).
+	// DNF reports that the context was cancelled or its deadline hit before
+	// the gap was proven ("did not finish", Table I).
 	DNF bool
 	// SimplexIters counts simplex iterations across all node LPs.
 	SimplexIters int
@@ -181,9 +174,9 @@ func SolveMIP(m *Model, opts MIPOptions) (res *MIPResult, err error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// stop folds Context and Deadline; deadline is the merged wall-clock
-	// bound polled inside simplex iterations.
-	stop := fault.NewStopper(opts.Context, opts.Deadline)
+	// deadline is the context's wall-clock bound, polled inside simplex
+	// iterations.
+	stop := fault.NewStopper(opts.Context)
 	deadline := stop.Deadline()
 
 	p := compile(m)
@@ -289,19 +282,11 @@ search:
 		if gapOK() {
 			break
 		}
-		if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-			res.DNF = true
-			break
-		}
 
 		// Assemble a batch of the best open nodes, pruning dominated ones.
 		batch = batch[:0]
-		limit := bbBatch
-		if opts.MaxNodes > 0 && opts.MaxNodes-res.Nodes < limit {
-			limit = opts.MaxNodes - res.Nodes
-		}
 		cut := res.Objective
-		for len(batch) < limit && open.Len() > 0 {
+		for len(batch) < bbBatch && open.Len() > 0 {
 			nd := heap.Pop(open).(*bbNode)
 			if nd.bound >= cut-1e-12 {
 				res.NodesPruned++

@@ -10,15 +10,22 @@ import (
 	"repro/internal/drift"
 )
 
+// decodeBatchSeeds are FuzzDecodeBatch's inline seeds.
+var decodeBatchSeeds = [][]byte{
+	[]byte(`[{"table":"T01","attrs":["T01.A00","T01.A01"],"count":3}]`),
+	[]byte("{\"table\":\"T02\",\"attrs\":[\"T02.A03\"],\"kind\":\"update\",\"count\":1}\nnot json\n"),
+}
+
 // FuzzDecodeBatch feeds arbitrary /observe bodies to decodeBatch, the first
 // code an untrusted producer reaches. Decoding must not panic, and a body
 // either fails as a whole or yields observations that the daemon's window
 // resolves or rejects as drift.ErrMalformed — never with any other error.
-// Seed corpus: testdata/fuzz/FuzzDecodeBatch.
+// Seed corpus: decodeBatchSeeds and testdata/fuzz/FuzzDecodeBatch.
 func FuzzDecodeBatch(f *testing.F) {
 	w := drift.NewWindow(daemonSchema(f), drift.WindowConfig{})
-	f.Add([]byte(`[{"table":"T01","attrs":["T01.A00","T01.A01"],"count":3}]`))
-	f.Add([]byte("{\"table\":\"T02\",\"attrs\":[\"T02.A03\"],\"kind\":\"update\",\"count\":1}\nnot json\n"))
+	for _, seed := range decodeBatchSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req := httptest.NewRequest(http.MethodPost, "/observe", bytes.NewReader(body))
 		batch, err := decodeBatch(req)
